@@ -59,14 +59,13 @@ def _add_common_options(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int)
     p.add_argument("--length", type=int, help="number of samples")
     p.add_argument("--noise", type=float, help="generator noise level")
-    p.add_argument("--trials", type=int, help="isometry verification trials")
     p.add_argument("--out", metavar="DIR", help="output directory")
 
 
 def _config_from_args(args):
     mapping = parse_config_file(args.config) if args.config else {}
     for key in ("data", "kernel", "sigma", "degree", "offset", "criterion", "threshold",
-                "max_atoms", "algo", "eta", "eps", "seed", "length", "noise", "trials", "out"):
+                "max_atoms", "algo", "eta", "eps", "seed", "length", "noise", "out"):
         value = getattr(args, key, None)
         if value is not None:
             mapping[key] = str(value)
@@ -98,9 +97,7 @@ def _load_dictionary(args) -> Dictionary:
 
 def _cmd_verify(args) -> int:
     dictionary = _load_dictionary(args)
-    trials = args.trials if args.trials is not None else 10_000
-    seed = args.seed if args.seed is not None else 0
-    code, report = verify_dictionary(dictionary, trials=trials, rng_seed=seed, out=args.out)
+    code, report = verify_dictionary(dictionary, out=args.out)
     for bs in report.per_measure:
         note = " (vacuous lower bound)" if bs.vacuous_lower else ""
         print(

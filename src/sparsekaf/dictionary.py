@@ -310,19 +310,10 @@ class Dictionary:
                 raise NumericalError("atom with zero self-similarity; coherence measure undefined")
             cos = np.abs(gram) / np.sqrt(np.outer(diag, diag))
             return float(np.max(cos[off]))
-        # approximation: residual of reconstructing each atom from the others
-        worst = math.inf
-        for i in range(self.m):
-            keep = np.arange(self.m) != i
-            sub = gram[np.ix_(keep, keep)]
-            kv = gram[keep, i]
-            try:
-                factor = scipy.linalg.cho_factor(sub, lower=True, check_finite=False)
-            except (np.linalg.LinAlgError, ValueError) as exc:
-                raise NumericalError(f"singular sub-gram while measuring approximation: {exc}") from None
-            resid = float(diag[i] - kv @ scipy.linalg.cho_solve(factor, kv, check_finite=False))
-            worst = min(worst, resid)
-        return math.sqrt(max(worst, 0.0))
+        # approximation: atom i's residual against the others is 1/(K^-1)_ii
+        # (the last pivot of K with atom i ordered last)
+        inv = _fresh_inverse(gram)
+        return math.sqrt(max(float(np.min(1.0 / np.diag(inv))), 0.0))
 
     def project(self, x) -> ProjectionResult:
         """Least-squares projection of kappa(x, .) onto the dictionary span."""

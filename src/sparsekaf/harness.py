@@ -1,9 +1,8 @@
 """Experiment orchestration: data synthesis, online runs, verification, CSV output.
 
 Everything here is deterministic given the configured seed: synthetic
-data, the online run, and the randomized isometry verification all derive
-their randomness from it, so identical configurations produce
-byte-identical CSV files.
+data derives its randomness from it and the spectral report draws none,
+so identical configurations produce byte-identical CSV files.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import numpy as np
 from .dictionary import CriterionConfig, Dictionary
 from .kernels import Kernel
 from .learners import LearnerConfig, ModelState, step
-from .spectral import DEFAULT_TRIALS, SpectralReport, spectral_report
+from .spectral import SpectralReport, spectral_report
 
 GENERATORS = ("sinc1d", "narma2")
 
@@ -38,15 +37,12 @@ class ExperimentConfig:
     seed: int = 0
     length: int = 1000
     noise: float | None = None
-    trials: int = DEFAULT_TRIALS
     out: str | None = None
     probe_grid: np.ndarray | None = None  # final model is evaluated here
 
     def __post_init__(self):
         if self.length < 1:
             raise ConfigError("length must be >= 1")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
         if self.probe_grid is not None:
             self.probe_grid = np.atleast_2d(np.asarray(self.probe_grid, dtype=np.float64))
 
@@ -173,7 +169,7 @@ def run_online(cfg: ExperimentConfig) -> RunRecord:
         )
     record.dictionary = dictionary
     record.state = state
-    record.report = spectral_report(dictionary, trials=cfg.trials, rng_seed=cfg.seed)
+    record.report = spectral_report(dictionary)
     if cfg.probe_grid is not None:
         record.probes = [(z, state.predict(dictionary, z)) for z in cfg.probe_grid]
     if cfg.out is not None:
@@ -214,14 +210,9 @@ def verification_exit_code(report: SpectralReport) -> int:
     return 3 if any(is_hard_violation(name) for name, _ in report.violations) else 0
 
 
-def verify_dictionary(
-    dictionary: Dictionary,
-    trials: int = DEFAULT_TRIALS,
-    rng_seed: int = 0,
-    out: str | None = None,
-) -> tuple[int, SpectralReport]:
+def verify_dictionary(dictionary: Dictionary, out: str | None = None) -> tuple[int, SpectralReport]:
     """Recompute all measures and guarantees for a finished dictionary."""
-    report = spectral_report(dictionary, trials=trials, rng_seed=rng_seed)
+    report = spectral_report(dictionary)
     if out is not None:
         os.makedirs(out, exist_ok=True)
         with open(os.path.join(out, SPECTRAL_CSV), "w", encoding="ascii") as fh:
@@ -243,7 +234,7 @@ _ALGO_ALIASES = {
 
 CONFIG_KEYS = (
     "data", "kernel", "sigma", "degree", "offset", "criterion", "threshold",
-    "max_atoms", "algo", "eta", "eps", "seed", "length", "noise", "trials", "out",
+    "max_atoms", "algo", "eta", "eps", "seed", "length", "noise", "out",
 )
 
 DEFAULTS = {
@@ -259,7 +250,6 @@ DEFAULTS = {
     "eps": "1e-6",
     "seed": "0",
     "length": "1000",
-    "trials": str(DEFAULT_TRIALS),
 }
 
 
@@ -321,7 +311,6 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
             seed=_get(merged, "seed", int),
             length=_get(merged, "length", int),
             noise=_get(merged, "noise", float) if "noise" in merged else None,
-            trials=_get(merged, "trials", int),
             out=merged.get("out"),
         )
     except ConfigError:

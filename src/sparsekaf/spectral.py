@@ -1,10 +1,17 @@
 """Spectral analysis of dictionary Gram matrices.
 
-Exact eigendecomposition (cyclic Jacobi) plus the theoretical guarantees a
-sparse dictionary earns from its sparsity measure: Gersgorin-derived
+Exact eigendecomposition (LAPACK ``eigh``) plus the theoretical guarantees
+a sparse dictionary earns from its sparsity measure: Gersgorin-derived
 eigenvalue bounds, a sufficient linear-independence condition, a condition
 number bound, and the quasi-isometry constant between the coefficient
 (dual) space R^m and the span of the dictionary atoms.
+
+:func:`spectral_report` checks the quasi-isometry exactly: with K the Gram
+matrix divided by the squared rescale factor, the Rayleigh quotient ranges
+over [lambda_min, lambda_max] of K and the worst inner-product deviation
+is ||K - I||_2 = max_i |lambda_i - 1|. :func:`verify_isometry` is the
+paper's randomized experiment; its sampled extremes always fall inside
+these.
 
 All bound functions take the *measured* sparsity value of a finished
 dictionary, not the admission threshold: the measured value is at least as
@@ -49,9 +56,6 @@ from .kernels import NormRange, norm_range
 CONTAINMENT_SLACK = 1e-9
 DEFAULT_TRIALS = 10_000
 
-JACOBI_MAX_SWEEPS = 100
-JACOBI_TOL = 1e-12  # times the Frobenius norm
-
 
 @dataclass(frozen=True)
 class EigenSpectrum:
@@ -77,84 +81,43 @@ class EigenSpectrum:
 
 
 def eigensolve(gram: np.ndarray) -> EigenSpectrum:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
+    """Full eigendecomposition of a symmetric matrix by LAPACK ``eigh``.
 
-    Rotations below threshold are skipped; sweeps stop once the largest
-    off-diagonal magnitude falls under ``JACOBI_TOL`` times the Frobenius
-    norm (at most ``JACOBI_MAX_SWEEPS`` sweeps). Deterministic up to
-    eigenvector sign.
+    Deterministic up to eigenvector sign.
     """
     a = np.array(gram, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    m = a.shape[0]
-    if m == 0:
+    if a.shape[0] == 0:
         raise ValueError("cannot eigensolve an empty matrix")
     if np.max(np.abs(a - a.T)) > 1e-12:
         raise ValueError("matrix is not symmetric within 1e-12")
-    a = 0.5 * (a + a.T)
+    values, vectors = np.linalg.eigh(a)
+    return EigenSpectrum(values=values[::-1], vectors=vectors[:, ::-1])
 
-    vectors = np.eye(m)
-    fro = float(np.linalg.norm(a))
-    if m == 1 or fro == 0.0:
-        values = np.diag(a).copy()
-        order = np.argsort(-values, kind="stable")
-        return EigenSpectrum(values=values[order], vectors=vectors[:, order])
 
-    tol = JACOBI_TOL * fro
-    for sweep in range(JACOBI_MAX_SWEEPS):
-        abs_off = np.abs(a)
-        np.fill_diagonal(abs_off, 0.0)
-        off = abs_off.max()
-        if off <= tol:
-            break
-        # rotate only entries above the sweep threshold; early sweeps chase
-        # the large ones first, late sweeps clean everything above tolerance
-        thresh = max(0.2 * off, 0.1 * tol) if sweep < 3 else 0.1 * tol
-        rows, cols = np.nonzero(np.triu(abs_off, 1) > thresh)
-        for p, q in zip(rows.tolist(), cols.tolist()):
-            apq = a[p, q]
-            if abs(apq) <= thresh:
-                continue  # shrunk by an earlier rotation in this sweep
-            app, aqq = a[p, p], a[q, q]
-            theta = (aqq - app) / (2.0 * apq)
-            t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-            c = 1.0 / math.sqrt(1.0 + t * t)
-            s = t * c
-            # similarity transform in the (p, q) plane; rows first, then the
-            # 2x2 block explicitly, columns mirrored from the updated rows
-            row_p = c * a[p, :] - s * a[q, :]
-            row_q = s * a[p, :] + c * a[q, :]
-            row_p[p] = app - t * apq
-            row_q[q] = aqq + t * apq
-            row_p[q] = row_q[p] = 0.0
-            a[p, :] = row_p
-            a[q, :] = row_q
-            a[:, p] = row_p
-            a[:, q] = row_q
-            vec_p = c * vectors[:, p] - s * vectors[:, q]
-            vectors[:, q] = s * vectors[:, p] + c * vectors[:, q]
-            vectors[:, p] = vec_p
-
-    values = np.diag(a).copy()
-    order = np.argsort(-values, kind="stable")
-    return EigenSpectrum(values=values[order], vectors=vectors[:, order])
+def _gersgorin_discs(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    a = np.asarray(gram, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    centers = np.diag(a)
+    return centers, np.sum(np.abs(a), axis=1) - np.abs(centers)
 
 
 def gersgorin_intervals(gram: np.ndarray) -> list[tuple[float, float]]:
     """Disc (center, radius) per row: the diagonal entry and the absolute
     off-diagonal row sum. Every eigenvalue lies in the union of the discs."""
-    a = np.asarray(gram, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    centers = np.diag(a)
-    radii = np.sum(np.abs(a), axis=1) - np.abs(centers)
+    centers, radii = _gersgorin_discs(gram)
     return list(zip(centers.tolist(), radii.tolist()))
 
 
-def gersgorin_margin(gram: np.ndarray, eigenvalue: float) -> float:
-    """Distance from ``eigenvalue`` to the nearest Gersgorin disc (0 if inside)."""
-    return min(max(abs(eigenvalue - c) - r, 0.0) for c, r in gersgorin_intervals(gram))
+def gersgorin_margin(gram: np.ndarray, eigenvalues) -> float:
+    """Largest distance from any of ``eigenvalues`` (a scalar or an array)
+    to its nearest Gersgorin disc; 0 when every one lies inside the union."""
+    centers, radii = _gersgorin_discs(gram)
+    lam = np.atleast_1d(np.asarray(eigenvalues, dtype=np.float64))
+    gaps = np.abs(lam[:, None] - centers[None, :]) - radii[None, :]
+    return float(np.max(np.maximum(np.min(gaps, axis=1), 0.0)))
 
 
 def _check_bound_args(kind: str, value: float, m: int, nr: NormRange):
@@ -168,6 +131,10 @@ def _check_bound_args(kind: str, value: float, m: int, nr: NormRange):
         raise ValueError("coherence measure cannot exceed 1")
     if kind == "distance" and value**2 > nr.R_sq:
         raise ValueError(f"distance delta^2={value**2} exceeds R^2={nr.R_sq}")
+    # delta^2 <= kappa(x, x) <= R^2 for every atom; the slack admits a
+    # measured delta^2 that rounding pushed just past R^2
+    if kind == "approximation" and value**2 > nr.R_sq * (1.0 + CONTAINMENT_SLACK):
+        raise ValueError(f"approximation delta^2={value**2} exceeds R^2={nr.R_sq}")
 
 
 def eigen_bounds(kind: str, value: float, m: int, nr: NormRange) -> tuple[float, float]:
@@ -315,12 +282,12 @@ def _isometry_stats(gram: np.ndarray, trials: int, rng_seed: int) -> _IsometrySt
     m = gram.shape[0]
     rng = np.random.default_rng(rng_seed)
     a = _nonzero_normal(rng, trials, m)
-    quad = np.einsum("ti,ij,tj->t", a, gram, a)
+    quad = np.sum((a @ gram) * a, axis=1)
     ratios = quad / np.sum(a * a, axis=1)
     a1 = _nonzero_normal(rng, trials, m)
     a2 = _nonzero_normal(rng, trials, m)
     norms = np.linalg.norm(a1, axis=1) * np.linalg.norm(a2, axis=1)
-    ip_kernel = np.einsum("ti,ij,tj->t", a1, gram, a2) / norms
+    ip_kernel = np.sum((a1 @ gram) * a2, axis=1) / norms
     ip_euclid = np.sum(a1 * a2, axis=1) / norms
     return _IsometryStats(ratios=ratios, ip_kernel=ip_kernel, ip_euclid=ip_euclid)
 
@@ -339,7 +306,8 @@ def verify_isometry(
     deviation |alpha'^T (K - I) alpha''| / (||alpha'|| ||alpha''||), where
     K is the Gram matrix divided by ``rescale_factor**2``. For a
     dictionary with isometry constant nu (at this rescale factor) the
-    ratios must lie in [1-nu, 1+nu] and the deviations below nu.
+    ratios must lie in [1-nu, 1+nu] and the deviations below nu. The
+    sampled extremes never pass the exact ones in :func:`spectral_report`.
     """
     if dictionary.m == 0:
         raise ValueError("verify_isometry requires a non-empty dictionary")
@@ -433,17 +401,14 @@ def dictionary_norm_range(dictionary: Dictionary) -> NormRange:
     return norm_range(dictionary.kernel, dictionary.atoms)
 
 
-def spectral_report(
-    dictionary: Dictionary,
-    nr: NormRange | None = None,
-    trials: int = DEFAULT_TRIALS,
-    rng_seed: int = 0,
-) -> SpectralReport:
+def spectral_report(dictionary: Dictionary, nr: NormRange | None = None) -> SpectralReport:
     """Measure the dictionary all four ways and check every guarantee.
 
     Bounds use the measured sparsity values. Measures that are undefined
-    (fewer than two atoms) or numerically unavailable (singular sub-Gram
-    during the approximation measure) yield NaN rows with no checks.
+    (fewer than two atoms) or numerically unavailable (a Gram matrix too
+    close to singular for the approximation measure) yield NaN rows with
+    no checks. The isometry extremes are the exact suprema over all
+    coefficient vectors, read off the spectrum; nothing is sampled.
     """
     if dictionary.m == 0:
         raise ValueError("spectral_report requires a non-empty dictionary")
@@ -452,11 +417,10 @@ def spectral_report(
     spectrum = eigensolve(dictionary.gram)
     report = SpectralReport(spectrum=spectrum, norm=nr)
 
-    worst_gersgorin = max(gersgorin_margin(dictionary.gram, lam) for lam in spectrum.values)
+    worst_gersgorin = gersgorin_margin(dictionary.gram, spectrum.values)
     if worst_gersgorin > CONTAINMENT_SLACK:
         report.violations.append(("gersgorin", worst_gersgorin))
 
-    stats = _isometry_stats(dictionary.gram, trials, rng_seed)
     m = dictionary.m
     for kind in CRITERION_KINDS:
         try:
@@ -479,10 +443,24 @@ def spectral_report(
             rescale_factor=rescale,
         )
         report.per_measure.append(bs)
-        extremes = stats.extremes(bs.rescale_factor)
+        extremes = _exact_extremes(spectrum, bs.rescale_factor)
         report.isometry_extremes[kind] = extremes
         _append_violations(report, bs, extremes, dictionary)
     return report
+
+
+def _exact_extremes(spectrum: EigenSpectrum, rescale_factor: float) -> tuple[float, float, float]:
+    """(ratio low, ratio high, inner-product deviation) over all coefficients.
+
+    With K the Gram matrix divided by ``rescale_factor**2``, the Rayleigh
+    quotient alpha^T K alpha / ||alpha||^2 ranges over [lambda_min, lambda_max]
+    of K, and the largest |alpha'^T (K - I) alpha''| over unit alpha',
+    alpha'' is ||K - I||_2 = max_i |lambda_i - 1|, reached at an end of the
+    spectrum. These are the suprema that :func:`verify_isometry` samples.
+    """
+    s_sq = rescale_factor**2
+    low, high = spectrum.lambda_min / s_sq, spectrum.lambda_max / s_sq
+    return low, high, max(high - 1.0, 1.0 - low)
 
 
 def _append_violations(

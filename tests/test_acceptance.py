@@ -414,7 +414,6 @@ def test_acceptance_9_determinism(tmp_path):
             data="sinc1d",
             seed=7,
             length=400,
-            trials=10_000,
             out=str(out),
         )
         run_online(cfg)

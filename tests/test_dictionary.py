@@ -223,6 +223,24 @@ class TestMeasure:
         with pytest.raises(ValueError):
             d.measure("unknown")
 
+    @pytest.mark.parametrize("kind,threshold", [
+        ("distance", 0.6), ("approximation", 0.4), ("coherence", 0.5), ("babel", 0.8),
+    ])
+    def test_approximation_matches_per_atom_residuals(self, kind, threshold):
+        # reference: reconstruct each atom from the others, one solve per atom
+        rng = np.random.default_rng(31)
+        d = gaussian_dict(kind=kind, threshold=threshold, sigma=0.8, max_atoms=60)
+        for x in rng.uniform(-3, 3, size=(300, 2)):
+            d.admit(x)
+        gram = d.gram
+        residuals = []
+        for i in range(d.m):
+            keep = np.arange(d.m) != i
+            coef = np.linalg.solve(gram[np.ix_(keep, keep)], gram[keep, i])
+            residuals.append(gram[i, i] - gram[keep, i] @ coef)
+        assert d.m >= 10
+        assert d.measure("approximation") == pytest.approx(math.sqrt(min(residuals)), rel=1e-10)
+
     def test_approximation_measure_singular_subgram(self):
         # three copies of a direction: removing one atom leaves a singular pair
         d = linear_dict([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])

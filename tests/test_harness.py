@@ -34,7 +34,6 @@ def make_config(**overrides):
         data="sinc1d",
         seed=0,
         length=200,
-        trials=500,
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -103,14 +102,14 @@ class TestLoadCsv:
 
 class TestRunOnline:
     def test_single_sample(self):
-        record = run_online(make_config(length=1, trials=50))
+        record = run_online(make_config(length=1))
         assert len(record.rows) == 1
         t, pred, err, admitted, m, a_sq, psi_sq = record.rows[0]
         assert (t, pred, admitted, m) == (1, 0.0, True, 1)
         assert err != 0.0
 
     def test_m_non_decreasing_and_bounded_by_t(self):
-        record = run_online(make_config(length=300, trials=50))
+        record = run_online(make_config(length=300))
         ms = [row[4] for row in record.rows]
         ts = [row[0] for row in record.rows]
         assert all(m2 >= m1 for m1, m2 in zip(ms, ms[1:]))
@@ -118,13 +117,13 @@ class TestRunOnline:
         assert 1 < record.dictionary.m < 300
 
     def test_sparsification_discards_samples(self):
-        record = run_online(make_config(length=1000, trials=50))
+        record = run_online(make_config(length=1000))
         assert record.dictionary.m < 1000
 
     def test_output_files_and_determinism(self, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-        run_online(make_config(length=150, trials=200, out=out1))
-        run_online(make_config(length=150, trials=200, out=out2))
+        run_online(make_config(length=150, out=out1))
+        run_online(make_config(length=150, out=out2))
         for name in ("run.csv", "spectral.csv", "dictionary.txt"):
             b1 = open(os.path.join(out1, name), "rb").read()
             b2 = open(os.path.join(out2, name), "rb").read()
@@ -133,12 +132,12 @@ class TestRunOnline:
         assert header == "t,prediction,error,admitted,m,alpha_sq_norm,psi_sq_norm"
 
     def test_different_seed_changes_output(self, tmp_path):
-        r1 = run_online(make_config(length=100, trials=50))
-        r2 = run_online(make_config(length=100, trials=50, seed=3))
+        r1 = run_online(make_config(length=100))
+        r2 = run_online(make_config(length=100, seed=3))
         assert r1.run_csv() != r2.run_csv()
 
     def test_psi_norm_column_is_quadratic_form(self):
-        record = run_online(make_config(length=50, trials=50))
+        record = run_online(make_config(length=50))
         final = record.rows[-1]
         alpha = record.state.alpha
         assert final[5] == pytest.approx(float(alpha @ alpha), rel=1e-12)
@@ -147,7 +146,7 @@ class TestRunOnline:
     def test_probe_grid_written_and_matches_final_model(self, tmp_path):
         grid = np.linspace(-3, 3, 7).reshape(-1, 1)
         out = str(tmp_path / "probes")
-        record = run_online(make_config(length=100, trials=50, probe_grid=grid, out=out))
+        record = run_online(make_config(length=100, probe_grid=grid, out=out))
         assert len(record.probes) == 7
         for (point, value), z in zip(record.probes, grid):
             np.testing.assert_array_equal(point, z)
@@ -161,20 +160,20 @@ class TestRunOnline:
         xs, ys = synthesize("sinc1d", seed=2, length=40, noise=0.0)
         rows = ["x,y"] + [f"{float(x[0])!r},{float(y)!r}" for x, y in zip(xs, ys)]
         data.write_text("\n".join(rows) + "\n")
-        record = run_online(make_config(data=f"csv:{data}", length=40, trials=50))
+        record = run_online(make_config(data=f"csv:{data}", length=40))
         assert len(record.rows) == 40
 
 
 class TestVerify:
     def test_built_dictionary_passes(self, tmp_path):
-        record = run_online(make_config(length=400, trials=200))
-        code, report = verify_dictionary(record.dictionary, trials=500, out=str(tmp_path))
+        record = run_online(make_config(length=400))
+        code, report = verify_dictionary(record.dictionary, out=str(tmp_path))
         assert code == 0
         assert (tmp_path / "spectral.csv").exists()
 
     def test_orthonormal_dictionary_total_isometry(self):
         d = Dictionary.from_atoms(Kernel.linear(), CriterionConfig("approximation", 1.0), np.eye(4))
-        code, report = verify_dictionary(d, trials=300)
+        code, report = verify_dictionary(d)
         assert code == 0
         by_kind = {bs.measure_kind: bs for bs in report.per_measure}
         assert by_kind["approximation"].measure_value == pytest.approx(1.0, abs=1e-12)
@@ -187,7 +186,7 @@ class TestVerify:
             "kernel linear\ncriterion coherence threshold=1.0\natom 1.0 0.0\natom 2.0 0.0\n"
         )
         d = Dictionary.load(path)
-        code, report = verify_dictionary(d, trials=300)
+        code, report = verify_dictionary(d)
         assert code == 0
         coh = [bs for bs in report.per_measure if bs.measure_kind == "coherence"][0]
         assert coh.measure_value == pytest.approx(1.0, abs=1e-12)
@@ -257,12 +256,12 @@ class TestCli:
             "run", "--data", "sinc1d", "--length", "120", "--seed", "1",
             "--kernel", "gaussian", "--sigma", "0.5", "--criterion", "coherence",
             "--threshold", "0.5", "--algo", "nlms", "--eta", "0.5", "--eps", "1e-6",
-            "--trials", "200", "--out", out,
+            "--out", out,
         ])
         assert rc == 0
         for name in ("run.csv", "spectral.csv", "dictionary.txt"):
             assert os.path.exists(os.path.join(out, name))
-        rc = main(["verify", "--dict", os.path.join(out, "dictionary.txt"), "--trials", "200"])
+        rc = main(["verify", "--dict", os.path.join(out, "dictionary.txt")])
         assert rc == 0
         assert "verification passed" in capsys.readouterr().out
         rc = main(["measure", "--dict", os.path.join(out, "dictionary.txt")])
@@ -296,7 +295,7 @@ class TestCli:
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("data = sinc1d\nlength = 60\nsigma = 0.5\ntrials = 100\n")
+        cfg.write_text("data = sinc1d\nlength = 60\nsigma = 0.5\n")
         out = str(tmp_path / "res")
         rc = main(["run", "--config", str(cfg), "--length", "40", "--out", out])
         assert rc == 0

@@ -20,7 +20,7 @@ from sparsekaf import (
     verify_isometry,
 )
 from sparsekaf.harness import verification_exit_code
-from sparsekaf.spectral import gersgorin_margin
+from sparsekaf.spectral import _isometry_stats, gersgorin_margin
 
 UNIT = NormRange(1.0, 1.0, source="analytic")
 KINDS = ("distance", "approximation", "coherence", "babel")
@@ -101,6 +101,18 @@ class TestGersgorin:
         for lam in eigensolve(gram).values:
             assert gersgorin_margin(gram, lam) <= 1e-9
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_array_margin_is_max_of_scalar_margins(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 25))
+        a = rng.standard_normal((m, m))
+        gram = a @ a.T / m
+        # the spectrum plus points that miss every disc
+        lams = np.concatenate([eigensolve(gram).values, rng.uniform(-20.0, 20.0, 10)])
+        expected = max(gersgorin_margin(gram, lam) for lam in lams)
+        assert expected > 0.0
+        assert gersgorin_margin(gram, lams) == expected
+
 
 class TestEigenBounds:
     def test_coherence_unit_norm(self):
@@ -123,6 +135,12 @@ class TestEigenBounds:
     def test_distance_delta_exceeding_R_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
             eigen_bounds("distance", 1.5, 2, UNIT)
+
+    def test_approximation_delta_exceeding_R_rejected(self):
+        # no dictionary has delta^2 > R^2; the window would come out inverted
+        for bounds in (eigen_bounds, sound_eigen_bounds):
+            with pytest.raises(ValueError, match="exceeds"):
+                bounds("approximation", 1.5, 3, UNIT)
 
     def test_general_norm_range(self):
         nr = NormRange(0.8, 1.2)
@@ -313,6 +331,19 @@ class TestVerifyIsometry:
         d = build_gaussian_dict("coherence", 0.6, seed=4, n=60)
         assert verify_isometry(d, 300, rng_seed=9) == verify_isometry(d, 300, rng_seed=9)
 
+    def test_stats_match_einsum_reference(self):
+        d = build_gaussian_dict("coherence", 0.6, seed=4, n=60)
+        gram, trials = d.gram, 500
+        stats = _isometry_stats(gram, trials, 9)
+        rng = np.random.default_rng(9)
+        a, a1, a2 = (rng.standard_normal((trials, d.m)) for _ in range(3))
+        ratios = np.einsum("ti,ij,tj->t", a, gram, a) / np.sum(a * a, axis=1)
+        norms = np.linalg.norm(a1, axis=1) * np.linalg.norm(a2, axis=1)
+        ip_kernel = np.einsum("ti,ij,tj->t", a1, gram, a2) / norms
+        np.testing.assert_allclose(stats.ratios, ratios, rtol=1e-12)
+        np.testing.assert_allclose(stats.ip_kernel, ip_kernel, rtol=1e-12, atol=1e-14)
+        np.testing.assert_array_equal(stats.ip_euclid, np.sum(a1 * a2, axis=1) / norms)
+
     def test_empty_rejected(self):
         d = Dictionary(Kernel.gaussian(1.0), CriterionConfig("coherence", 0.5))
         with pytest.raises(ValueError):
@@ -355,7 +386,7 @@ class TestContainmentProperties:
         spec = eigensolve(d.gram)
         assert spec.values[-1] < lo - 1e-3  # escapes by a wide margin
         assert spec.values[0] > hi + 1e-3
-        report = spectral_report(d, trials=100)
+        report = spectral_report(d)
         names = {name for name, _ in report.violations}
         assert "approximation:eigen_lower" in names
         assert "approximation:eigen_upper" in names
@@ -410,7 +441,7 @@ class TestContainmentProperties:
 class TestSpectralReport:
     def test_coherence_run_is_clean(self):
         d = build_gaussian_dict("coherence", 0.5, seed=2, n=150)
-        report = spectral_report(d, trials=2000, rng_seed=0)
+        report = spectral_report(d)
         assert [bs.measure_kind for bs in report.per_measure] == list(KINDS)
         assert verification_exit_code(report) == 0
         sound = {n for n, _ in report.violations if n.split(":")[0] in SOUND_KINDS}
@@ -424,7 +455,7 @@ class TestSpectralReport:
         d = Dictionary(Kernel.gaussian(1.0), CriterionConfig("babel", 0.8))
         for x in rng.uniform(-4, 4, size=(400, 2)):
             d.admit(x)
-        report = spectral_report(d, trials=500)
+        report = spectral_report(d)
         if d.measure("babel") > 0.8 + 1e-9:
             assert ("babel:admission_threshold" in {n for n, _ in report.violations})
         assert verification_exit_code(report) == 0
@@ -433,7 +464,7 @@ class TestSpectralReport:
         d = Dictionary.from_atoms(
             Kernel.linear(), CriterionConfig("coherence", 1.0), [[1.0, 0.0], [2.0, 0.0]]
         )
-        report = spectral_report(d, trials=200)
+        report = spectral_report(d)
         coh = report.per_measure[2]
         assert coh.measure_value == pytest.approx(1.0, abs=1e-12)
         assert coh.vacuous_lower
@@ -448,7 +479,7 @@ class TestSpectralReport:
     def test_single_atom_report(self):
         d = build_gaussian_dict("coherence", 0.5, seed=3, n=1)
         assert d.m == 1
-        report = spectral_report(d, trials=50)
+        report = spectral_report(d)
         by_kind = {bs.measure_kind: bs for bs in report.per_measure}
         assert math.isnan(by_kind["coherence"].measure_value)
         assert by_kind["babel"].measure_value == 0.0
@@ -456,7 +487,7 @@ class TestSpectralReport:
 
     def test_csv_schema_and_round_trip(self):
         d = build_gaussian_dict("coherence", 0.5, seed=2, n=60)
-        report = spectral_report(d, trials=100, rng_seed=5)
+        report = spectral_report(d)
         lines = report.to_csv().strip().split("\n")
         assert lines[0] == (
             "kind,measure,lower,upper,lambda_min,lambda_max,cond,cond_bound,nu,"
@@ -474,3 +505,53 @@ class TestSpectralReport:
         d = Dictionary(Kernel.gaussian(1.0), CriterionConfig("coherence", 0.5))
         with pytest.raises(ValueError):
             spectral_report(d)
+
+    @pytest.mark.parametrize("case", ["gaussian", "rescaled", "low_skewed"])
+    def test_isometry_extremes_are_exact(self, case):
+        if case == "gaussian":
+            d = build_gaussian_dict("coherence", 0.5, seed=2, n=150)
+        elif case == "rescaled":  # empirical norm range: rescale factors differ from 1
+            atoms = np.random.default_rng(5).standard_normal((6, 9))
+            d = Dictionary.from_atoms(Kernel.linear(), CriterionConfig("babel", 5.0), atoms)
+        else:  # unit atoms at 120 degrees, lifted: spectrum {0.27, 1.365, 1.365}, 1 - lambda_min wins
+            angles = 2 * np.pi * np.arange(3) / 3
+            atoms = np.column_stack([0.954 * np.cos(angles), 0.954 * np.sin(angles), np.full(3, 0.3)])
+            atoms /= np.linalg.norm(atoms, axis=1, keepdims=True)
+            d = Dictionary.from_atoms(Kernel.linear(), CriterionConfig("babel", 1.0), atoms)
+        report = spectral_report(d)
+        lam = np.linalg.eigvalsh(d.gram)
+        rows = {line.split(",")[0]: line.split(",") for line in report.to_csv().split("\n")[1:-1]}
+        for bs in report.per_measure:
+            s_sq = bs.rescale_factor**2
+            lo, hi, dev = report.isometry_extremes[bs.measure_kind]
+            assert lo == pytest.approx(lam[0] / s_sq, rel=1e-12)
+            assert hi == pytest.approx(lam[-1] / s_sq, rel=1e-12)
+            assert dev == pytest.approx(np.linalg.norm(d.gram / s_sq - np.eye(d.m), 2), rel=1e-12)
+            # worst_ratio_low, worst_ratio_high, worst_ip_dev
+            assert [float(v) for v in rows[bs.measure_kind][9:12]] == [lo, hi, dev]
+
+    def test_sampled_extremes_fall_inside_exact(self):
+        d = build_gaussian_dict("coherence", 0.5, seed=2, n=150)
+        report = spectral_report(d)
+        for bs in report.per_measure:
+            lo, hi, dev = report.isometry_extremes[bs.measure_kind]
+            s_lo, s_hi, s_dev = verify_isometry(d, trials=10_000, rescale_factor=bs.rescale_factor)
+            assert lo - 1e-9 <= s_lo <= s_hi <= hi + 1e-9
+            assert s_dev <= dev + 1e-9
+
+    @pytest.mark.parametrize("family", ["gaussian", "linear"])
+    def test_nearly_orthogonal_approximation_row_is_finite(self, family):
+        if family == "gaussian":
+            # grid spacing 0.1 at sigma 0.0165: correlations about 1e-8
+            grid = np.linspace(0.0, 0.4, 5)
+            atoms = np.array([[u, v] for u in grid for v in grid])
+            d = Dictionary.from_atoms(Kernel.gaussian(0.0165), CriterionConfig("coherence", 0.5), atoms)
+        else:
+            # orthogonal atoms: the measured delta^2 = 1/(1/0.84) rounds one ulp past R^2
+            atoms = math.sqrt(0.84) * np.eye(3)
+            d = Dictionary.from_atoms(Kernel.linear(), CriterionConfig("coherence", 0.5), atoms)
+        report = spectral_report(d)
+        approx = report.per_measure[1]
+        assert approx.measure_value**2 == pytest.approx(report.norm.R_sq, rel=1e-12)
+        for value in (approx.measure_value, approx.lower, approx.upper, approx.isometry_nu):
+            assert math.isfinite(value)
