@@ -18,6 +18,7 @@ import sys
 from .dictionary import CRITERION_KINDS, Dictionary
 from .errors import NumericalError
 from .harness import (
+    CONFIG_KEYS,
     ConfigError,
     GENERATORS,
     build_config,
@@ -64,8 +65,7 @@ def _add_common_options(p: argparse.ArgumentParser):
 
 def _config_from_args(args):
     mapping = parse_config_file(args.config) if args.config else {}
-    for key in ("data", "kernel", "sigma", "degree", "offset", "criterion", "threshold",
-                "max_atoms", "algo", "eta", "eps", "seed", "length", "noise", "out"):
+    for key in CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             mapping[key] = str(value)

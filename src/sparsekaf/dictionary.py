@@ -154,44 +154,48 @@ class Dictionary:
         :class:`NumericalError` ("near-singular admission"): the threshold
         is too loose for safe inversion.
         """
+        x = self._candidate(x)
+        return self._admit_row(x, *self._row(x)) is not None
+
+    def _candidate(self, x) -> np.ndarray:
+        """``x`` as a finite 1-D float64 vector of the atoms' dimension."""
         x = _as_vector(x, "x")
-        if self.m == 0:
-            self._append_first(x)
-            return True
-        if x.shape[0] != self.dim:
+        if self.m and x.shape[0] != self.dim:
             raise ValueError(f"dimension mismatch: atoms have {self.dim}, candidate has {x.shape[0]}")
+        return x
+
+    def _row(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+        """(kvec, kxx): kappa(atom_j, x) for every atom (one kernel row) and kappa(x, x).
+
+        ``x`` comes from :meth:`_candidate`. Every row-taking helper below
+        reads this pair instead of evaluating the kernel again.
+        """
+        kvec = self.kernel.against(self._atoms, x) if self.m else np.zeros(0)
+        return kvec, self.kernel.self_similarity(x)
+
+    def _admit_row(self, x: np.ndarray, kvec: np.ndarray, kxx: float) -> np.ndarray | None:
+        """Admission of ``x`` given its row; returns the row over the grown dictionary, or None."""
+        if self.m == 0:
+            return self._append_first(x, kxx)
         if self.criterion.max_atoms is not None and self.m >= self.criterion.max_atoms:
-            return False
+            return None
         # exact duplicates would make the Gram matrix singular yet can pass
         # a Babel test with large gamma; reject them outright
-        if bool(np.any(np.all(self._atoms == x, axis=1))):
-            return False
-        if not self._criterion_accepts(x):
-            return False
-        self._append(x)
-        return True
+        if (self._atoms == x).all(axis=1).any():
+            return None
+        if not self._passes(self.criterion.kind, kvec, kxx, self.criterion.threshold):
+            return None
+        return self._append(x, kvec, kxx)
 
-    def _criterion_accepts(self, x) -> bool:
-        kind = self.criterion.kind
-        if kind == "distance":
-            return self.test_distance(x)
-        if kind == "approximation":
-            return self.test_approximation(x)
-        if kind == "coherence":
-            return self.test_coherence(x)
-        return self.test_babel(x)
-
-    def _append_first(self, x: np.ndarray) -> None:
-        kxx = self.kernel.self_similarity(x)
+    def _append_first(self, x: np.ndarray, kxx: float) -> np.ndarray:
         if kxx < PIVOT_FLOOR:
             raise NumericalError("near-singular admission: first atom has ~zero self-similarity")
         self._atoms = x[None, :].copy()
         self._gram = np.array([[kxx]])
         self._gram_inv = np.array([[1.0 / kxx]])
+        return self.kernel._against(self._atoms, x)
 
-    def _append(self, x: np.ndarray) -> None:
-        kvec = self.kernel_vector(x)
-        kxx = self.kernel.self_similarity(x)
+    def _append(self, x: np.ndarray, kvec: np.ndarray, kxx: float) -> np.ndarray:
         inv = self.gram_inv
         z = inv @ kvec
         pivot = kxx - float(kvec @ z)
@@ -220,6 +224,9 @@ class Dictionary:
         if self._accepts_since_refresh >= REFRESH_EVERY or self._consistency_residual() > CONSISTENCY_TOL:
             self._gram_inv = _fresh_inverse(self._gram)
             self._accepts_since_refresh = 0
+        # the new atom's entry uses the row's arithmetic (Kernel.against),
+        # which for the polynomial family can differ from kxx in the last bit
+        return np.append(kvec, self.kernel._against(x[None, :], x))
 
     def _consistency_residual(self) -> float:
         # O(m^2) probe of gram @ gram_inv drift (full Frobenius check would
@@ -234,44 +241,44 @@ class Dictionary:
         if self.m == 0:
             raise ValueError("criterion tests require a non-empty dictionary")
 
+    def _test(self, kind: str, x, threshold: float | None) -> bool:
+        self._require_nonempty()
+        kvec, kxx = self._row(self._candidate(x))
+        return self._passes(kind, kvec, kxx, self.criterion.threshold if threshold is None else threshold)
+
+    def _passes(self, kind: str, kvec: np.ndarray, kxx: float, threshold: float) -> bool:
+        """Whether a candidate with row (kvec, kxx) passes criterion ``kind`` at ``threshold``."""
+        if kind == "distance":
+            diag = np.diag(self._gram)
+            if (diag <= 0).any():
+                raise NumericalError("atom with zero self-similarity; distance test undefined")
+            return float((kxx - kvec**2 / diag).min()) >= threshold**2
+        if kind == "approximation":
+            return self._project(kvec, kxx).residual_sq >= threshold**2
+        if kind == "coherence":
+            if kxx <= 0:
+                raise NumericalError("candidate has non-positive self-similarity; coherence undefined")
+            diag = np.diag(self._gram)
+            if (diag <= 0).any():
+                raise NumericalError("atom with zero self-similarity; coherence test undefined")
+            return float((np.abs(kvec) / np.sqrt(kxx * diag)).max()) <= threshold
+        return float(np.abs(kvec).sum()) <= threshold
+
     def test_distance(self, x, threshold: float | None = None) -> bool:
         """Least scaled-projection residual against any single atom >= delta**2."""
-        self._require_nonempty()
-        delta = self.criterion.threshold if threshold is None else threshold
-        kvec = self.kernel_vector(x)
-        kxx = self.kernel.self_similarity(x)
-        diag = np.diag(self._gram)
-        if np.any(diag <= 0):
-            raise NumericalError("atom with zero self-similarity; distance test undefined")
-        stat = float(np.min(kxx - kvec**2 / diag))
-        return stat >= delta**2
+        return self._test("distance", x, threshold)
 
     def test_approximation(self, x, threshold: float | None = None) -> bool:
         """Residual of projecting kappa(x, .) onto the whole span >= delta**2."""
-        self._require_nonempty()
-        delta = self.criterion.threshold if threshold is None else threshold
-        return self.project(x).residual_sq >= delta**2
+        return self._test("approximation", x, threshold)
 
     def test_coherence(self, x, threshold: float | None = None) -> bool:
         """Largest |cos| between the candidate and any atom <= gamma."""
-        self._require_nonempty()
-        gamma = self.criterion.threshold if threshold is None else threshold
-        kxx = self.kernel.self_similarity(x)
-        if kxx <= 0:
-            raise NumericalError("candidate has non-positive self-similarity; coherence undefined")
-        kvec = self.kernel_vector(x)
-        diag = np.diag(self._gram)
-        if np.any(diag <= 0):
-            raise NumericalError("atom with zero self-similarity; coherence test undefined")
-        cos = float(np.max(np.abs(kvec) / np.sqrt(kxx * diag)))
-        return cos <= gamma
+        return self._test("coherence", x, threshold)
 
     def test_babel(self, x, threshold: float | None = None) -> bool:
         """Cumulative (unnormalized) cross-correlation with all atoms <= gamma."""
-        self._require_nonempty()
-        gamma = self.criterion.threshold if threshold is None else threshold
-        kvec = self.kernel_vector(x)
-        return float(np.sum(np.abs(kvec))) <= gamma
+        return self._test("babel", x, threshold)
 
     # -- measures and projection ---------------------------------------------
 
@@ -318,9 +325,11 @@ class Dictionary:
     def project(self, x) -> ProjectionResult:
         """Least-squares projection of kappa(x, .) onto the dictionary span."""
         self._require_nonempty()
-        kvec = self.kernel_vector(x)
+        return self._project(*self._row(self._candidate(x)))
+
+    def _project(self, kvec: np.ndarray, kxx: float) -> ProjectionResult:
         xi = self.gram_inv @ kvec
-        residual = self.kernel.self_similarity(x) - float(kvec @ xi)
+        residual = kxx - float(kvec @ xi)
         return ProjectionResult(coefficients=xi, residual_sq=max(residual, 0.0))
 
     # -- serialization --------------------------------------------------------

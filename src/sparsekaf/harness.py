@@ -161,7 +161,7 @@ def run_online(cfg: ExperimentConfig) -> RunRecord:
     state = ModelState.empty()
     record = RunRecord()
     for t in range(xs.shape[0]):
-        state, dictionary, outcome = step(state, dictionary, xs[t], float(ys[t]), cfg.learner)
+        state, outcome = step(state, dictionary, xs[t], float(ys[t]), cfg.learner)
         alpha_sq = float(state.alpha @ state.alpha)
         psi_sq = float(state.alpha @ (dictionary.gram @ state.alpha))
         record.rows.append(

@@ -20,7 +20,7 @@ def _as_vector(x, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"{name} must be a 1-D vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError(f"{name} contains non-finite entries")
     return x
 
@@ -31,7 +31,7 @@ def _as_matrix(xs, name: str) -> np.ndarray:
         xs = xs.reshape(-1, 1)
     if xs.ndim != 2:
         raise ValueError(f"{name} must be a 2-D array of row vectors")
-    if not np.all(np.isfinite(xs)):
+    if not np.isfinite(xs).all():
         raise ValueError(f"{name} contains non-finite entries")
     return xs
 
@@ -102,11 +102,15 @@ class Kernel:
         x = _as_vector(x, "x")
         if atoms.shape[1] != x.shape[0]:
             raise ValueError(f"dimension mismatch: atoms have {atoms.shape[1]}, x has {x.shape[0]}")
+        return self._against(atoms, x)
+
+    def _against(self, atoms: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """:meth:`against` without input checks, for float64 arrays already validated."""
         if self.family == "linear":
             return atoms @ x
         if self.family == "polynomial":
             return (atoms @ x + self.offset) ** self.degree
-        d_sq = np.sum((atoms - x) ** 2, axis=1)
+        d_sq = ((atoms - x) ** 2).sum(axis=1)
         return np.exp(-d_sq / (2.0 * self.sigma**2))
 
     def gram(self, xs: np.ndarray) -> np.ndarray:

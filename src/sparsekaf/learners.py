@@ -49,11 +49,10 @@ class ModelState:
     """Coefficient vector over the dictionary atoms it was sized for."""
 
     alpha: np.ndarray
-    dict_version: int
 
     @classmethod
     def empty(cls) -> "ModelState":
-        return cls(alpha=np.zeros(0), dict_version=0)
+        return cls(alpha=np.zeros(0))
 
     def predict(self, dictionary: Dictionary, x) -> float:
         """Model output alpha^T kvec(x); an empty expansion predicts 0."""
@@ -110,19 +109,20 @@ def update_nlms(alpha, kvec, error: float, eta: float, eps: float) -> np.ndarray
     return alpha + (eta / denom) * error * kvec
 
 
-def update_functional(alpha, dictionary: Dictionary, x, error: float, eta: float, eps: float) -> np.ndarray:
+def update_functional(alpha, xi, error: float, eta: float, eps: float) -> np.ndarray:
     """Functional-framework rule in dual coordinates.
 
     alpha' = (1 - eta*eps) * alpha + eta * error * xi, where xi is the
-    coefficient vector of projecting kappa(x, .) onto the dictionary span.
+    coefficient vector of projecting kappa(x, .) onto the dictionary span
+    (``Dictionary.project(x).coefficients``, i.e. gram_inv @ kvec(x)).
     A decay factor (1 - eta*eps) <= 0 means the configuration diverges and
     raises instead of silently flipping the sign of the model.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
+    xi = np.asarray(xi, dtype=np.float64)
     decay = 1.0 - eta * eps
     if decay <= 0.0:
         raise NumericalError(f"functional update decay factor 1 - eta*eps = {decay} is <= 0")
-    xi = dictionary.project(x).coefficients
     if alpha.shape != xi.shape:
         raise ValueError(f"length mismatch: alpha {alpha.shape} vs dictionary size {xi.shape}")
     return decay * alpha + eta * error * xi
@@ -134,25 +134,31 @@ def step(
     x_t,
     y_t: float,
     cfg: LearnerConfig,
-) -> tuple[ModelState, Dictionary, StepOutcome]:
+) -> tuple[ModelState, StepOutcome]:
     """One online iteration: predict, admit if novel, update the coefficients.
 
-    The prediction and error use the pre-step state over the pre-admission
-    dictionary. On admission the coefficient vector is extended with a
-    zero (which leaves the model function unchanged) so the update rule
-    can act on the just-admitted atom.
+    The kernel row kvec = (kappa(atom_j, x_t))_j is evaluated once, over
+    the pre-admission dictionary. The prediction alpha @ kvec and the
+    criterion test read it; on admission it is extended by the new atom's
+    entry, and the coefficient vector by a zero (which leaves the model
+    function unchanged), so that the update rule acts on the just-admitted
+    atom. The dictionary is updated in place.
     """
     if len(state.alpha) != dictionary.m:
         raise ValueError(f"state sized for {len(state.alpha)} atoms but dictionary has {dictionary.m}")
     if cfg.algorithm == "functional_sgd" and 1.0 - cfg.eta * cfg.eps <= 0.0:
         raise NumericalError(f"functional update decay factor 1 - eta*eps = {1.0 - cfg.eta * cfg.eps} is <= 0")
-    prediction = state.predict(dictionary, x_t)
+    x = dictionary._candidate(x_t)
+    kvec, kxx = dictionary._row(x)
+    prediction = float(state.alpha @ kvec)
     error = float(y_t) - prediction
 
-    admitted = dictionary.admit(x_t)
-    alpha = np.append(state.alpha, 0.0) if admitted else state.alpha
+    grown = dictionary._admit_row(x, kvec, kxx)
+    admitted = grown is not None
+    alpha = state.alpha
+    if admitted:
+        alpha, kvec = np.append(alpha, 0.0), grown
 
-    kvec = dictionary.kernel_vector(x_t)
     if cfg.algorithm == "lms_identity":
         alpha = update_lms_identity(alpha, kvec, error, cfg.eta, cfg.eps)
     elif cfg.algorithm == "lms_gram":
@@ -160,8 +166,7 @@ def step(
     elif cfg.algorithm == "nlms":
         alpha = update_nlms(alpha, kvec, error, cfg.eta, cfg.eps)
     else:
-        alpha = update_functional(alpha, dictionary, x_t, error, cfg.eta, cfg.eps)
+        alpha = update_functional(alpha, dictionary._project(kvec, kxx).coefficients, error, cfg.eta, cfg.eps)
 
-    new_state = ModelState(alpha=alpha, dict_version=dictionary.m)
     outcome = StepOutcome(prediction=prediction, error=error, admitted=admitted, new_m=dictionary.m)
-    return new_state, dictionary, outcome
+    return ModelState(alpha=alpha), outcome

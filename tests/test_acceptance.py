@@ -75,7 +75,7 @@ def test_acceptance_1_gersgorin_containment():
         for x in rng.uniform(-4, 4, size=(60, dim)):
             d.admit(x)
         spec = eigensolve(d.gram)
-        worst = max(gersgorin_margin(d.gram, lam) for lam in spec.values)
+        worst = gersgorin_margin(d.gram, spec.values)
         if worst > SLACK:
             failures.append(f"dict {i} (m={d.m}, sigma={sigma:.2f}): margin {worst:.3e}")
     elapsed = time.perf_counter() - start
@@ -320,7 +320,7 @@ def test_acceptance_7_learner_sanity():
     state = ModelState.empty()
     cfg = LearnerConfig("nlms", eta=1.0, eps=0.0)
     for t in range(500):
-        state, d, out = step(state, d, xs[t], float(ys[t]), cfg)
+        state, out = step(state, d, xs[t], float(ys[t]), cfg)
         if out.admitted:
             post = state.predict(d, xs[t])
             if abs(post - float(ys[t])) > 1e-10:
@@ -335,7 +335,7 @@ def test_acceptance_7_learner_sanity():
     cfg = LearnerConfig("nlms", eta=0.5, eps=1e-6)
     errs = np.empty(length)
     for t in range(length):
-        state, d, out = step(state, d, xs[t], float(ys[t]), cfg)
+        state, out = step(state, d, xs[t], float(ys[t]), cfg)
         errs[t] = out.error
     mse = float(np.mean(errs[-length // 10:] ** 2))
     if mse >= 1e-3:
@@ -349,7 +349,7 @@ def test_acceptance_7_learner_sanity():
     cfg = LearnerConfig("functional_sgd", eta=eta, eps=eps)
     for t in range(1000):
         prev = state.alpha
-        state, d, out = step(state, d, xs[t], float(ys[t]), cfg)
+        state, out = step(state, d, xs[t], float(ys[t]), cfg)
         prev_ext = np.append(prev, 0.0) if out.admitted else prev
         lhs = d.gram @ state.alpha
         rhs = (1 - eta * eps) * (d.gram @ prev_ext) + eta * out.error * d.kernel_vector(xs[t])

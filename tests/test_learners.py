@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from sparsekaf import (
+    ALGORITHMS,
+    CRITERION_KINDS,
     CriterionConfig,
     Dictionary,
     Kernel,
     LearnerConfig,
     ModelState,
     NumericalError,
+    StepOutcome,
+    kernel_vector,
     step,
     synthesize,
     update_functional,
@@ -108,7 +112,7 @@ class TestUpdateFunctional:
         d.admit([0.0, 0.0])
         d.admit([3.0, 0.0])
         alpha = np.array([0.2, 0.4])
-        out = update_functional(alpha, d, [0.0, 0.0], 1.0, 0.5, 0.2)
+        out = update_functional(alpha, d.project([0.0, 0.0]).coefficients, 1.0, 0.5, 0.2)
         decay = 1 - 0.5 * 0.2
         np.testing.assert_allclose(out, [decay * 0.2 + 0.5, decay * 0.4], atol=1e-10)
 
@@ -116,21 +120,21 @@ class TestUpdateFunctional:
         d = fresh()
         d.admit([0.0, 0.0])
         alpha = np.array([0.7])
-        np.testing.assert_array_equal(update_functional(alpha, d, [1.0, 0.0], 0.0, 0.5, 0.0), alpha)
+        np.testing.assert_array_equal(update_functional(alpha, d.project([1.0, 0.0]).coefficients, 0.0, 0.5, 0.0), alpha)
 
     def test_scalar_projection(self):
         # oracle: xi = kappa(x, atom) / 1 = 0.5
         d = fresh()
         d.admit([0.0, 0.0])
         x = [math.sqrt(2.0 * math.log(2.0)), 0.0]
-        out = update_functional(np.zeros(1), d, x, 1.0, 1.0, 0.0)
+        out = update_functional(np.zeros(1), d.project(x).coefficients, 1.0, 1.0, 0.0)
         np.testing.assert_allclose(out, [0.5], atol=1e-12)
 
     def test_diverging_decay_rejected(self):
         d = fresh()
         d.admit([0.0, 0.0])
         with pytest.raises(NumericalError, match="decay"):
-            update_functional(np.zeros(1), d, [1.0, 0.0], 1.0, 2.0, 1.0)
+            update_functional(np.zeros(1), d.project([1.0, 0.0]).coefficients, 1.0, 2.0, 1.0)
 
 
 class TestStep:
@@ -138,7 +142,7 @@ class TestStep:
         d = fresh()
         state = ModelState.empty()
         for algo in ("lms_identity", "lms_gram", "nlms", "functional_sgd"):
-            s, dd, out = step(ModelState.empty(), fresh(), [1.0, 2.0], 3.0, LearnerConfig(algo, 0.5))
+            s, out = step(ModelState.empty(), fresh(), [1.0, 2.0], 3.0, LearnerConfig(algo, 0.5))
             assert out.admitted and out.new_m == 1
             assert out.prediction == 0.0
             assert out.error == 3.0
@@ -148,8 +152,8 @@ class TestStep:
         d = fresh(threshold=0.5)
         state = ModelState.empty()
         cfg = LearnerConfig("nlms", 0.5)
-        state, d, _ = step(state, d, [0.0, 0.0], 1.0, cfg)
-        state, d, out = step(state, d, [0.01, 0.0], 1.0, cfg)
+        state, _ = step(state, d, [0.0, 0.0], 1.0, cfg)
+        state, out = step(state, d, [0.01, 0.0], 1.0, cfg)
         assert not out.admitted
         assert d.m == 1 and len(state.alpha) == 1
 
@@ -157,9 +161,9 @@ class TestStep:
         # oracle: alpha' = 0 + 0.5*(1*1 - 0) = 0.5 on the atom itself
         d = fresh()
         d.admit([1.0, 1.0])
-        state = ModelState(alpha=np.zeros(1), dict_version=1)
+        state = ModelState(alpha=np.zeros(1))
         cfg = LearnerConfig("lms_identity", eta=0.5, eps=0.0)
-        state, d, out = step(state, d, [1.0, 1.0], 1.0, cfg)
+        state, out = step(state, d, [1.0, 1.0], 1.0, cfg)
         assert not out.admitted
         assert out.error == 1.0
         np.testing.assert_allclose(state.alpha, [0.5], atol=1e-15)
@@ -178,6 +182,111 @@ class TestStep:
         assert d.m == 0
 
 
+def reference_step(state, d, x, y, cfg):
+    """``step`` rebuilt from the public pieces, each evaluating its own kernel row."""
+    prediction = state.predict(d, x)
+    error = float(y) - prediction
+    admitted = d.admit(x)
+    alpha = np.append(state.alpha, 0.0) if admitted else state.alpha
+    kvec = kernel_vector(d.kernel, d.atoms, x)
+    if cfg.algorithm == "lms_identity":
+        alpha = update_lms_identity(alpha, kvec, error, cfg.eta, cfg.eps)
+    elif cfg.algorithm == "lms_gram":
+        alpha = update_lms_gram(alpha, kvec, d.gram, error, cfg.eta, cfg.eps)
+    elif cfg.algorithm == "nlms":
+        alpha = update_nlms(alpha, kvec, error, cfg.eta, cfg.eps)
+    else:
+        alpha = update_functional(alpha, d.project(x).coefficients, error, cfg.eta, cfg.eps)
+    return ModelState(alpha=alpha), StepOutcome(prediction, error, admitted, d.m)
+
+
+# (kernel, inputs, dimension, max_atoms, threshold per criterion). On the
+# half-integer lattice every dot product is exact, so BLAS cannot round a row
+# entry differently with the number of atoms; with one-dimensional or Gaussian
+# inputs no row entry depends on the other rows either. Each case admits,
+# rejects and reaches its cap within the stream.
+DATA_FLOW_CASES = {
+    "linear-lattice": (Kernel.linear(), "lattice", 6, 6,
+                       {"distance": 2.0, "approximation": 0.7, "coherence": 0.5, "babel": 10.0}),
+    "polynomial-lattice": (Kernel.polynomial(3, 0.5), "lattice", 3, 6,
+                           {"distance": 8.0, "approximation": 7.0, "coherence": 0.3, "babel": 30.0}),
+    "gaussian-lattice": (Kernel.gaussian(1.5), "lattice", 3, 6,
+                         {"distance": 0.7, "approximation": 0.7, "coherence": 0.3, "babel": 0.5}),
+    "polynomial-line": (Kernel.polynomial(3, 0.5), "uniform", 1, 3,
+                        {"distance": 1.0, "approximation": 1.0, "coherence": 0.3, "babel": 0.2}),
+    "gaussian-plane": (Kernel.gaussian(1.5), "uniform", 2, 6,
+                       {"distance": 0.85, "approximation": 0.8, "coherence": 0.3, "babel": 0.6}),
+}
+
+
+def data_flow_stream(inputs, dim, n=80):
+    rng = np.random.default_rng(11)
+    xs = rng.integers(-4, 5, size=(n, dim)) / 2.0 if inputs == "lattice" else rng.uniform(-3, 3, size=(n, dim))
+    return xs, np.sin(xs).sum(axis=1)
+
+
+class TestStepDataFlow:
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    @pytest.mark.parametrize("kind", CRITERION_KINDS)
+    @pytest.mark.parametrize("case", sorted(DATA_FLOW_CASES))
+    def test_matches_reference_bit_for_bit(self, case, kind, algo):
+        kernel, inputs, dim, cap, thresholds = DATA_FLOW_CASES[case]
+        xs, ys = data_flow_stream(inputs, dim)
+        crit = CriterionConfig(kind, thresholds[kind], max_atoms=cap)
+        cfg = LearnerConfig(algo, eta=0.2, eps=0.05)
+        d, d_ref = Dictionary(kernel, crit), Dictionary(kernel, crit)
+        state = state_ref = ModelState.empty()
+        seen = set()
+        for x, y in zip(xs, ys):
+            m = d.m
+            state, out = step(state, d, x, y, cfg)
+            state_ref, out_ref = reference_step(state_ref, d_ref, x, y, cfg)
+            assert out == out_ref
+            assert state.alpha.tobytes() == state_ref.alpha.tobytes()
+            seen.add("first" if m == 0 else "cap" if m == cap else "admit" if out.admitted else "reject")
+        assert seen == {"first", "admit", "reject", "cap"}
+        for name in ("atoms", "gram", "gram_inv"):
+            assert getattr(d, name).tobytes() == getattr(d_ref, name).tobytes()
+
+    def test_admitted_entry_uses_row_arithmetic(self):
+        # kappa(x, x) of the polynomial family rounds as a scalar power, while
+        # the row (and so the reference's recomputed row) rounds as an array
+        # power; the two differ in the last bit for some x
+        kernel = Kernel.polynomial(3, 0.5)
+        cfg = LearnerConfig("lms_identity", eta=0.2, eps=0.0)
+        for x in np.random.default_rng(12).uniform(-3, 3, size=(200, 1)):
+            d, d_ref = (Dictionary(kernel, CriterionConfig("distance", 0.1)) for _ in range(2))
+            state = state_ref = ModelState.empty()
+            for z in (np.array([0.25]), x):
+                state, out = step(state, d, z, 1.0, cfg)
+                state_ref, out_ref = reference_step(state_ref, d_ref, z, 1.0, cfg)
+                assert out == out_ref
+                assert state.alpha.tobytes() == state_ref.alpha.tobytes()
+
+    def test_one_kernel_row_per_step(self, monkeypatch):
+        calls = []
+        against = Kernel.against
+
+        def counting(self, atoms, x):
+            calls.append(np.asarray(atoms).shape[0])
+            return against(self, atoms, x)
+
+        monkeypatch.setattr(Kernel, "against", counting)
+        kernel, inputs, dim, cap, thresholds = DATA_FLOW_CASES["gaussian-plane"]
+        xs, ys = data_flow_stream(inputs, dim)
+        d = Dictionary(kernel, CriterionConfig("approximation", thresholds["approximation"], max_atoms=cap))
+        state = ModelState.empty()
+        for x, y in zip(xs, ys):
+            m = d.m
+            calls.clear()
+            state, out = step(state, d, x, y, LearnerConfig("functional_sgd", eta=0.2, eps=0.05))
+            assert calls == ([m] if m else [])
+        for public in (d.admit, d.project, d.test_distance, d.test_approximation, d.test_coherence, d.test_babel):
+            calls.clear()
+            public(xs[0] + 0.5)
+            assert calls == [d.m]
+
+
 class TestInvariants:
     def run_stream(self, algo, eta, eps, length=300, seed=5, probe=None):
         xs, ys = synthesize("sinc1d", seed=seed, length=length, noise=0.01)
@@ -186,7 +295,7 @@ class TestInvariants:
         cfg = LearnerConfig(algo, eta=eta, eps=eps)
         outs = []
         for t in range(length):
-            state, d, out = step(state, d, xs[t], float(ys[t]), cfg)
+            state, out = step(state, d, xs[t], float(ys[t]), cfg)
             outs.append(out)
             if probe is not None:
                 probe(state, d, out, xs[t], float(ys[t]))
@@ -223,7 +332,7 @@ class TestInvariants:
         cfg = LearnerConfig("functional_sgd", eta=eta, eps=eps)
         for t in range(400):
             prev_alpha = state.alpha
-            state, d, out = step(state, d, xs[t], float(ys[t]), cfg)
+            state, out = step(state, d, xs[t], float(ys[t]), cfg)
             alpha_prev = np.append(prev_alpha, 0.0) if out.admitted else prev_alpha
             lhs = d.gram @ state.alpha
             rhs = (1 - eta * eps) * (d.gram @ alpha_prev) + eta * out.error * d.kernel_vector(xs[t])
@@ -250,6 +359,6 @@ class TestInvariants:
         cfg = LearnerConfig("nlms", eta=0.5, eps=1e-6)
         errs = np.empty(length)
         for t in range(length):
-            state, d, out = step(state, d, xs[t], float(ys[t]), cfg)
+            state, out = step(state, d, xs[t], float(ys[t]), cfg)
             errs[t] = out.error
         assert float(np.mean(errs[-length // 10:] ** 2)) < 1e-3
