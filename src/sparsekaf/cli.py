@@ -22,12 +22,12 @@ from .harness import (
     ConfigError,
     GENERATORS,
     build_config,
-    is_hard_violation,
     parse_config_file,
     run_online,
     synthesize,
     verify_dictionary,
 )
+from .spectral import is_hard_violation
 
 EXIT_OK = 0
 EXIT_USAGE = 1

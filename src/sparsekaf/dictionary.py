@@ -1,10 +1,11 @@
 """Sparse dictionary construction and analysis.
 
 A :class:`Dictionary` holds an ordered set of atom vectors together with
-the Gram matrix of their kernel functions and its inverse. Candidates are
-admitted online under one of four criteria (distance, approximation,
-coherence, Babel); the exact sparsity measure of a finished dictionary can
-be recomputed offline with :meth:`Dictionary.measure`.
+the Gram matrix of their kernel functions and its lower Cholesky factor,
+which grows by one row per admission. Candidates are admitted online under
+one of four criteria (distance, approximation, coherence, Babel); the exact
+sparsity measure of a finished dictionary can be recomputed offline with
+:meth:`Dictionary.measure`.
 
 A Dictionary is a single-writer object: admissions must be serialized by
 the caller. Read-only operations (measure, project, kernel_vector) are
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dtrsv
 
 from .errors import NumericalError
 from .kernels import Kernel, _as_vector, kernel_vector
@@ -26,9 +28,6 @@ CRITERION_KINDS = ("distance", "approximation", "coherence", "babel")
 
 # Schur pivots below this are treated as a singular admission.
 PIVOT_FLOOR = 1e-12
-# Full inverse re-factorization cadence and drift trigger.
-REFRESH_EVERY = 64
-CONSISTENCY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -61,35 +60,28 @@ class CriterionConfig:
 class ProjectionResult:
     """Projection of a kernel function onto the dictionary span.
 
-    ``coefficients`` solves gram @ xi = kvec(x); ``residual_sq`` is the
-    quadratic reconstruction error kappa(x, x) - kvec(x) @ xi, clamped at
-    zero when round-off drives it slightly negative.
+    With gram = L L^T, ``coefficients`` solves L z = kvec(x), L^T xi = z;
+    ``residual_sq`` is the reconstruction error kappa(x, x) - ||z||^2 (the
+    Schur pivot of admitting x), clamped at zero against round-off.
     """
 
     coefficients: np.ndarray
     residual_sq: float
 
 
-def _fresh_inverse(gram: np.ndarray) -> np.ndarray:
-    """Invert a PSD Gram matrix via Cholesky; singular input raises."""
-    try:
-        factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalError(f"gram matrix is singular or not positive definite: {exc}") from None
-    inv = scipy.linalg.cho_solve(factor, np.eye(gram.shape[0]), check_finite=False)
-    return 0.5 * (inv + inv.T)
-
-
 class Dictionary:
-    """Ordered atom set with cached Gram matrix, inverse and admission rule."""
+    """Ordered atom set with cached Gram matrix, its Cholesky factor and admission rule."""
 
     def __init__(self, kernel: Kernel, criterion: CriterionConfig):
         self.kernel = kernel
         self.criterion = criterion
         self._atoms = np.zeros((0, 0))
         self._gram = np.zeros((0, 0))
+        # C-ordered, so dtrsv reads _chol.T (L^T, F-ordered) without a copy:
+        # dtrsv(_chol.T, b) solves L^T y = b, trans=1 solves L y = b (default
+        # keywords are omitted: f2py parses each in about 1 us, 2-vCPU Xeon)
+        self._chol: np.ndarray | None = None
         self._gram_inv: np.ndarray | None = None
-        self._accepts_since_refresh = 0
 
     @classmethod
     def from_atoms(cls, kernel: Kernel, criterion: CriterionConfig, atoms) -> "Dictionary":
@@ -98,7 +90,7 @@ class Dictionary:
         Intended for deserialization and hand-built dictionaries; no
         criterion test is re-run, so the result may violate the configured
         criterion (and may even have a singular Gram matrix, in which case
-        operations needing the inverse raise :class:`NumericalError`).
+        operations needing its factor raise :class:`NumericalError`).
         """
         atoms = np.atleast_2d(np.asarray(atoms, dtype=np.float64))
         if not np.all(np.isfinite(atoms)):
@@ -131,12 +123,22 @@ class Dictionary:
 
     @property
     def gram_inv(self) -> np.ndarray:
-        """Inverse Gram matrix (computed lazily, maintained incrementally)."""
+        """Inverse Gram matrix, computed lazily from the Cholesky factor and dropped on admission."""
         if self._gram_inv is None:
             if self.m == 0:
                 raise ValueError("empty dictionary has no gram inverse")
-            self._gram_inv = _fresh_inverse(self._gram)
+            inv = scipy.linalg.cho_solve((self._factor(), True), np.eye(self.m), check_finite=False)
+            self._gram_inv = 0.5 * (inv + inv.T)
         return self._gram_inv
+
+    def _factor(self) -> np.ndarray:
+        """Lower Cholesky factor L of the Gram matrix; built here only for from_atoms dictionaries."""
+        if self._chol is None:
+            try:
+                self._chol = np.linalg.cholesky(self._gram)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"gram matrix is singular or not positive definite: {exc}") from None
+        return self._chol
 
     def kernel_vector(self, x) -> np.ndarray:
         """kappa(atom_j, x) for every atom, in atom order."""
@@ -147,12 +149,13 @@ class Dictionary:
     def admit(self, x) -> bool:
         """Test candidate ``x`` under the configured criterion and admit it if it passes.
 
-        Returns True when the atom was appended (Gram matrix and inverse
-        are extended by a Schur-complement block update). A rejected
-        candidate leaves the dictionary bit-identical. An accepted
-        candidate whose Schur pivot falls below ``PIVOT_FLOOR`` raises
-        :class:`NumericalError` ("near-singular admission"): the threshold
-        is too loose for safe inversion.
+        Returns True when the atom was appended (the Cholesky factor L
+        gains the row [z, sqrt(pivot)], with L z = kvec(x) and Schur pivot
+        kappa(x, x) - ||z||^2). A rejected candidate leaves the dictionary
+        bit-identical, and so does an accepted one whose pivot falls below
+        ``PIVOT_FLOOR``: it raises :class:`NumericalError` ("near-singular
+        admission"), the threshold being too loose for a well-posed Gram
+        matrix.
         """
         x = self._candidate(x)
         return self._admit_row(x, *self._row(x)) is not None
@@ -192,13 +195,14 @@ class Dictionary:
             raise NumericalError("near-singular admission: first atom has ~zero self-similarity")
         self._atoms = x[None, :].copy()
         self._gram = np.array([[kxx]])
-        self._gram_inv = np.array([[1.0 / kxx]])
+        self._chol = np.array([[math.sqrt(kxx)]])
+        self._gram_inv = None
         return self.kernel._against(self._atoms, x)
 
     def _append(self, x: np.ndarray, kvec: np.ndarray, kxx: float) -> np.ndarray:
-        inv = self.gram_inv
-        z = inv @ kvec
-        pivot = kxx - float(kvec @ z)
+        factor = self._factor()
+        z = dtrsv(factor.T, kvec, trans=1)
+        pivot = kxx - float(z @ z)
         if pivot < PIVOT_FLOOR:
             raise NumericalError(
                 f"near-singular admission: Schur pivot {pivot:.3e} below {PIVOT_FLOOR:.0e} "
@@ -210,30 +214,18 @@ class Dictionary:
         gram[:m, m] = kvec
         gram[m, :m] = kvec
         gram[m, m] = kxx
-
-        new_inv = np.empty((m + 1, m + 1))
-        new_inv[:m, :m] = inv + np.outer(z, z) / pivot
-        new_inv[:m, m] = -z / pivot
-        new_inv[m, :m] = -z / pivot
-        new_inv[m, m] = 1.0 / pivot
+        chol = np.zeros((m + 1, m + 1))
+        chol[:m, :m] = factor
+        chol[m, :m] = z
+        chol[m, m] = math.sqrt(pivot)
 
         self._atoms = np.vstack([self._atoms, x[None, :]])
         self._gram = gram
-        self._gram_inv = 0.5 * (new_inv + new_inv.T)
-        self._accepts_since_refresh += 1
-        if self._accepts_since_refresh >= REFRESH_EVERY or self._consistency_residual() > CONSISTENCY_TOL:
-            self._gram_inv = _fresh_inverse(self._gram)
-            self._accepts_since_refresh = 0
+        self._chol = chol
+        self._gram_inv = None
         # the new atom's entry uses the row's arithmetic (Kernel.against),
         # which for the polynomial family can differ from kxx in the last bit
         return np.append(kvec, self.kernel._against(x[None, :], x))
-
-    def _consistency_residual(self) -> float:
-        # O(m^2) probe of gram @ gram_inv drift (full Frobenius check would
-        # cost O(m^3) per admission)
-        u = np.ones(self.m)
-        r = self._gram @ (self._gram_inv @ u) - u
-        return float(np.linalg.norm(r)) / math.sqrt(self.m)
 
     # -- criterion tests ----------------------------------------------------
 
@@ -319,7 +311,7 @@ class Dictionary:
             return float(np.max(cos[off]))
         # approximation: atom i's residual against the others is 1/(K^-1)_ii
         # (the last pivot of K with atom i ordered last)
-        inv = _fresh_inverse(gram)
+        inv = self.gram_inv
         return math.sqrt(max(float(np.min(1.0 / np.diag(inv))), 0.0))
 
     def project(self, x) -> ProjectionResult:
@@ -328,8 +320,10 @@ class Dictionary:
         return self._project(*self._row(self._candidate(x)))
 
     def _project(self, kvec: np.ndarray, kxx: float) -> ProjectionResult:
-        xi = self.gram_inv @ kvec
-        residual = kxx - float(kvec @ xi)
+        factor = self._factor()
+        z = dtrsv(factor.T, kvec, trans=1)
+        residual = kxx - float(z @ z)
+        xi = dtrsv(factor.T, z)
         return ProjectionResult(coefficients=xi, residual_sq=max(residual, 0.0))
 
     # -- serialization --------------------------------------------------------
@@ -356,8 +350,9 @@ class Dictionary:
     def from_text(cls, text: str) -> "Dictionary":
         """Parse the text format written by :meth:`to_text`.
 
-        Round-trips exactly: atom coordinates are shortest round-trip
-        decimals, so the rebuilt Gram matrix is bit-identical.
+        Atom coordinates are shortest round-trip decimals, so atoms
+        round-trip exactly; the rebuilt Gram matrix is as close to the
+        grown one as :meth:`Kernel.gram` states.
         """
         kernel = None
         criterion = None

@@ -15,7 +15,7 @@ import numpy as np
 from .dictionary import CriterionConfig, Dictionary
 from .kernels import Kernel
 from .learners import LearnerConfig, ModelState, step
-from .spectral import SpectralReport, spectral_report
+from .spectral import SpectralReport, is_hard_violation, spectral_report
 
 GENERATORS = ("sinc1d", "narma2")
 
@@ -183,26 +183,6 @@ def run_online(cfg: ExperimentConfig) -> RunRecord:
             with open(os.path.join(cfg.out, "probes.csv"), "w", encoding="ascii") as fh:
                 fh.write(record.probes_csv())
     return record
-
-
-_SOUND_CONTAINMENT_KINDS = ("distance", "coherence", "babel")
-
-
-def is_hard_violation(name: str) -> bool:
-    """Whether a violation name breaks a *sound* guarantee.
-
-    Two families are informational only: admission-threshold drift (Babel
-    admission does not control the post-hoc measure) and
-    approximation-window escapes (that window is optimistic, not a bound;
-    see :mod:`sparsekaf.spectral`). Gersgorin and the
-    distance/coherence/babel containment checks are hard guarantees.
-    """
-    if name == "gersgorin":
-        return True
-    kind, _, check = name.partition(":")
-    if check == "admission_threshold":
-        return False
-    return kind in _SOUND_CONTAINMENT_KINDS
 
 
 def verification_exit_code(report: SpectralReport) -> int:

@@ -116,8 +116,10 @@ class Kernel:
     def gram(self, xs: np.ndarray) -> np.ndarray:
         """Pairwise kernel matrix of the rows of ``xs`` (exactly symmetric).
 
-        Rows are computed with the same arithmetic as :meth:`against`, so a
-        matrix grown one admission at a time reproduces bit-identically.
+        Rows use the arithmetic of :meth:`against`. A matrix grown one
+        admission at a time is reproduced bit-identically for the Gaussian
+        kernel and the linear kernel on 1-d inputs; otherwise last bits can
+        differ, within acceptance 8's 1e-12 for entries of order one.
         """
         xs = _as_matrix(xs, "xs")
         m = xs.shape[0]

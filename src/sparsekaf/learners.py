@@ -114,8 +114,8 @@ def update_functional(alpha, xi, error: float, eta: float, eps: float) -> np.nda
 
     alpha' = (1 - eta*eps) * alpha + eta * error * xi, where xi is the
     coefficient vector of projecting kappa(x, .) onto the dictionary span
-    (``Dictionary.project(x).coefficients``, i.e. gram_inv @ kvec(x)).
-    A decay factor (1 - eta*eps) <= 0 means the configuration diverges and
+    (``Dictionary.project(x).coefficients``, i.e. K^-1 kvec(x) from two
+    triangular solves with the Cholesky factor of K). A decay factor (1 - eta*eps) <= 0 means the configuration diverges and
     raises instead of silently flipping the sign of the model.
     """
     alpha = np.asarray(alpha, dtype=np.float64)

@@ -348,8 +348,7 @@ class SpectralReport:
     ``approximation:*`` containment escapes (that window is not a sound
     bound, see the module docstring) and ``babel:admission_threshold``
     (Babel admission does not control the post-hoc measure). Hard failures
-    are the remaining names; :func:`sparsekaf.harness.verification_exit_code`
-    encodes the distinction.
+    are the remaining names; :func:`is_hard_violation` tells them apart.
     """
 
     spectrum: EigenSpectrum
@@ -461,6 +460,26 @@ def _exact_extremes(spectrum: EigenSpectrum, rescale_factor: float) -> tuple[flo
     s_sq = rescale_factor**2
     low, high = spectrum.lambda_min / s_sq, spectrum.lambda_max / s_sq
     return low, high, max(high - 1.0, 1.0 - low)
+
+
+_SOUND_CONTAINMENT_KINDS = ("distance", "coherence", "babel")
+
+
+def is_hard_violation(name: str) -> bool:
+    """Whether a violation name breaks a *sound* guarantee.
+
+    Two families are informational only: admission-threshold drift (Babel
+    admission does not control the post-hoc measure) and
+    approximation-window escapes (that window is optimistic, not a bound;
+    see the module docstring). Gersgorin and the
+    distance/coherence/babel containment checks are hard guarantees.
+    """
+    if name == "gersgorin":
+        return True
+    kind, _, check = name.partition(":")
+    if check == "admission_threshold":
+        return False
+    return kind in _SOUND_CONTAINMENT_KINDS
 
 
 def _append_violations(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sparsekaf import CriterionConfig, Dictionary, Kernel, NumericalError
+from sparsekaf import CriterionConfig, Dictionary, Kernel, NumericalError, harness
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -81,9 +81,12 @@ class TestAdmit:
         # coherence gamma=1 accepts anything, but a candidate this close to
         # an existing atom drives the Schur pivot under the floor
         d = gaussian_dict(threshold=1.0)
-        d.admit([0.0, 0.0])
+        for x in ([0.0, 0.0], [2.0, 0.0], [0.0, 2.5]):
+            d.admit(x)
+        before = (d.atoms.tobytes(), d.gram.tobytes(), d._chol.tobytes())
         with pytest.raises(NumericalError, match="near-singular"):
             d.admit([1e-9, 0.0])
+        assert (d.atoms.tobytes(), d.gram.tobytes(), d._chol.tobytes()) == before
 
     def test_rejection_is_bit_identical(self):
         d = gaussian_dict(threshold=0.5)
@@ -279,7 +282,7 @@ class TestProject:
         assert d.project([0.0, 0.0]).residual_sq >= 0.0
 
     def test_projection_is_reconstruction_minimizer(self):
-        #残 oracle: ||kappa(x,.) - sum xi'_j kappa_j||^2 expanded through the gram
+        # oracle: ||kappa(x,.) - sum xi'_j kappa_j||^2 expanded through the gram
         rng = np.random.default_rng(11)
         d = gaussian_dict(threshold=0.8, sigma=1.0)
         for x in rng.uniform(-2, 2, size=(12, 2)):
@@ -312,7 +315,7 @@ class TestIncrementalInverse:
         assert np.max(np.abs(d.gram_inv - fresh)) <= 1e-8
 
     def test_forced_refresh_keeps_consistency(self):
-        # more admissions than the refresh cadence
+        # 80 admissions in 1-d, a long growth of the factor
         rng = np.random.default_rng(5)
         d = Dictionary(Kernel.gaussian(0.25), CriterionConfig("coherence", 0.9))
         for x in rng.uniform(-30, 30, size=(3000, 1)):
@@ -322,6 +325,37 @@ class TestIncrementalInverse:
         assert d.m >= 80
         eye_resid = np.linalg.norm(d.gram @ d.gram_inv - np.eye(d.m))
         assert eye_resid <= 1e-8 * d.m
+
+
+class TestCholeskyFactor:
+    def test_tiny_exact_pivot_is_admitted(self):
+        # The 44th atom's exact pivot is tiny but 1300x above PIVOT_FLOOR; a
+        # Schur-updated inverse had drifted enough to compute it as -2.1e-9
+        # and raise a false "near-singular admission".
+        x, _ = harness.synthesize("sinc1d", 3, 1500)
+        d = Dictionary(Kernel.gaussian(0.3), CriterionConfig("distance", 0.3))
+        for t in range(210):
+            d.admit(x[t])
+        assert d.m >= 44
+        # reference: the same pivot from a Cholesky of the Gram matrix in
+        # 60-digit arithmetic (mpmath)
+        assert d._chol[43, 43] ** 2 == pytest.approx(1.315e-9, rel=0.05)
+
+    def test_invariants_at_grow_scale(self):
+        rng = np.random.default_rng(0)
+        d = Dictionary(Kernel.gaussian(0.4), CriterionConfig("coherence", 0.95))
+        points = iter(rng.uniform(-1, 1, size=(5000, 4)))
+        while d.m < 799:
+            d.admit(next(points))
+        stale = d.gram_inv
+        while d.m < 800:
+            d.admit(next(points))
+        factor, inv = d._chol, d.gram_inv
+        assert inv is not stale and inv.shape == (800, 800)
+        assert np.array_equal(factor, np.tril(factor))
+        assert np.max(np.abs(factor @ factor.T - d.gram)) <= 1e-12
+        assert np.linalg.norm(d.gram @ inv - np.eye(800)) <= 1e-9
+        assert np.array_equal(inv, inv.T)
 
 
 class TestCriterionSoundness:
@@ -401,6 +435,19 @@ class TestSerialization:
             d2 = Dictionary.from_text(d.to_text())
             assert d2.kernel == kernel
             assert np.array_equal(d.gram, d2.gram)
+
+    def test_round_trip_polynomial_multidimensional_within_tolerance(self):
+        # BLAS rounds the grown rows (over fewer atoms) and the reloaded ones
+        # differently, and the grown diagonal is a scalar power: not
+        # bit-identical, but within acceptance 8's 1e-12
+        x, _ = harness.synthesize("narma2", 3, 500)
+        d = Dictionary(Kernel.polynomial(3, 0.5), CriterionConfig("babel", 3.0))
+        for p in x:
+            d.admit(p)
+        d2 = Dictionary.from_text(d.to_text())
+        assert d.m == 16 and x.shape[1] == 3
+        assert np.array_equal(d.atoms, d2.atoms)
+        assert np.max(np.abs(d.gram - d2.gram)) <= 1e-12
 
     def test_parse_errors_carry_line_numbers(self):
         with pytest.raises(ValueError, match="line 2"):
