@@ -2,10 +2,11 @@
 
 A :class:`Dictionary` holds an ordered set of atom vectors together with
 the Gram matrix of their kernel functions and its lower Cholesky factor,
-which grows by one row per admission. Candidates are admitted online under
-one of four criteria (distance, approximation, coherence, Babel); the exact
-sparsity measure of a finished dictionary can be recomputed offline with
-:meth:`Dictionary.measure`.
+which grows by one row per admission. Both live in buffers whose capacity
+doubles when full, so an admission writes O(m) entries, not O(m^2).
+Candidates are admitted online under one of four criteria (distance,
+approximation, coherence, Babel); the exact sparsity measure of a finished
+dictionary can be recomputed offline with :meth:`Dictionary.measure`.
 
 A Dictionary is a single-writer object: admissions must be serialized by
 the caller. Read-only operations (measure, project, kernel_vector) are
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dtrsv
+from scipy.linalg.blas import dtpsv
 
 from .errors import NumericalError
 from .kernels import Kernel, _as_vector, kernel_vector
@@ -76,11 +77,12 @@ class Dictionary:
         self.kernel = kernel
         self.criterion = criterion
         self._atoms = np.zeros((0, 0))
-        self._gram = np.zeros((0, 0))
-        # C-ordered, so dtrsv reads _chol.T (L^T, F-ordered) without a copy:
-        # dtrsv(_chol.T, b) solves L^T y = b, trans=1 solves L y = b (default
-        # keywords are omitted: f2py parses each in about 1 us, 2-vCPU Xeon)
-        self._chol: np.ndarray | None = None
+        # gram is the leading m x m block of _gram_buf. _packed holds L row by
+        # row (L^T in BLAS upper packed storage), row i from i(i+1)/2, for as
+        # many rows as _gram_buf; dtpsv(m, _packed, b) solves L^T y = b,
+        # trans=1 L y = b (other keywords left out: f2py parses each in ~1 us)
+        self._gram_buf = np.zeros((0, 0))
+        self._packed: np.ndarray | None = np.zeros(0)
         self._gram_inv: np.ndarray | None = None
 
     @classmethod
@@ -98,7 +100,8 @@ class Dictionary:
         d = cls(kernel, criterion)
         if atoms.shape[0]:
             d._atoms = atoms.copy()
-            d._gram = kernel.gram(atoms)
+            d._gram_buf = kernel.gram(atoms)
+            d._packed = None
         return d
 
     def __len__(self) -> int:
@@ -119,7 +122,8 @@ class Dictionary:
 
     @property
     def gram(self) -> np.ndarray:
-        return self._gram
+        """Gram matrix of the atoms: a view that later admissions leave unchanged. Do not mutate."""
+        return self._gram_buf[: self.m, : self.m]
 
     @property
     def gram_inv(self) -> np.ndarray:
@@ -127,18 +131,26 @@ class Dictionary:
         if self._gram_inv is None:
             if self.m == 0:
                 raise ValueError("empty dictionary has no gram inverse")
-            inv = scipy.linalg.cho_solve((self._factor(), True), np.eye(self.m), check_finite=False)
+            inv = scipy.linalg.cho_solve((self._lower(), True), np.eye(self.m), check_finite=False)
             self._gram_inv = 0.5 * (inv + inv.T)
         return self._gram_inv
 
     def _factor(self) -> np.ndarray:
-        """Lower Cholesky factor L of the Gram matrix; built here only for from_atoms dictionaries."""
-        if self._chol is None:
+        """Packed buffer of the lower Cholesky factor L; built here only for from_atoms dictionaries."""
+        if self._packed is None:
             try:
-                self._chol = np.linalg.cholesky(self._gram)
+                lower = np.linalg.cholesky(self.gram)
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(f"gram matrix is singular or not positive definite: {exc}") from None
-        return self._chol
+            self._packed = lower[np.tril_indices(self.m)]
+        return self._packed
+
+    def _lower(self) -> np.ndarray:
+        """L as a new dense (m, m) lower-triangular array."""
+        m = self.m
+        lower = np.zeros((m, m))
+        lower[np.tril_indices(m)] = self._factor()[: m * (m + 1) // 2]
+        return lower
 
     def kernel_vector(self, x) -> np.ndarray:
         """kappa(atom_j, x) for every atom, in atom order."""
@@ -179,7 +191,7 @@ class Dictionary:
     def _admit_row(self, x: np.ndarray, kvec: np.ndarray, kxx: float) -> np.ndarray | None:
         """Admission of ``x`` given its row; returns the row over the grown dictionary, or None."""
         if self.m == 0:
-            return self._append_first(x, kxx)
+            return self._append(x, kvec, kxx)
         if self.criterion.max_atoms is not None and self.m >= self.criterion.max_atoms:
             return None
         # exact duplicates would make the Gram matrix singular yet can pass
@@ -190,38 +202,27 @@ class Dictionary:
             return None
         return self._append(x, kvec, kxx)
 
-    def _append_first(self, x: np.ndarray, kxx: float) -> np.ndarray:
-        if kxx < PIVOT_FLOOR:
-            raise NumericalError("near-singular admission: first atom has ~zero self-similarity")
-        self._atoms = x[None, :].copy()
-        self._gram = np.array([[kxx]])
-        self._chol = np.array([[math.sqrt(kxx)]])
-        self._gram_inv = None
-        return self.kernel._against(self._atoms, x)
-
     def _append(self, x: np.ndarray, kvec: np.ndarray, kxx: float) -> np.ndarray:
-        factor = self._factor()
-        z = dtrsv(factor.T, kvec, trans=1)
+        m = self.m
+        z = dtpsv(m, self._factor(), kvec, trans=1) if m else kvec
         pivot = kxx - float(z @ z)
         if pivot < PIVOT_FLOOR:
             raise NumericalError(
                 f"near-singular admission: Schur pivot {pivot:.3e} below {PIVOT_FLOOR:.0e} "
                 "(criterion threshold too loose for numeric safety)"
             )
-        m = self.m
-        gram = np.empty((m + 1, m + 1))
-        gram[:m, :m] = self._gram
-        gram[:m, m] = kvec
-        gram[m, :m] = kvec
-        gram[m, m] = kxx
-        chol = np.zeros((m + 1, m + 1))
-        chol[:m, :m] = factor
-        chol[m, :m] = z
-        chol[m, m] = math.sqrt(pivot)
-
-        self._atoms = np.vstack([self._atoms, x[None, :]])
-        self._gram = gram
-        self._chol = chol
+        if m == self._gram_buf.shape[0]:
+            cap = max(2 * m, 16)
+            gram, packed = np.empty((cap, cap)), np.empty(cap * (cap + 1) // 2)
+            gram[:m, :m] = self.gram
+            packed[: m * (m + 1) // 2] = self._packed[: m * (m + 1) // 2]
+            self._gram_buf, self._packed = gram, packed
+        self._gram_buf[m, :m] = self._gram_buf[:m, m] = kvec
+        self._gram_buf[m, m] = kxx
+        start = m * (m + 1) // 2
+        self._packed[start : start + m] = z
+        self._packed[start + m] = math.sqrt(pivot)
+        self._atoms = np.vstack([self._atoms, x[None, :]]) if m else x[None, :].copy()
         self._gram_inv = None
         # the new atom's entry uses the row's arithmetic (Kernel.against),
         # which for the polynomial family can differ from kxx in the last bit
@@ -241,7 +242,7 @@ class Dictionary:
     def _passes(self, kind: str, kvec: np.ndarray, kxx: float, threshold: float) -> bool:
         """Whether a candidate with row (kvec, kxx) passes criterion ``kind`` at ``threshold``."""
         if kind == "distance":
-            diag = np.diag(self._gram)
+            diag = np.diag(self.gram)
             if (diag <= 0).any():
                 raise NumericalError("atom with zero self-similarity; distance test undefined")
             return float((kxx - kvec**2 / diag).min()) >= threshold**2
@@ -250,7 +251,7 @@ class Dictionary:
         if kind == "coherence":
             if kxx <= 0:
                 raise NumericalError("candidate has non-positive self-similarity; coherence undefined")
-            diag = np.diag(self._gram)
+            diag = np.diag(self.gram)
             if (diag <= 0).any():
                 raise NumericalError("atom with zero self-similarity; coherence test undefined")
             return float((np.abs(kvec) / np.sqrt(kxx * diag)).max()) <= threshold
@@ -287,11 +288,11 @@ class Dictionary:
         if kind == "babel":
             if self.m < 1:
                 raise ValueError("babel measure requires at least one atom")
-            abs_gram = np.abs(self._gram)
+            abs_gram = np.abs(self.gram)
             return float(np.max(abs_gram.sum(axis=1) - np.diag(abs_gram)))
         if self.m < 2:
             raise ValueError(f"{kind} measure requires at least two atoms")
-        gram = self._gram
+        gram = self.gram
         diag = np.diag(gram)
         off = ~np.eye(self.m, dtype=bool)
         if kind == "distance":
@@ -320,10 +321,10 @@ class Dictionary:
         return self._project(*self._row(self._candidate(x)))
 
     def _project(self, kvec: np.ndarray, kxx: float) -> ProjectionResult:
-        factor = self._factor()
-        z = dtrsv(factor.T, kvec, trans=1)
+        packed = self._factor()
+        z = dtpsv(self.m, packed, kvec, trans=1)
         residual = kxx - float(z @ z)
-        xi = dtrsv(factor.T, z)
+        xi = dtpsv(self.m, packed, z)
         return ProjectionResult(coefficients=xi, residual_sq=max(residual, 0.0))
 
     # -- serialization --------------------------------------------------------

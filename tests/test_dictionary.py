@@ -83,10 +83,10 @@ class TestAdmit:
         d = gaussian_dict(threshold=1.0)
         for x in ([0.0, 0.0], [2.0, 0.0], [0.0, 2.5]):
             d.admit(x)
-        before = (d.atoms.tobytes(), d.gram.tobytes(), d._chol.tobytes())
+        before = (d.atoms.tobytes(), d.gram.tobytes(), d._lower().tobytes())
         with pytest.raises(NumericalError, match="near-singular"):
             d.admit([1e-9, 0.0])
-        assert (d.atoms.tobytes(), d.gram.tobytes(), d._chol.tobytes()) == before
+        assert (d.atoms.tobytes(), d.gram.tobytes(), d._lower().tobytes()) == before
 
     def test_rejection_is_bit_identical(self):
         d = gaussian_dict(threshold=0.5)
@@ -339,7 +339,7 @@ class TestCholeskyFactor:
         assert d.m >= 44
         # reference: the same pivot from a Cholesky of the Gram matrix in
         # 60-digit arithmetic (mpmath)
-        assert d._chol[43, 43] ** 2 == pytest.approx(1.315e-9, rel=0.05)
+        assert d._lower()[43, 43] ** 2 == pytest.approx(1.315e-9, rel=0.05)
 
     def test_invariants_at_grow_scale(self):
         rng = np.random.default_rng(0)
@@ -350,12 +350,30 @@ class TestCholeskyFactor:
         stale = d.gram_inv
         while d.m < 800:
             d.admit(next(points))
-        factor, inv = d._chol, d.gram_inv
+        factor, inv = d._lower(), d.gram_inv
         assert inv is not stale and inv.shape == (800, 800)
         assert np.array_equal(factor, np.tril(factor))
         assert np.max(np.abs(factor @ factor.T - d.gram)) <= 1e-12
         assert np.linalg.norm(d.gram @ inv - np.eye(800)) <= 1e-9
         assert np.array_equal(inv, inv.T)
+
+    def test_admissions_fill_spare_capacity(self):
+        # the Gram and factor buffers double when full instead of being
+        # reallocated per admission, and a gram view handed out earlier
+        # keeps its values while later atoms are written past it
+        rng = np.random.default_rng(1)
+        d = Dictionary(Kernel.gaussian(0.4), CriterionConfig("coherence", 0.95))
+        points = iter(rng.uniform(-1, 1, size=(2000, 4)))
+        buf, reallocations, early = None, 0, None
+        while d.m < 100:
+            d.admit(next(points))
+            if d._gram_buf is not buf:
+                buf, reallocations = d._gram_buf, reallocations + 1
+            if d.m == 10 and early is None:
+                early = (d.gram, d.gram.copy())
+        assert reallocations <= 5
+        assert np.array_equal(early[0], early[1])
+        assert np.array_equal(d.gram[:10, :10], early[1])
 
 
 class TestCriterionSoundness:
