@@ -1,9 +1,11 @@
 """Sparse dictionary construction and analysis.
 
 A :class:`Dictionary` holds an ordered set of atom vectors together with
-the Gram matrix of their kernel functions and its lower Cholesky factor,
-which grows by one row per admission. Both live in buffers whose capacity
-doubles when full, so an admission writes O(m) entries, not O(m^2).
+their self-similarities kappa(x, x), the Gram matrix of their kernel
+functions and its lower Cholesky factor, which grows by one row per
+admission. All four live in buffers whose capacity doubles when full, so an
+admission writes O(m) entries and copies the dictionary only when the
+buffers double.
 Candidates are admitted online under one of four criteria (distance,
 approximation, coherence, Babel); the exact sparsity measure of a finished
 dictionary can be recomputed offline with :meth:`Dictionary.measure`.
@@ -76,11 +78,15 @@ class Dictionary:
     def __init__(self, kernel: Kernel, criterion: CriterionConfig):
         self.kernel = kernel
         self.criterion = criterion
-        self._atoms = np.zeros((0, 0))
-        # gram is the leading m x m block of _gram_buf. _packed holds L row by
-        # row (L^T in BLAS upper packed storage), row i from i(i+1)/2, for as
-        # many rows as _gram_buf; dtpsv(m, _packed, b) solves L^T y = b,
-        # trans=1 L y = b (other keywords left out: f2py parses each in ~1 us)
+        self._m = 0
+        # The atoms are the first m rows of _atoms_buf, their kappa(x, x) the
+        # first m entries of _diag_buf, and gram is the leading m x m block
+        # of _gram_buf. _packed holds L row by row (L^T in BLAS upper packed
+        # storage), row i from i(i+1)/2; dtpsv(m, _packed, b) solves
+        # L^T y = b, trans=1 L y = b (other keywords left out: f2py parses
+        # each in ~1 us). All four hold as many atoms as _gram_buf has rows.
+        self._atoms_buf = np.zeros((0, 0))
+        self._diag_buf = np.zeros(0)
         self._gram_buf = np.zeros((0, 0))
         self._packed: np.ndarray | None = np.zeros(0)
         self._gram_inv: np.ndarray | None = None
@@ -99,26 +105,28 @@ class Dictionary:
             raise ValueError("atoms contain non-finite entries")
         d = cls(kernel, criterion)
         if atoms.shape[0]:
-            d._atoms = atoms.copy()
+            d._atoms_buf = atoms.copy()
             d._gram_buf = kernel.gram(atoms)
+            d._diag_buf = np.diag(d._gram_buf).copy()
             d._packed = None
+            d._m = atoms.shape[0]
         return d
 
     def __len__(self) -> int:
-        return self._atoms.shape[0]
+        return self._m
 
     @property
     def m(self) -> int:
-        return self._atoms.shape[0]
+        return self._m
 
     @property
     def dim(self) -> int:
-        return self._atoms.shape[1]
+        return self._atoms_buf.shape[1]
 
     @property
     def atoms(self) -> np.ndarray:
-        """Atom vectors as rows, in admission order. Do not mutate."""
-        return self._atoms
+        """Atom vectors as rows, in admission order: a view that later admissions leave unchanged. Do not mutate."""
+        return self._atoms_buf[: self._m]
 
     @property
     def gram(self) -> np.ndarray:
@@ -154,7 +162,7 @@ class Dictionary:
 
     def kernel_vector(self, x) -> np.ndarray:
         """kappa(atom_j, x) for every atom, in atom order."""
-        return kernel_vector(self.kernel, self._atoms, x)
+        return kernel_vector(self.kernel, self.atoms, x)
 
     # -- admission ---------------------------------------------------------
 
@@ -185,8 +193,8 @@ class Dictionary:
         ``x`` comes from :meth:`_candidate`. Every row-taking helper below
         reads this pair instead of evaluating the kernel again.
         """
-        kvec = self.kernel.against(self._atoms, x) if self.m else np.zeros(0)
-        return kvec, self.kernel.self_similarity(x)
+        kvec = self.kernel.against(self.atoms, x) if self.m else np.zeros(0)
+        return kvec, self.kernel._self_similarity(x)
 
     def _admit_row(self, x: np.ndarray, kvec: np.ndarray, kxx: float) -> np.ndarray | None:
         """Admission of ``x`` given its row; returns the row over the grown dictionary, or None."""
@@ -195,8 +203,9 @@ class Dictionary:
         if self.criterion.max_atoms is not None and self.m >= self.criterion.max_atoms:
             return None
         # exact duplicates would make the Gram matrix singular yet can pass
-        # a Babel test with large gamma; reject them outright
-        if (self._atoms == x).all(axis=1).any():
+        # a Babel test with large gamma; reject them outright, before the
+        # criterion test can raise on them
+        if self._contains(x):
             return None
         if not self._passes(self.criterion.kind, kvec, kxx, self.criterion.threshold):
             return None
@@ -211,22 +220,41 @@ class Dictionary:
                 f"near-singular admission: Schur pivot {pivot:.3e} below {PIVOT_FLOOR:.0e} "
                 "(criterion threshold too loose for numeric safety)"
             )
+        start = m * (m + 1) // 2
         if m == self._gram_buf.shape[0]:
             cap = max(2 * m, 16)
+            atoms, diag = np.empty((cap, x.shape[0])), np.empty(cap)
             gram, packed = np.empty((cap, cap)), np.empty(cap * (cap + 1) // 2)
-            gram[:m, :m] = self.gram
-            packed[: m * (m + 1) // 2] = self._packed[: m * (m + 1) // 2]
-            self._gram_buf, self._packed = gram, packed
+            if m:
+                atoms[:m], diag[:m] = self.atoms, self._diag_buf[:m]
+                gram[:m, :m], packed[:start] = self.gram, self._packed[:start]
+            self._atoms_buf, self._diag_buf, self._gram_buf, self._packed = atoms, diag, gram, packed
+        self._atoms_buf[m] = x
+        self._diag_buf[m] = self._gram_buf[m, m] = kxx
         self._gram_buf[m, :m] = self._gram_buf[:m, m] = kvec
-        self._gram_buf[m, m] = kxx
-        start = m * (m + 1) // 2
         self._packed[start : start + m] = z
         self._packed[start + m] = math.sqrt(pivot)
-        self._atoms = np.vstack([self._atoms, x[None, :]]) if m else x[None, :].copy()
+        self._m = m + 1
         self._gram_inv = None
         # the new atom's entry uses the row's arithmetic (Kernel.against),
         # which for the polynomial family can differ from kxx in the last bit
         return np.append(kvec, self.kernel._against(x[None, :], x))
+
+    def _contains(self, x: np.ndarray) -> bool:
+        """Whether ``x`` equals an atom exactly (any atom, if it has no coordinates).
+
+        Compares one coordinate at a time and stops at the first one that
+        no atom still matches, which for continuous inputs is the first.
+        """
+        if not self.dim:
+            return True
+        atoms = self.atoms
+        match = atoms[:, 0] == x[0]
+        for k in range(1, self.dim):
+            if not np.count_nonzero(match):
+                return False
+            match &= atoms[:, k] == x[k]
+        return bool(np.count_nonzero(match))
 
     # -- criterion tests ----------------------------------------------------
 
@@ -242,20 +270,24 @@ class Dictionary:
     def _passes(self, kind: str, kvec: np.ndarray, kxx: float, threshold: float) -> bool:
         """Whether a candidate with row (kvec, kxx) passes criterion ``kind`` at ``threshold``."""
         if kind == "distance":
-            diag = np.diag(self.gram)
-            if (diag <= 0).any():
-                raise NumericalError("atom with zero self-similarity; distance test undefined")
-            return float((kxx - kvec**2 / diag).min()) >= threshold**2
+            return float((kxx - kvec**2 / self._atom_norms("distance")).min()) >= threshold**2
         if kind == "approximation":
             return self._project(kvec, kxx).residual_sq >= threshold**2
         if kind == "coherence":
             if kxx <= 0:
                 raise NumericalError("candidate has non-positive self-similarity; coherence undefined")
-            diag = np.diag(self.gram)
-            if (diag <= 0).any():
-                raise NumericalError("atom with zero self-similarity; coherence test undefined")
-            return float((np.abs(kvec) / np.sqrt(kxx * diag)).max()) <= threshold
+            if self.kernel.family == "gaussian":
+                # kxx * kappa(atom, atom) is exactly 1: the cosines are |kvec|
+                return float(np.abs(kvec).max()) <= threshold
+            return float((np.abs(kvec) / np.sqrt(kxx * self._atom_norms("coherence"))).max()) <= threshold
         return float(np.abs(kvec).sum()) <= threshold
+
+    def _atom_norms(self, kind: str) -> np.ndarray:
+        """kappa(atom_j, atom_j) for every atom, as cached at admission; all must be positive."""
+        diag = self._diag_buf[: self.m]
+        if (diag <= 0).any():
+            raise NumericalError(f"atom with zero self-similarity; {kind} test undefined")
+        return diag
 
     def test_distance(self, x, threshold: float | None = None) -> bool:
         """Least scaled-projection residual against any single atom >= delta**2."""
@@ -343,7 +375,7 @@ class Dictionary:
         if self.criterion.max_atoms is not None:
             crit += f" max_atoms={self.criterion.max_atoms}"
         lines.append(crit)
-        for atom in self._atoms:
+        for atom in self.atoms:
             lines.append("atom " + " ".join(repr(float(v)) for v in atom))
         return "\n".join(lines) + "\n"
 
@@ -352,8 +384,9 @@ class Dictionary:
         """Parse the text format written by :meth:`to_text`.
 
         Atom coordinates are shortest round-trip decimals, so atoms
-        round-trip exactly; the rebuilt Gram matrix is as close to the
-        grown one as :meth:`Kernel.gram` states.
+        round-trip exactly, and :meth:`Kernel.gram` replays the admission
+        arithmetic: the rebuilt Gram matrix is bit-identical to the grown
+        one, for every kernel.
         """
         kernel = None
         criterion = None

@@ -86,6 +86,10 @@ class Kernel:
         y = _as_vector(y, "y")
         if x.shape != y.shape:
             raise ValueError(f"dimension mismatch: {x.shape[0]} vs {y.shape[0]}")
+        return self._pair(x, y)
+
+    def _pair(self, x: np.ndarray, y: np.ndarray) -> float:
+        """:meth:`__call__` without input checks, for float64 vectors already validated."""
         if self.family == "linear":
             return float(x @ y)
         if self.family == "polynomial":
@@ -110,32 +114,48 @@ class Kernel:
             return atoms @ x
         if self.family == "polynomial":
             return (atoms @ x + self.offset) ** self.degree
-        d_sq = ((atoms - x) ** 2).sum(axis=1)
-        return np.exp(-d_sq / (2.0 * self.sigma**2))
+        sq = atoms - x
+        np.square(sq, out=sq)
+        if sq.shape[1] < 8:
+            # numpy sums fewer than 8 terms left to right, so adding one
+            # coordinate at a time is its reduction's arithmetic without the
+            # per-row overhead; from 8 terms on it sums pairwise
+            d_sq = np.zeros(sq.shape[0])
+            for k in range(sq.shape[1]):
+                d_sq += sq[:, k]
+        else:
+            d_sq = sq.sum(axis=1)
+        np.negative(d_sq, out=d_sq)
+        d_sq /= 2.0 * self.sigma**2
+        return np.exp(d_sq, out=d_sq)
 
     def gram(self, xs: np.ndarray) -> np.ndarray:
-        """Pairwise kernel matrix of the rows of ``xs`` (exactly symmetric).
+        """Pairwise kernel matrix of the rows of ``xs``, built as admission builds it.
 
-        Rows use the arithmetic of :meth:`against`. A matrix grown one
-        admission at a time is reproduced bit-identically for the Gaussian
-        kernel and the linear kernel on 1-d inputs; otherwise last bits can
-        differ, within acceptance 8's 1e-12 for entries of order one.
+        Row i left of the diagonal is ``_against(xs[:i], xs[i])``, the row
+        that admitting xs[i] after xs[:i] evaluates, mirrored into column i
+        (so the matrix is exactly symmetric); the diagonal is
+        :meth:`self_similarity`, the value admission stores. A matrix grown
+        one admission at a time is therefore reproduced bit-identically, for
+        every kernel.
         """
-        xs = _as_matrix(xs, "xs")
+        # rows contiguous, as in a dictionary's atom buffer: BLAS may round a
+        # product differently for another layout
+        xs = np.ascontiguousarray(_as_matrix(xs, "xs"))
         m = xs.shape[0]
         out = np.empty((m, m))
         for i in range(m):
-            out[i, :] = self.against(xs, xs[i])
-        # mirror the lower triangle for bit-exact symmetry
-        lower = np.tril(out)
-        return lower + np.tril(out, -1).T
+            out[i, :i] = out[:i, i] = self._against(xs[:i], xs[i])
+            out[i, i] = self._self_similarity(xs[i])
+        return out
 
     def self_similarity(self, x) -> float:
         """kappa(x, x); cheaper than ``self(x, x)`` for the Gaussian family."""
-        if self.family == "gaussian":
-            _as_vector(x, "x")
-            return 1.0
-        return self(x, x)
+        return self._self_similarity(_as_vector(x, "x"))
+
+    def _self_similarity(self, x: np.ndarray) -> float:
+        """:meth:`self_similarity` without input checks: the kappa(x, x) that admission stores."""
+        return 1.0 if self.family == "gaussian" else self._pair(x, x)
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,27 @@ class TestAdmit:
         assert not d.admit([0.0, 0.0])
         assert d.m == 1
 
+    def test_duplicate_needs_every_coordinate_of_one_atom(self):
+        # a Babel test with large gamma passes anything but exact copies
+        d = gaussian_dict(kind="babel", threshold=10.0)
+        assert d.admit([0.0, 0.0, 0.0])
+        assert d.admit([1.0, 1.0, 1.0])
+        assert d.admit([0.0, 2.0, 2.0])  # first coordinate only
+        assert d.admit([0.0, 1.0, 0.0])  # every coordinate, but not of one atom
+        assert not d.admit([1.0, 1.0, 1.0])
+        assert d.m == 4
+
+    @pytest.mark.parametrize("kind", ["distance", "coherence"])
+    def test_duplicate_rejection_precedes_criterion_errors(self, kind):
+        # with a zero atom every distance and coherence test raises, but an
+        # exact copy of an atom is rejected before the test runs
+        d = linear_dict([[0.0, 0.0], [1.0, 0.0]], kind=kind)
+        with pytest.raises(NumericalError, match="zero self-similarity"):
+            d.admit([0.0, 1.0])
+        assert not d.admit([0.0, 0.0])
+        assert not d.admit([1.0, 0.0])
+        assert d.m == 2
+
     def test_coherence_accepts_distant_point(self):
         # oracle: kappa((0,0),(2,0)) = exp(-2) ~ 0.1353 <= 0.5
         d = gaussian_dict(threshold=0.5)
@@ -358,22 +379,27 @@ class TestCholeskyFactor:
         assert np.array_equal(inv, inv.T)
 
     def test_admissions_fill_spare_capacity(self):
-        # the Gram and factor buffers double when full instead of being
-        # reallocated per admission, and a gram view handed out earlier
-        # keeps its values while later atoms are written past it
+        # the atom, diagonal, Gram and factor buffers double together when
+        # full instead of being reallocated per admission, and gram and atoms
+        # views handed out earlier keep their values while later atoms are
+        # written past them
         rng = np.random.default_rng(1)
         d = Dictionary(Kernel.gaussian(0.4), CriterionConfig("coherence", 0.95))
         points = iter(rng.uniform(-1, 1, size=(2000, 4)))
-        buf, reallocations, early = None, 0, None
+        bufs, reallocations, early = (None, None, None), 0, None
         while d.m < 100:
             d.admit(next(points))
-            if d._gram_buf is not buf:
-                buf, reallocations = d._gram_buf, reallocations + 1
+            grown = [new is not old for new, old in zip((d._gram_buf, d._atoms_buf, d._diag_buf), bufs)]
+            assert all(grown) or not any(grown)
+            if grown[0]:
+                bufs, reallocations = (d._gram_buf, d._atoms_buf, d._diag_buf), reallocations + 1
             if d.m == 10 and early is None:
-                early = (d.gram, d.gram.copy())
+                early = (d.gram, d.gram.copy(), d.atoms, d.atoms.copy())
         assert reallocations <= 5
-        assert np.array_equal(early[0], early[1])
+        assert np.array_equal(early[0], early[1]) and np.array_equal(early[2], early[3])
         assert np.array_equal(d.gram[:10, :10], early[1])
+        assert np.array_equal(d.atoms[:10], early[3])
+        assert np.array_equal(d._diag_buf[: d.m], np.diag(d.gram))
 
 
 class TestCriterionSoundness:
@@ -454,10 +480,10 @@ class TestSerialization:
             assert d2.kernel == kernel
             assert np.array_equal(d.gram, d2.gram)
 
-    def test_round_trip_polynomial_multidimensional_within_tolerance(self):
-        # BLAS rounds the grown rows (over fewer atoms) and the reloaded ones
-        # differently, and the grown diagonal is a scalar power: not
-        # bit-identical, but within acceptance 8's 1e-12
+    def test_round_trip_polynomial_multidimensional_bit_identical(self):
+        # Kernel.gram replays admission: row i over the first i atoms only
+        # (BLAS rounds a product over more rows differently) and the
+        # diagonal as the scalar power admission stores
         x, _ = harness.synthesize("narma2", 3, 500)
         d = Dictionary(Kernel.polynomial(3, 0.5), CriterionConfig("babel", 3.0))
         for p in x:
@@ -465,7 +491,7 @@ class TestSerialization:
         d2 = Dictionary.from_text(d.to_text())
         assert d.m == 16 and x.shape[1] == 3
         assert np.array_equal(d.atoms, d2.atoms)
-        assert np.max(np.abs(d.gram - d2.gram)) <= 1e-12
+        assert np.array_equal(d.gram, d2.gram)
 
     def test_parse_errors_carry_line_numbers(self):
         with pytest.raises(ValueError, match="line 2"):
