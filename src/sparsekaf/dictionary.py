@@ -1,11 +1,10 @@
 """Sparse dictionary construction and analysis.
 
 A :class:`Dictionary` holds an ordered set of atom vectors together with
-their self-similarities kappa(x, x), the Gram matrix of their kernel
-functions and its lower Cholesky factor, which grows by one row per
-admission. All four live in buffers whose capacity doubles when full, so an
-admission writes O(m) entries and copies the dictionary only when the
-buffers double.
+the Gram matrix of their kernel functions and its lower Cholesky factor,
+which grows by one row per admission. All three live in buffers whose
+capacity doubles when full, so an admission writes O(m) entries and copies
+the dictionary only when the buffers double.
 Candidates are admitted online under one of four criteria (distance,
 approximation, coherence, Babel); the exact sparsity measure of a finished
 dictionary can be recomputed offline with :meth:`Dictionary.measure`.
@@ -79,14 +78,13 @@ class Dictionary:
         self.kernel = kernel
         self.criterion = criterion
         self._m = 0
-        # The atoms are the first m rows of _atoms_buf, their kappa(x, x) the
-        # first m entries of _diag_buf, and gram is the leading m x m block
-        # of _gram_buf. _packed holds L row by row (L^T in BLAS upper packed
-        # storage), row i from i(i+1)/2; dtpsv(m, _packed, b) solves
-        # L^T y = b, trans=1 L y = b (other keywords left out: f2py parses
-        # each in ~1 us). All four hold as many atoms as _gram_buf has rows.
+        # The atoms are the first m rows of _atoms_buf and gram is the leading
+        # m x m block of _gram_buf. _packed holds L row by row (L^T in BLAS
+        # upper packed storage), row i from i(i+1)/2; dtpsv(m, _packed, b)
+        # solves L^T y = b, trans=1 L y = b (other keywords left out: f2py
+        # parses each in ~1 us). All three hold as many atoms as _gram_buf
+        # has rows.
         self._atoms_buf = np.zeros((0, 0))
-        self._diag_buf = np.zeros(0)
         self._gram_buf = np.zeros((0, 0))
         self._packed: np.ndarray | None = np.zeros(0)
         self._gram_inv: np.ndarray | None = None
@@ -107,7 +105,6 @@ class Dictionary:
         if atoms.shape[0]:
             d._atoms_buf = atoms.copy()
             d._gram_buf = kernel.gram(atoms)
-            d._diag_buf = np.diag(d._gram_buf).copy()
             d._packed = None
             d._m = atoms.shape[0]
         return d
@@ -223,14 +220,13 @@ class Dictionary:
         start = m * (m + 1) // 2
         if m == self._gram_buf.shape[0]:
             cap = max(2 * m, 16)
-            atoms, diag = np.empty((cap, x.shape[0])), np.empty(cap)
+            atoms = np.empty((cap, x.shape[0]))
             gram, packed = np.empty((cap, cap)), np.empty(cap * (cap + 1) // 2)
             if m:
-                atoms[:m], diag[:m] = self.atoms, self._diag_buf[:m]
-                gram[:m, :m], packed[:start] = self.gram, self._packed[:start]
-            self._atoms_buf, self._diag_buf, self._gram_buf, self._packed = atoms, diag, gram, packed
+                atoms[:m], gram[:m, :m], packed[:start] = self.atoms, self.gram, self._packed[:start]
+            self._atoms_buf, self._gram_buf, self._packed = atoms, gram, packed
         self._atoms_buf[m] = x
-        self._diag_buf[m] = self._gram_buf[m, m] = kxx
+        self._gram_buf[m, m] = kxx
         self._gram_buf[m, :m] = self._gram_buf[:m, m] = kvec
         self._packed[start : start + m] = z
         self._packed[start + m] = math.sqrt(pivot)
@@ -243,18 +239,14 @@ class Dictionary:
     def _contains(self, x: np.ndarray) -> bool:
         """Whether ``x`` equals an atom exactly (any atom, if it has no coordinates).
 
-        Compares one coordinate at a time and stops at the first one that
-        no atom still matches, which for continuous inputs is the first.
+        Only the atoms that match the first coordinate, which for continuous
+        inputs are none, are compared in full.
         """
         if not self.dim:
             return True
         atoms = self.atoms
-        match = atoms[:, 0] == x[0]
-        for k in range(1, self.dim):
-            if not np.count_nonzero(match):
-                return False
-            match &= atoms[:, k] == x[k]
-        return bool(np.count_nonzero(match))
+        hits = np.flatnonzero(atoms[:, 0] == x[0])
+        return hits.size > 0 and bool((atoms[hits] == x).all(axis=1).any())
 
     # -- criterion tests ----------------------------------------------------
 
@@ -283,8 +275,8 @@ class Dictionary:
         return float(np.abs(kvec).sum()) <= threshold
 
     def _atom_norms(self, kind: str) -> np.ndarray:
-        """kappa(atom_j, atom_j) for every atom, as cached at admission; all must be positive."""
-        diag = self._diag_buf[: self.m]
+        """kappa(atom_j, atom_j) for every atom, read from the Gram diagonal; all must be positive."""
+        diag = np.diag(self.gram)
         if (diag <= 0).any():
             raise NumericalError(f"atom with zero self-similarity; {kind} test undefined")
         return diag

@@ -379,27 +379,26 @@ class TestCholeskyFactor:
         assert np.array_equal(inv, inv.T)
 
     def test_admissions_fill_spare_capacity(self):
-        # the atom, diagonal, Gram and factor buffers double together when
+        # the atom, Gram and factor buffers double together when
         # full instead of being reallocated per admission, and gram and atoms
         # views handed out earlier keep their values while later atoms are
         # written past them
         rng = np.random.default_rng(1)
         d = Dictionary(Kernel.gaussian(0.4), CriterionConfig("coherence", 0.95))
         points = iter(rng.uniform(-1, 1, size=(2000, 4)))
-        bufs, reallocations, early = (None, None, None), 0, None
+        bufs, reallocations, early = (None, None), 0, None
         while d.m < 100:
             d.admit(next(points))
-            grown = [new is not old for new, old in zip((d._gram_buf, d._atoms_buf, d._diag_buf), bufs)]
+            grown = [new is not old for new, old in zip((d._gram_buf, d._atoms_buf), bufs)]
             assert all(grown) or not any(grown)
             if grown[0]:
-                bufs, reallocations = (d._gram_buf, d._atoms_buf, d._diag_buf), reallocations + 1
+                bufs, reallocations = (d._gram_buf, d._atoms_buf), reallocations + 1
             if d.m == 10 and early is None:
                 early = (d.gram, d.gram.copy(), d.atoms, d.atoms.copy())
         assert reallocations <= 5
         assert np.array_equal(early[0], early[1]) and np.array_equal(early[2], early[3])
         assert np.array_equal(d.gram[:10, :10], early[1])
         assert np.array_equal(d.atoms[:10], early[3])
-        assert np.array_equal(d._diag_buf[: d.m], np.diag(d.gram))
 
 
 class TestCriterionSoundness:
