@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dtpsv
+from scipy.linalg.blas import dtpmv, dtpsv
 
 from .errors import NumericalError
 from .kernels import Kernel, _as_vector, kernel_vector
@@ -62,13 +62,16 @@ class CriterionConfig:
 class ProjectionResult:
     """Projection of a kernel function onto the dictionary span.
 
-    With gram = L L^T, ``coefficients`` solves L z = kvec(x), L^T xi = z;
-    ``residual_sq`` is the reconstruction error kappa(x, x) - ||z||^2 (the
-    Schur pivot of admitting x), clamped at zero against round-off.
+    With gram = L L^T, ``z`` solves L z = kvec(x): the projection in the
+    orthonormal coordinates the factor gives the span. ``coefficients``
+    solves L^T xi = z, the same projection over the atoms. ``residual_sq``
+    is the reconstruction error kappa(x, x) - ||z||^2 (the Schur pivot of
+    admitting x), clamped at zero against round-off.
     """
 
     coefficients: np.ndarray
     residual_sq: float
+    z: np.ndarray
 
 
 class Dictionary:
@@ -81,9 +84,11 @@ class Dictionary:
         # The atoms are the first m rows of _atoms_buf and gram is the leading
         # m x m block of _gram_buf. _packed holds L row by row (L^T in BLAS
         # upper packed storage), row i from i(i+1)/2; dtpsv(m, _packed, b)
-        # solves L^T y = b, trans=1 L y = b (other keywords left out: f2py
-        # parses each in ~1 us). All three hold as many atoms as _gram_buf
-        # has rows.
+        # solves L^T y = b, trans=1 L y = b, and dtpmv(m, _packed, b) is
+        # L^T b (other keywords left out: f2py parses each in ~1 us). All
+        # three hold as many atoms as _gram_buf has rows. Admissions write
+        # only past the filled entries, so the first m(m+1)/2 entries of a
+        # packed buffer keep holding L for as long as the buffer lives.
         self._atoms_buf = np.zeros((0, 0))
         self._gram_buf = np.zeros((0, 0))
         self._packed: np.ndarray | None = np.zeros(0)
@@ -193,10 +198,16 @@ class Dictionary:
         kvec = self.kernel.against(self.atoms, x) if self.m else np.zeros(0)
         return kvec, self.kernel._self_similarity(x)
 
-    def _admit_row(self, x: np.ndarray, kvec: np.ndarray, kxx: float) -> np.ndarray | None:
-        """Admission of ``x`` given its row; returns the row over the grown dictionary, or None."""
+    def _admit_row(self, x: np.ndarray, kvec: np.ndarray, kxx: float, z: np.ndarray | None = None) -> float | None:
+        """Admission of ``x`` given its row and, when the caller has it, z = L^-1 kvec.
+
+        Returns None if ``x`` was rejected. If it was admitted, returns the
+        new last diagonal entry of L, sqrt(pivot): over the grown dictionary
+        the row of ``x`` is [kvec, kxx], the Gram matrix's new row, and its
+        forward solve is [z, sqrt(pivot)].
+        """
         if self.m == 0:
-            return self._append(x, kvec, kxx)
+            return self._append(x, kvec, kxx, z)
         if self.criterion.max_atoms is not None and self.m >= self.criterion.max_atoms:
             return None
         # exact duplicates would make the Gram matrix singular yet can pass
@@ -204,13 +215,14 @@ class Dictionary:
         # criterion test can raise on them
         if self._contains(x):
             return None
-        if not self._passes(self.criterion.kind, kvec, kxx, self.criterion.threshold):
+        if not self._passes(self.criterion.kind, kvec, kxx, self.criterion.threshold, z):
             return None
-        return self._append(x, kvec, kxx)
+        return self._append(x, kvec, kxx, z)
 
-    def _append(self, x: np.ndarray, kvec: np.ndarray, kxx: float) -> np.ndarray:
+    def _append(self, x: np.ndarray, kvec: np.ndarray, kxx: float, z: np.ndarray | None) -> float:
         m = self.m
-        z = dtpsv(m, self._factor(), kvec, trans=1) if m else kvec
+        if z is None:
+            z = self._forward(kvec)
         pivot = kxx - float(z @ z)
         if pivot < PIVOT_FLOOR:
             raise NumericalError(
@@ -228,13 +240,12 @@ class Dictionary:
         self._atoms_buf[m] = x
         self._gram_buf[m, m] = kxx
         self._gram_buf[m, :m] = self._gram_buf[:m, m] = kvec
+        root = math.sqrt(pivot)
         self._packed[start : start + m] = z
-        self._packed[start + m] = math.sqrt(pivot)
+        self._packed[start + m] = root
         self._m = m + 1
         self._gram_inv = None
-        # the new atom's entry uses the row's arithmetic (Kernel.against),
-        # which for the polynomial family can differ from kxx in the last bit
-        return np.append(kvec, self.kernel._against(x[None, :], x))
+        return root
 
     def _contains(self, x: np.ndarray) -> bool:
         """Whether ``x`` equals an atom exactly (any atom, if it has no coordinates).
@@ -259,12 +270,17 @@ class Dictionary:
         kvec, kxx = self._row(self._candidate(x))
         return self._passes(kind, kvec, kxx, self.criterion.threshold if threshold is None else threshold)
 
-    def _passes(self, kind: str, kvec: np.ndarray, kxx: float, threshold: float) -> bool:
-        """Whether a candidate with row (kvec, kxx) passes criterion ``kind`` at ``threshold``."""
+    def _passes(self, kind: str, kvec: np.ndarray, kxx: float, threshold: float, z: np.ndarray | None = None) -> bool:
+        """Whether a candidate with row (kvec, kxx) passes criterion ``kind`` at ``threshold``.
+
+        The approximation test reads z = L^-1 kvec, solved here unless given.
+        """
         if kind == "distance":
             return float((kxx - kvec**2 / self._atom_norms("distance")).min()) >= threshold**2
         if kind == "approximation":
-            return self._project(kvec, kxx).residual_sq >= threshold**2
+            if z is None:
+                z = self._forward(kvec)
+            return max(kxx - float(z @ z), 0.0) >= threshold**2
         if kind == "coherence":
             if kxx <= 0:
                 raise NumericalError("candidate has non-positive self-similarity; coherence undefined")
@@ -342,14 +358,18 @@ class Dictionary:
     def project(self, x) -> ProjectionResult:
         """Least-squares projection of kappa(x, .) onto the dictionary span."""
         self._require_nonempty()
-        return self._project(*self._row(self._candidate(x)))
+        kvec, kxx = self._row(self._candidate(x))
+        z = self._forward(kvec)
+        xi = dtpsv(self.m, self._factor(), z)
+        return ProjectionResult(coefficients=xi, residual_sq=max(kxx - float(z @ z), 0.0), z=z)
 
-    def _project(self, kvec: np.ndarray, kxx: float) -> ProjectionResult:
-        packed = self._factor()
-        z = dtpsv(self.m, packed, kvec, trans=1)
-        residual = kxx - float(z @ z)
-        xi = dtpsv(self.m, packed, z)
-        return ProjectionResult(coefficients=xi, residual_sq=max(residual, 0.0))
+    def _forward(self, kvec: np.ndarray) -> np.ndarray:
+        """z = L^-1 kvec, one packed triangular solve (kvec itself when the dictionary is empty)."""
+        return dtpsv(self.m, self._factor(), kvec, trans=1) if self.m else kvec
+
+    def _coordinates(self, alpha) -> np.ndarray:
+        """w = L^T alpha: the model sum_j alpha_j kappa(atom_j, .) in the factor's orthonormal coordinates."""
+        return dtpmv(self.m, self._factor(), alpha) if self.m else np.zeros(0)
 
     # -- serialization --------------------------------------------------------
 
@@ -414,6 +434,11 @@ class Dictionary:
     def load(cls, path) -> "Dictionary":
         with open(path, "r", encoding="ascii") as fh:
             return cls.from_text(fh.read())
+
+
+def _coefficients(packed: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """alpha = L^-T w, with L the leading len(w) rows of a packed factor buffer."""
+    return dtpsv(len(w), packed, w) if len(w) else w
 
 
 def _parse_kv(args, allowed):

@@ -1,11 +1,19 @@
 """Online parameter estimation over a growing sparse dictionary.
 
-Each step predicts with the previous coefficient vector, offers the sample
-to the dictionary, and applies one of four update rules over the
-post-admission dictionary: two dual-space stochastic gradient variants
-(plain and Gram-weighted regularization), a normalized LMS, and the
+Each step predicts with the previous model, offers the sample to the
+dictionary, and applies one of four update rules over the post-admission
+dictionary: two dual-space stochastic gradient variants (plain and
+Gram-weighted regularization), a normalized LMS, and the
 functional-framework rule that replaces the incoming kernel function by
 its projection onto the dictionary span.
+
+The first three rules act on the coefficient vector alpha. The functional
+rule is linear and holds in any coordinates related to alpha by an
+invertible map: with K = L L^T, it acts on (alpha, xi = K^-1 kvec) and
+equally on (w = L^T alpha, z = L^-1 kvec). The map alpha -> w is an
+isometry, ||psi||^2 = alpha^T K alpha = ||w||^2, and in w a step needs one
+triangular solve: the prediction is alpha^T kvec = w^T z and the update
+reads z. So functional steps carry the model as w.
 
 A learner run is strictly sequential; distinct runs are independent.
 """
@@ -16,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import Dictionary
+from .dictionary import Dictionary, _coefficients
 from .errors import NumericalError
 from .kernels import _as_vector
 
@@ -44,22 +52,68 @@ class LearnerConfig:
             raise ValueError("eps must be >= 0")
 
 
-@dataclass(frozen=True)
 class ModelState:
-    """Coefficient vector over the dictionary atoms it was sized for."""
+    """The model psi = sum_j alpha_j kappa(atom_j, .) over the dictionary atoms it was sized for.
 
-    alpha: np.ndarray
+    ``ModelState(alpha=...)`` holds the coefficient vector alpha. A state
+    returned by a functional step holds w = L^T alpha instead, the model in
+    the coordinates of the dictionary's Cholesky factor K = L L^T, together
+    with the packed factor buffer it refers to; ``alpha`` = L^-T w is then
+    solved on first read and cached. The solve reads only the factor's
+    first m(m+1)/2 entries, which later admissions never write. A state is
+    a value: do not mutate ``alpha``.
+    """
+
+    def __init__(self, alpha):
+        self._alpha = alpha
+        self._w = self._packed = None
+        self._m = len(alpha)
 
     @classmethod
     def empty(cls) -> "ModelState":
         return cls(alpha=np.zeros(0))
 
+    @classmethod
+    def from_coordinates(cls, w, dictionary: Dictionary) -> "ModelState":
+        """The model whose coordinates over ``dictionary``'s current Cholesky factor are ``w``."""
+        w = np.asarray(w, dtype=np.float64)
+        if len(w) != dictionary.m:
+            raise ValueError(f"{len(w)} coordinates for a dictionary of {dictionary.m} atoms")
+        state = cls.__new__(cls)
+        state._alpha, state._w, state._packed, state._m = None, w, dictionary._factor(), len(w)
+        return state
+
+    @property
+    def alpha(self) -> np.ndarray:
+        """Coefficient vector over the atoms, in admission order."""
+        if self._alpha is None:
+            self._alpha = _coefficients(self._packed, self._w)
+        return self._alpha
+
+    def coordinates(self, dictionary: Dictionary) -> np.ndarray:
+        """w = L^T alpha over ``dictionary``'s Cholesky factor, so that ||w||^2 = alpha^T K alpha.
+
+        A state that holds w over this factor returns it without reading
+        ``alpha``; any other state pays one triangular product.
+        """
+        self._check_size(dictionary)
+        if self._w is not None and self._packed is dictionary._factor():
+            return self._w
+        return dictionary._coordinates(self.alpha)
+
     def predict(self, dictionary: Dictionary, x) -> float:
         """Model output alpha^T kvec(x); an empty expansion predicts 0."""
-        if len(self.alpha) == 0:
+        if self._m == 0:
             _as_vector(x, "x")
             return 0.0
         return float(self.alpha @ dictionary.kernel_vector(x))
+
+    def _check_size(self, dictionary: Dictionary) -> None:
+        if self._m != dictionary.m:
+            raise ValueError(f"state sized for {self._m} atoms but dictionary has {dictionary.m}")
+
+    def __repr__(self) -> str:
+        return f"ModelState(alpha={self.alpha!r})"
 
 
 @dataclass(frozen=True)
@@ -110,13 +164,15 @@ def update_nlms(alpha, kvec, error: float, eta: float, eps: float) -> np.ndarray
 
 
 def update_functional(alpha, xi, error: float, eta: float, eps: float) -> np.ndarray:
-    """Functional-framework rule in dual coordinates.
+    """Functional-framework rule: alpha' = (1 - eta*eps) * alpha + eta * error * xi.
 
-    alpha' = (1 - eta*eps) * alpha + eta * error * xi, where xi is the
-    coefficient vector of projecting kappa(x, .) onto the dictionary span
-    (``Dictionary.project(x).coefficients``, i.e. K^-1 kvec(x) from two
-    triangular solves with the Cholesky factor of K). A decay factor (1 - eta*eps) <= 0 means the configuration diverges and
-    raises instead of silently flipping the sign of the model.
+    In dual coordinates, xi is the coefficient vector of projecting
+    kappa(x, .) onto the dictionary span (``Dictionary.project(x).coefficients``,
+    K^-1 kvec(x)). With K = L L^T the rule holds unchanged in the
+    factor's coordinates, on (w, z) = (L^T alpha, L^-1 kvec(x)) with
+    z = ``Dictionary.project(x).z``; :func:`step` applies it there. A decay
+    factor (1 - eta*eps) <= 0 means the configuration diverges and raises
+    instead of silently flipping the sign of the model.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     xi = np.asarray(xi, dtype=np.float64)
@@ -135,38 +191,53 @@ def step(
     y_t: float,
     cfg: LearnerConfig,
 ) -> tuple[ModelState, StepOutcome]:
-    """One online iteration: predict, admit if novel, update the coefficients.
+    """One online iteration: predict, admit if novel, update the model.
 
     The kernel row kvec = (kappa(atom_j, x_t))_j is evaluated once, over
     the pre-admission dictionary. The prediction alpha @ kvec and the
     criterion test read it; on admission it is extended by the new atom's
-    entry, and the coefficient vector by a zero (which leaves the model
-    function unchanged), so that the update rule acts on the just-admitted
-    atom. The dictionary is updated in place.
+    entry kappa(x_t, x_t), the number the Gram matrix holds, and the
+    coefficient vector by a zero (which leaves the model function
+    unchanged), so that the update rule acts on the just-admitted atom.
+
+    The functional rule runs in the factor's coordinates: one forward solve
+    z = L^-1 kvec serves the prediction w @ z, the approximation test, the
+    admission's Schur pivot and the update. On admission w gains a zero
+    (L'^T [alpha, 0] = [w, 0]) and z the new diagonal entry of L, since
+    L'^-1 [kvec, kappa(x_t, x_t)] = [z, sqrt(pivot)]. The dictionary is
+    updated in place.
     """
-    if len(state.alpha) != dictionary.m:
-        raise ValueError(f"state sized for {len(state.alpha)} atoms but dictionary has {dictionary.m}")
-    if cfg.algorithm == "functional_sgd" and 1.0 - cfg.eta * cfg.eps <= 0.0:
+    state._check_size(dictionary)
+    functional = cfg.algorithm == "functional_sgd"
+    if functional and 1.0 - cfg.eta * cfg.eps <= 0.0:
         raise NumericalError(f"functional update decay factor 1 - eta*eps = {1.0 - cfg.eta * cfg.eps} is <= 0")
     x = dictionary._candidate(x_t)
     kvec, kxx = dictionary._row(x)
-    prediction = float(state.alpha @ kvec)
+    if functional:
+        w, z = state.coordinates(dictionary), dictionary._forward(kvec)
+        prediction = float(w @ z)
+    else:
+        z = None
+        prediction = float(state.alpha @ kvec)
     error = float(y_t) - prediction
 
-    grown = dictionary._admit_row(x, kvec, kxx)
-    admitted = grown is not None
-    alpha = state.alpha
-    if admitted:
-        alpha, kvec = np.append(alpha, 0.0), grown
-
-    if cfg.algorithm == "lms_identity":
-        alpha = update_lms_identity(alpha, kvec, error, cfg.eta, cfg.eps)
-    elif cfg.algorithm == "lms_gram":
-        alpha = update_lms_gram(alpha, kvec, dictionary.gram, error, cfg.eta, cfg.eps)
-    elif cfg.algorithm == "nlms":
-        alpha = update_nlms(alpha, kvec, error, cfg.eta, cfg.eps)
+    root = dictionary._admit_row(x, kvec, kxx, z)
+    admitted = root is not None
+    if functional:
+        if admitted:
+            w, z = np.append(w, 0.0), np.append(z, root)
+        state = ModelState.from_coordinates(update_functional(w, z, error, cfg.eta, cfg.eps), dictionary)
     else:
-        alpha = update_functional(alpha, dictionary._project(kvec, kxx).coefficients, error, cfg.eta, cfg.eps)
+        alpha = state.alpha
+        if admitted:
+            alpha, kvec = np.append(alpha, 0.0), np.append(kvec, kxx)
+        if cfg.algorithm == "lms_identity":
+            alpha = update_lms_identity(alpha, kvec, error, cfg.eta, cfg.eps)
+        elif cfg.algorithm == "lms_gram":
+            alpha = update_lms_gram(alpha, kvec, dictionary.gram, error, cfg.eta, cfg.eps)
+        else:
+            alpha = update_nlms(alpha, kvec, error, cfg.eta, cfg.eps)
+        state = ModelState(alpha=alpha)
 
     outcome = StepOutcome(prediction=prediction, error=error, admitted=admitted, new_m=dictionary.m)
-    return ModelState(alpha=alpha), outcome
+    return state, outcome

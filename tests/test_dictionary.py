@@ -319,6 +319,21 @@ class TestProject:
                 alt = kxx - 2.0 * xi_p @ kvec + xi_p @ d.gram @ xi_p
                 assert res.residual_sq <= alt + 1e-12
 
+    def test_z_is_the_forward_solve_behind_the_residual(self):
+        rng = np.random.default_rng(12)
+        d = gaussian_dict(threshold=0.8, sigma=1.0)
+        for x in rng.uniform(-2, 2, size=(12, 2)):
+            d.admit(x)
+        lower = np.linalg.cholesky(d.gram)
+        for x in rng.uniform(-2, 2, size=(5, 2)):
+            res = d.project(x)
+            np.testing.assert_allclose(lower @ res.z, d.kernel_vector(x), atol=1e-12)
+            np.testing.assert_allclose(lower.T @ res.coefficients, res.z, atol=1e-12)
+            assert res.residual_sq == max(d.kernel.self_similarity(x) - float(res.z @ res.z), 0.0)
+            # the approximation test reads the same residual, bit for bit
+            for delta in (math.sqrt(res.residual_sq), math.nextafter(math.sqrt(res.residual_sq), math.inf)):
+                assert d.test_approximation(x, delta) == (res.residual_sq >= delta**2)
+
 
 class TestIncrementalInverse:
     @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -1,8 +1,10 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 
+import sparsekaf.dictionary as dictionary_module
 from sparsekaf import (
     ALGORITHMS,
     CRITERION_KINDS,
@@ -183,20 +185,36 @@ class TestStep:
 
 
 def reference_step(state, d, x, y, cfg):
-    """``step`` rebuilt from the public pieces, each evaluating its own kernel row."""
+    """``step`` rebuilt from the public pieces, each evaluating its own kernel row.
+
+    The functional rule runs on the coordinates w over the factor L and on
+    the projection's z = L^-1 kvec; an admission appends the new diagonal
+    entry of L, the square root of the Schur pivot, to z. The admitted
+    atom's own row entry is kappa(x, x) as the Gram matrix holds it.
+    """
+    if cfg.algorithm == "functional_sgd":
+        w = state.coordinates(d)
+        z = d.project(x).z if d.m else np.zeros(0)
+        prediction = float(w @ z)
+        error = float(y) - prediction
+        admitted = d.admit(x)
+        if admitted:
+            w, z = np.append(w, 0.0), np.append(z, math.sqrt(d.gram[-1, -1] - float(z @ z)))
+        w = update_functional(w, z, error, cfg.eta, cfg.eps)
+        return ModelState.from_coordinates(w, d), StepOutcome(prediction, error, admitted, d.m)
     prediction = state.predict(d, x)
     error = float(y) - prediction
     admitted = d.admit(x)
     alpha = np.append(state.alpha, 0.0) if admitted else state.alpha
     kvec = kernel_vector(d.kernel, d.atoms, x)
+    if admitted:
+        kvec[-1] = d.gram[-1, -1]
     if cfg.algorithm == "lms_identity":
         alpha = update_lms_identity(alpha, kvec, error, cfg.eta, cfg.eps)
     elif cfg.algorithm == "lms_gram":
         alpha = update_lms_gram(alpha, kvec, d.gram, error, cfg.eta, cfg.eps)
-    elif cfg.algorithm == "nlms":
-        alpha = update_nlms(alpha, kvec, error, cfg.eta, cfg.eps)
     else:
-        alpha = update_functional(alpha, d.project(x).coefficients, error, cfg.eta, cfg.eps)
+        alpha = update_nlms(alpha, kvec, error, cfg.eta, cfg.eps)
     return ModelState(alpha=alpha), StepOutcome(prediction, error, admitted, d.m)
 
 
@@ -243,25 +261,99 @@ class TestStepDataFlow:
             state_ref, out_ref = reference_step(state_ref, d_ref, x, y, cfg)
             assert out == out_ref
             assert state.alpha.tobytes() == state_ref.alpha.tobytes()
+            assert state.coordinates(d).tobytes() == state_ref.coordinates(d_ref).tobytes()
             seen.add("first" if m == 0 else "cap" if m == cap else "admit" if out.admitted else "reject")
         assert seen == {"first", "admit", "reject", "cap"}
         for name in ("atoms", "gram", "gram_inv"):
             assert getattr(d, name).tobytes() == getattr(d_ref, name).tobytes()
 
-    def test_admitted_entry_uses_row_arithmetic(self):
+    def test_update_reads_the_gram_diagonal(self):
         # kappa(x, x) of the polynomial family rounds as a scalar power, while
-        # the row (and so the reference's recomputed row) rounds as an array
-        # power; the two differ in the last bit for some x
+        # the kernel row rounds as an array power; the two differ in the last
+        # bit for some x. The admitted atom's entry of the row the update
+        # reads is the one the Gram matrix holds.
         kernel = Kernel.polynomial(3, 0.5)
         cfg = LearnerConfig("lms_identity", eta=0.2, eps=0.0)
+        row_differs = 0
         for x in np.random.default_rng(12).uniform(-3, 3, size=(200, 1)):
-            d, d_ref = (Dictionary(kernel, CriterionConfig("distance", 0.1)) for _ in range(2))
-            state = state_ref = ModelState.empty()
-            for z in (np.array([0.25]), x):
-                state, out = step(state, d, z, 1.0, cfg)
-                state_ref, out_ref = reference_step(state_ref, d_ref, z, 1.0, cfg)
-                assert out == out_ref
-                assert state.alpha.tobytes() == state_ref.alpha.tobytes()
+            d = Dictionary(kernel, CriterionConfig("distance", 0.1))
+            state, _ = step(ModelState.empty(), d, np.array([0.25]), 1.0, cfg)
+            state, out = step(state, d, x, 1.0, cfg)
+            if out.admitted:
+                assert state.alpha[-1] == cfg.eta * (out.error * d.gram[-1, -1])
+                row_differs += kernel_vector(kernel, x[None, :], x)[0] != d.gram[-1, -1]
+        assert row_differs
+
+    def test_one_triangular_solve_per_functional_step(self, monkeypatch):
+        solves, products = [], []
+        dtpsv, dtpmv = dictionary_module.dtpsv, dictionary_module.dtpmv
+
+        def counting_dtpsv(n, *args, **kwargs):
+            solves.append(n)
+            return dtpsv(n, *args, **kwargs)
+
+        def counting_dtpmv(n, *args, **kwargs):
+            products.append(n)
+            return dtpmv(n, *args, **kwargs)
+
+        monkeypatch.setattr(dictionary_module, "dtpsv", counting_dtpsv)
+        monkeypatch.setattr(dictionary_module, "dtpmv", counting_dtpmv)
+        kernel, inputs, dim, cap, thresholds = DATA_FLOW_CASES["gaussian-plane"]
+        xs, ys = data_flow_stream(inputs, dim)
+        cfg = LearnerConfig("functional_sgd", eta=0.2, eps=0.05)
+        for kind in CRITERION_KINDS:
+            d = Dictionary(kernel, CriterionConfig(kind, thresholds[kind], max_atoms=cap))
+            state = ModelState.empty()
+            seen = set()
+            for x, y in zip(xs, ys):
+                m = d.m
+                solves.clear()
+                state, out = step(state, d, x, y, cfg)
+                # the forward solve over the pre-admission dictionary, none when it is empty
+                assert solves == ([m] if m else [])
+                seen.add(out.admitted)
+            assert seen == {True, False}
+        assert products == []
+
+    def test_alpha_state_enters_a_functional_step(self):
+        d = fresh(sigma=0.7)
+        for x in np.linspace(-3, 3, 7):
+            d.admit([x, 0.0])
+        alpha = np.random.default_rng(4).standard_normal(d.m)
+        x = np.array([0.3, 0.1])
+        state, out = step(ModelState(alpha=alpha), d, x, 1.0, LearnerConfig("functional_sgd", eta=0.5, eps=0.01))
+        assert not out.admitted
+        assert out.prediction == pytest.approx(float(alpha @ d.kernel_vector(x)), rel=1e-12)
+        expected = update_functional(alpha, d.project(x).coefficients, out.error, 0.5, 0.01)
+        assert np.linalg.norm(state.alpha - expected) <= 1e-12 * np.linalg.norm(expected)
+        # a state carried over another dictionary's factor enters as its alpha
+        atoms = np.column_stack([np.full(d.m, 0.5), np.linspace(-2, 2, d.m)])
+        other = Dictionary.from_atoms(d.kernel, d.criterion, atoms)
+        _, out = step(state, other, x, 1.0, LearnerConfig("functional_sgd", eta=0.5, eps=0.01))
+        assert out.prediction == pytest.approx(float(state.alpha @ other.kernel_vector(x)), rel=1e-12)
+
+    def test_state_outlives_buffer_doubling_and_deepcopy(self):
+        xs, ys = synthesize("sinc1d", seed=2, length=400, noise=0.01)
+        d = Dictionary(Kernel.gaussian(0.1), CriterionConfig("coherence", 0.5))
+        cfg = LearnerConfig("functional_sgd", eta=0.5, eps=0.01)
+        state = ModelState.empty()
+        t = 0
+        while d.m < 16:
+            state, _ = step(state, d, xs[t], float(ys[t]), cfg)
+            t += 1
+        # the buffers hold 16 atoms, so the next admission doubles them; an
+        # equal state whose alpha is read now gives the figure to keep
+        before = ModelState.from_coordinates(state.coordinates(d), d).alpha
+        held, (copied, d_copy) = state, copy.deepcopy((state, d))
+        for x, y in zip(xs[t:], ys[t:]):
+            state, _ = step(state, d, x, float(y), cfg)
+        assert d.m > 32
+        assert held.alpha.tobytes() == before.tobytes()
+        assert copied.alpha.tobytes() == before.tobytes()
+        # the copied snapshot replays the rest of the stream bit for bit
+        for x, y in zip(xs[t:], ys[t:]):
+            copied, _ = step(copied, d_copy, x, float(y), cfg)
+        assert copied.alpha.tobytes() == state.alpha.tobytes()
 
     def test_one_kernel_row_per_step(self, monkeypatch):
         calls = []
@@ -337,6 +429,30 @@ class TestInvariants:
             lhs = d.gram @ state.alpha
             rhs = (1 - eta * eps) * (d.gram @ alpha_prev) + eta * out.error * d.kernel_vector(xs[t])
             np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+    @pytest.mark.parametrize("kind", CRITERION_KINDS)
+    @pytest.mark.parametrize("data, sigma, thresholds", [
+        ("sinc1d", 0.7, {"distance": 0.3, "approximation": 0.2, "coherence": 0.5, "babel": 1.0}),
+        ("narma2", 0.05, {"distance": 0.3, "approximation": 0.2, "coherence": 0.7, "babel": 2.0}),
+    ])
+    def test_functional_step_follows_the_dual_recursion(self, data, sigma, thresholds, kind):
+        # alpha' = (1 - eta eps) alpha + eta e xi with xi = K^-1 kvec, run on
+        # alpha itself, against the step that carries w = L^T alpha
+        xs, ys = synthesize(data, seed=3, length=300)
+        d = Dictionary(Kernel.gaussian(sigma), CriterionConfig(kind, thresholds[kind]))
+        cfg = LearnerConfig("functional_sgd", eta=0.5, eps=0.01)
+        state, alpha = ModelState.empty(), np.zeros(0)
+        for x, y in zip(xs, ys):
+            prediction = float(alpha @ d.kernel_vector(x)) if d.m else 0.0
+            state, out = step(state, d, x, float(y), cfg)
+            if out.admitted:
+                alpha = np.append(alpha, 0.0)
+            alpha = update_functional(alpha, d.project(x).coefficients, float(y) - prediction, cfg.eta, cfg.eps)
+            assert np.linalg.norm(state.alpha - alpha) <= 1e-9 * np.linalg.norm(alpha)
+            w = state.coordinates(d)
+            psi_sq = float(state.alpha @ d.gram @ state.alpha)
+            assert abs(float(w @ w) - psi_sq) <= 1e-12 * psi_sq
+        assert d.m > 5
 
     @pytest.mark.parametrize("algo", ["nlms", "functional_sgd"])
     def test_rayleigh_norm_bounds_along_run(self, algo):
