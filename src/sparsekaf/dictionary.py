@@ -81,14 +81,14 @@ class Dictionary:
         self.kernel = kernel
         self.criterion = criterion
         self._m = 0
-        # The atoms are the first m rows of _atoms_buf and gram is the leading
-        # m x m block of _gram_buf. _packed holds L row by row (L^T in BLAS
-        # upper packed storage), row i from i(i+1)/2; dtpsv(m, _packed, b)
-        # solves L^T y = b, trans=1 L y = b, and dtpmv(m, _packed, b) is
-        # L^T b (other keywords left out: f2py parses each in ~1 us). All
-        # three hold as many atoms as _gram_buf has rows. Admissions write
-        # only past the filled entries, so the first m(m+1)/2 entries of a
-        # packed buffer keep holding L for as long as the buffer lives.
+        # The atoms are the first m rows of _atoms_buf, gram the leading m x m
+        # block of _gram_buf. _packed holds L row by row (L^T in BLAS upper
+        # packed storage), row i from i(i+1)/2: dtpsv(m, _packed, b) solves
+        # L^T y = b, dtpsv(m, _packed, b, 1, 0, 0, 1) (trans=1 after incx,
+        # offx, lower: f2py parses a keyword in ~1 us) L y = b, and dtpmv(m,
+        # _packed, b) is L^T b. All three hold as many atoms as _gram_buf has
+        # rows. Admissions write only past the filled entries, so the first
+        # m(m+1)/2 entries of a packed buffer hold L while the buffer lives.
         self._atoms_buf = np.zeros((0, 0))
         self._gram_buf = np.zeros((0, 0))
         self._packed: np.ndarray | None = np.zeros(0)
@@ -179,24 +179,19 @@ class Dictionary:
         admission"), the threshold being too loose for a well-posed Gram
         matrix.
         """
-        x = self._candidate(x)
-        return self._admit_row(x, *self._row(x)) is not None
+        return self._admit_row(*self._row(x)) is not None
 
-    def _candidate(self, x) -> np.ndarray:
-        """``x`` as a finite 1-D float64 vector of the atoms' dimension."""
-        x = _as_vector(x, "x")
-        if self.m and x.shape[0] != self.dim:
-            raise ValueError(f"dimension mismatch: atoms have {self.dim}, candidate has {x.shape[0]}")
-        return x
+    def _row(self, x) -> tuple[np.ndarray, np.ndarray, float]:
+        """(x, kvec, kxx): ``x`` checked once, kappa(atom_j, x) for every atom and kappa(x, x).
 
-    def _row(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        """(kvec, kxx): kappa(atom_j, x) for every atom (one kernel row) and kappa(x, x).
-
-        ``x`` comes from :meth:`_candidate`. Every row-taking helper below
-        reads this pair instead of evaluating the kernel again.
+        The only check of ``x`` (finite, 1-D, of the atoms' dimension) is the
+        checked :meth:`Kernel.against`'s, or with no atoms ``_as_vector``'s.
         """
-        kvec = self.kernel.against(self.atoms, x) if self.m else np.zeros(0)
-        return kvec, self.kernel._self_similarity(x)
+        if not self.m:
+            x = _as_vector(x, "x")
+            return x, np.zeros(0), self.kernel._self_similarity(x)
+        x = np.asarray(x, dtype=np.float64)
+        return x, self.kernel.against(self.atoms, x), self.kernel._self_similarity(x)
 
     def _admit_row(self, x: np.ndarray, kvec: np.ndarray, kxx: float, z: np.ndarray | None = None) -> float | None:
         """Admission of ``x`` given its row and, when the caller has it, z = L^-1 kvec.
@@ -204,20 +199,22 @@ class Dictionary:
         Returns None if ``x`` was rejected. If it was admitted, returns the
         new last diagonal entry of L, sqrt(pivot): over the grown dictionary
         the row of ``x`` is [kvec, kxx], the Gram matrix's new row, and its
-        forward solve is [z, sqrt(pivot)].
+        forward solve is [z, sqrt(pivot)]. Exact copies of atoms (singular
+        Gram matrix, yet they can pass a Babel test with large gamma) are
+        rejected, even where the criterion test raises :class:`NumericalError`;
+        the scan for them runs only when the test passes or raises.
         """
         if self.m == 0:
             return self._append(x, kvec, kxx, z)
         if self.criterion.max_atoms is not None and self.m >= self.criterion.max_atoms:
             return None
-        # exact duplicates would make the Gram matrix singular yet can pass
-        # a Babel test with large gamma; reject them outright, before the
-        # criterion test can raise on them
-        if self._contains(x):
-            return None
-        if not self._passes(self.criterion.kind, kvec, kxx, self.criterion.threshold, z):
-            return None
-        return self._append(x, kvec, kxx, z)
+        try:
+            passes = self._passes(self.criterion.kind, kvec, kxx, self.criterion.threshold, z)
+        except NumericalError:
+            if self._contains(x):
+                return None
+            raise
+        return self._append(x, kvec, kxx, z) if passes and not self._contains(x) else None
 
     def _append(self, x: np.ndarray, kvec: np.ndarray, kxx: float, z: np.ndarray | None) -> float:
         m = self.m
@@ -251,7 +248,8 @@ class Dictionary:
         """Whether ``x`` equals an atom exactly (any atom, if it has no coordinates).
 
         Only the atoms that match the first coordinate, which for continuous
-        inputs are none, are compared in full.
+        inputs are none, are compared in full; :meth:`_admit_row` asks only
+        about candidates the criterion test admits or raises on.
         """
         if not self.dim:
             return True
@@ -267,7 +265,7 @@ class Dictionary:
 
     def _test(self, kind: str, x, threshold: float | None) -> bool:
         self._require_nonempty()
-        kvec, kxx = self._row(self._candidate(x))
+        _, kvec, kxx = self._row(x)
         return self._passes(kind, kvec, kxx, self.criterion.threshold if threshold is None else threshold)
 
     def _passes(self, kind: str, kvec: np.ndarray, kxx: float, threshold: float, z: np.ndarray | None = None) -> bool:
@@ -285,8 +283,8 @@ class Dictionary:
             if kxx <= 0:
                 raise NumericalError("candidate has non-positive self-similarity; coherence undefined")
             if self.kernel.family == "gaussian":
-                # kxx * kappa(atom, atom) is exactly 1: the cosines are |kvec|
-                return float(np.abs(kvec).max()) <= threshold
+                # kxx * kappa(atom, atom) is exactly 1 and kvec = exp(.) >= 0: the cosines are kvec
+                return float(kvec.max()) <= threshold
             return float((np.abs(kvec) / np.sqrt(kxx * self._atom_norms("coherence"))).max()) <= threshold
         return float(np.abs(kvec).sum()) <= threshold
 
@@ -358,14 +356,14 @@ class Dictionary:
     def project(self, x) -> ProjectionResult:
         """Least-squares projection of kappa(x, .) onto the dictionary span."""
         self._require_nonempty()
-        kvec, kxx = self._row(self._candidate(x))
+        _, kvec, kxx = self._row(x)
         z = self._forward(kvec)
         xi = dtpsv(self.m, self._factor(), z)
         return ProjectionResult(coefficients=xi, residual_sq=max(kxx - float(z @ z), 0.0), z=z)
 
     def _forward(self, kvec: np.ndarray) -> np.ndarray:
         """z = L^-1 kvec, one packed triangular solve (kvec itself when the dictionary is empty)."""
-        return dtpsv(self.m, self._factor(), kvec, trans=1) if self.m else kvec
+        return dtpsv(self.m, self._factor(), kvec, 1, 0, 0, 1) if self.m else kvec
 
     def _coordinates(self, alpha) -> np.ndarray:
         """w = L^T alpha: the model sum_j alpha_j kappa(atom_j, .) in the factor's orthonormal coordinates."""

@@ -163,7 +163,11 @@ def run_online(cfg: ExperimentConfig) -> RunRecord:
     for t in range(xs.shape[0]):
         state, outcome = step(state, dictionary, xs[t], float(ys[t]), cfg.learner)
         alpha_sq = float(state.alpha @ state.alpha)
-        psi_sq = float(state.alpha @ (dictionary.gram @ state.alpha))
+        if cfg.learner.algorithm == "functional_sgd":  # state holds w: ||w||^2 = alpha^T K alpha
+            w = state.coordinates(dictionary)
+            psi_sq = float(w @ w)
+        else:
+            psi_sq = float(state.alpha @ (dictionary.gram @ state.alpha))
         record.rows.append(
             (t + 1, outcome.prediction, outcome.error, outcome.admitted, outcome.new_m, alpha_sq, psi_sq)
         )

@@ -116,17 +116,17 @@ class Kernel:
             return (atoms @ x + self.offset) ** self.degree
         sq = atoms - x
         np.square(sq, out=sq)
-        if sq.shape[1] < 8:
+        if 0 < sq.shape[1] < 8:
             # numpy sums fewer than 8 terms left to right, so adding one
-            # coordinate at a time is its reduction's arithmetic without the
-            # per-row overhead; from 8 terms on it sums pairwise
-            d_sq = np.zeros(sq.shape[0])
-            for k in range(sq.shape[1]):
+            # coordinate at a time to the first is its reduction's arithmetic
+            # without the per-row overhead; from 8 terms on it sums pairwise
+            d_sq = sq[:, 0].copy()
+            for k in range(1, sq.shape[1]):
                 d_sq += sq[:, k]
         else:
             d_sq = sq.sum(axis=1)
-        np.negative(d_sq, out=d_sq)
-        d_sq /= 2.0 * self.sigma**2
+        # -(a / b) and a / -b round alike: IEEE division is sign-symmetric
+        d_sq /= -2.0 * self.sigma**2
         return np.exp(d_sq, out=d_sq)
 
     def gram(self, xs: np.ndarray) -> np.ndarray:

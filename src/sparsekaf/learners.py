@@ -211,8 +211,7 @@ def step(
     functional = cfg.algorithm == "functional_sgd"
     if functional and 1.0 - cfg.eta * cfg.eps <= 0.0:
         raise NumericalError(f"functional update decay factor 1 - eta*eps = {1.0 - cfg.eta * cfg.eps} is <= 0")
-    x = dictionary._candidate(x_t)
-    kvec, kxx = dictionary._row(x)
+    x, kvec, kxx = dictionary._row(x_t)
     if functional:
         w, z = state.coordinates(dictionary), dictionary._forward(kvec)
         prediction = float(w @ z)
@@ -225,12 +224,12 @@ def step(
     admitted = root is not None
     if functional:
         if admitted:
-            w, z = np.append(w, 0.0), np.append(z, root)
+            w, z = np.concatenate((w, [0.0])), np.concatenate((z, [root]))
         state = ModelState.from_coordinates(update_functional(w, z, error, cfg.eta, cfg.eps), dictionary)
     else:
         alpha = state.alpha
         if admitted:
-            alpha, kvec = np.append(alpha, 0.0), np.append(kvec, kxx)
+            alpha, kvec = np.concatenate((alpha, [0.0])), np.concatenate((kvec, [kxx]))
         if cfg.algorithm == "lms_identity":
             alpha = update_lms_identity(alpha, kvec, error, cfg.eta, cfg.eps)
         elif cfg.algorithm == "lms_gram":

@@ -55,12 +55,14 @@ class RidgeProblem:
     def normal_system(self) -> tuple[np.ndarray, np.ndarray]:
         """(A, b) of the normal equations A @ alpha = b for this variant."""
         K = self.gram
-        KK = K @ K
+        A = K @ K
         if self.variant == "rkhs_norm":
-            A = KK + self.eps * K
+            A += self.eps * K
         else:
-            A = KK + self.eps * np.eye(K.shape[0])
-        return 0.5 * (A + A.T), K @ self.targets
+            A[np.diag_indices_from(A)] += self.eps
+        A += A.T.copy()
+        A *= 0.5
+        return A, K @ self.targets
 
 
 def solve(prob: RidgeProblem) -> np.ndarray:

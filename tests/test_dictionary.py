@@ -68,6 +68,30 @@ class TestAdmit:
         assert not d.admit([1.0, 0.0])
         assert d.m == 2
 
+    def test_duplicate_scan_runs_only_when_the_test_admits_or_raises(self, monkeypatch):
+        scanned = []
+        contains = Dictionary._contains
+
+        def counting(self, x):
+            scanned.append(x.tolist())
+            return contains(self, x)
+
+        monkeypatch.setattr(Dictionary, "_contains", counting)
+        d = gaussian_dict(threshold=0.5)
+        d.admit([0.0, 0.0])
+        assert not d.admit([0.1, 0.0])  # the criterion rejects it: no scan
+        assert not d.admit([0.0, 0.0])  # a copy is rejected by the criterion too
+        assert scanned == []
+        assert d.admit([2.0, 0.0])
+        assert scanned == [[2.0, 0.0]]
+        # the test raises on a zero atom: a copy is rejected, anything else re-raises
+        scanned.clear()
+        z = linear_dict([[0.0, 0.0], [1.0, 0.0]], kind="distance")
+        assert not z.admit([1.0, 0.0])
+        with pytest.raises(NumericalError, match="zero self-similarity"):
+            z.admit([0.0, 1.0])
+        assert scanned == [[1.0, 0.0], [0.0, 1.0]]
+
     def test_coherence_accepts_distant_point(self):
         # oracle: kappa((0,0),(2,0)) = exp(-2) ~ 0.1353 <= 0.5
         d = gaussian_dict(threshold=0.5)
@@ -192,6 +216,13 @@ class TestCoherenceTest:
         d = linear_dict([E1])
         with pytest.raises(NumericalError, match="self-similarity"):
             d.test_coherence([0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("kind", ["coherence", "babel"])
+    def test_anticorrelated_candidate_counts_by_magnitude(self, kind):
+        # the Gaussian row is never negative, the linear and polynomial rows can be
+        d = linear_dict([E1, E2], kind=kind, threshold=0.5)
+        assert not d.admit([-1.0, 0.0, 0.1])
+        assert d.admit([-0.1, 0.0, 1.0])
 
 
 class TestBabelTest:

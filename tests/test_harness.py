@@ -136,12 +136,18 @@ class TestRunOnline:
         r2 = run_online(make_config(length=100, seed=3))
         assert r1.run_csv() != r2.run_csv()
 
-    def test_psi_norm_column_is_quadratic_form(self):
-        record = run_online(make_config(length=50))
+    # functional seed 1: the run's last alpha^T K alpha and ||w||^2 differ in the last bit
+    @pytest.mark.parametrize("algorithm, seed", [("nlms", 0), ("functional_sgd", 1)])
+    def test_psi_norm_column_is_quadratic_form(self, algorithm, seed):
+        record = run_online(make_config(length=50, seed=seed, learner=LearnerConfig(algorithm, 0.5, 1e-6)))
         final = record.rows[-1]
         alpha = record.state.alpha
         assert final[5] == pytest.approx(float(alpha @ alpha), rel=1e-12)
         assert final[6] == pytest.approx(float(alpha @ record.dictionary.gram @ alpha), rel=1e-12)
+        if algorithm == "functional_sgd":
+            # read as ||w||^2 from the state's Cholesky coordinates, w = L^T alpha
+            w = record.state.coordinates(record.dictionary)
+            assert final[6] == float(w @ w)
 
     def test_probe_grid_written_and_matches_final_model(self, tmp_path):
         grid = np.linspace(-3, 3, 7).reshape(-1, 1)

@@ -74,9 +74,9 @@ class TestKernelVector:
         expected = [k(atom, x) for atom in atoms]
         np.testing.assert_allclose(kernel_vector(k, atoms, x), expected, rtol=1e-13)
 
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("dim", [0, 1, 2, 3, 4, 5, 6, 7, 8])
     def test_gaussian_row_is_the_reduction_bit_for_bit(self, dim):
-        # below 8 coordinates the row adds them one at a time, which must
+        # from 1 to 7 coordinates the row adds them one at a time, which must
         # round exactly as numpy's reduction does; from 8 on it reduces
         rng = np.random.default_rng(dim)
         k = Kernel.gaussian(0.7)
@@ -86,6 +86,8 @@ class TestKernelVector:
             for x in rng.uniform(-3, 3, size=(20, dim)):
                 expected = np.exp(-((atoms - x) ** 2).sum(axis=1) / (2.0 * 0.7**2))
                 assert kernel_vector(k, atoms, x).tobytes() == expected.tobytes()
+                if dim == 0:
+                    assert (expected == 1.0).all()
 
     def test_empty_dictionary_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sparsekaf.dictionary as dictionary_module
+import sparsekaf.kernels as kernels_module
 from sparsekaf import (
     ALGORITHMS,
     CRITERION_KINDS,
@@ -377,6 +378,46 @@ class TestStepDataFlow:
             calls.clear()
             public(xs[0] + 0.5)
             assert calls == [d.m]
+
+
+class TestStepChecks:
+    BAD = {"non-finite": [np.nan, 0.0], "2-D": [[0.5, 0.0]], "0-D": 0.5, "wrong dimension": [0.5, 0.0, 0.0]}
+
+    @pytest.mark.parametrize("algorithm", ["nlms", "functional_sgd"])
+    @pytest.mark.parametrize(
+        "m, bad",
+        # with no atoms every dimension fits
+        [(0, "non-finite"), (0, "2-D"), (0, "0-D")] + [(3, bad) for bad in BAD],
+    )
+    def test_bad_input_raises_and_changes_nothing(self, algorithm, m, bad):
+        cfg = LearnerConfig(algorithm, eta=0.5, eps=0.01)
+        d, state = fresh(sigma=0.7), ModelState.empty()
+        for x in np.linspace(-3, 3, m):
+            state, _ = step(state, d, [x, 0.0], 1.0, cfg)
+        assert d.m == m
+        before = (d.atoms.tobytes(), d.gram.tobytes(), d._lower().tobytes(), state.alpha.tobytes())
+        with pytest.raises(ValueError, match="1-D|non-finite|mismatch"):
+            step(state, d, self.BAD[bad], 1.0, cfg)
+        assert (d.atoms.tobytes(), d.gram.tobytes(), d._lower().tobytes(), state.alpha.tobytes()) == before
+
+    def test_input_is_validated_once_per_step(self, monkeypatch):
+        calls = []
+        as_vector = kernels_module._as_vector
+
+        def counting(x, name):
+            calls.append(name)
+            return as_vector(x, name)
+
+        monkeypatch.setattr(kernels_module, "_as_vector", counting)
+        monkeypatch.setattr(dictionary_module, "_as_vector", counting)
+        xs, ys = synthesize("sinc1d", seed=3, length=60, noise=0.01)
+        for algorithm in ALGORITHMS:
+            d, state = fresh(sigma=0.3), ModelState.empty()
+            for x, y in zip(xs, ys):
+                calls.clear()
+                state, _ = step(state, d, x, float(y), LearnerConfig(algorithm, eta=0.5, eps=0.01))
+                assert calls == ["x"]
+            assert d.m > 1
 
 
 class TestInvariants:

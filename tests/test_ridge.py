@@ -70,6 +70,19 @@ class TestSolve:
             RidgeProblem([[0.0]], [1.0], Kernel.gaussian(1.0), eps=1.0, variant="lasso")
 
 
+class TestNormalSystem:
+    @pytest.mark.parametrize("variant", ["rkhs_norm", "param_norm"])
+    @pytest.mark.parametrize("kernel", [Kernel.gaussian(0.7), Kernel.polynomial(3, 0.5), Kernel.linear()])
+    def test_matches_the_textbook_formula_bit_for_bit(self, variant, kernel):
+        rng = np.random.default_rng(6)
+        prob = RidgeProblem(rng.uniform(-3, 3, size=(120, 2)), rng.standard_normal(120), kernel, 0.3, variant)
+        K = prob.gram
+        A = K @ K + (0.3 * K if variant == "rkhs_norm" else 0.3 * np.eye(120))
+        got, b = prob.normal_system()
+        assert got.tobytes() == (0.5 * (A + A.T)).tobytes()
+        assert b.tobytes() == (K @ prob.targets).tobytes()
+
+
 class TestObjective:
     def test_zero_alpha_is_half_y_norm(self):
         prob = random_problem(2)
