@@ -187,11 +187,12 @@ class Dictionary:
         The only check of ``x`` (finite, 1-D, of the atoms' dimension) is the
         checked :meth:`Kernel.against`'s, or with no atoms ``_as_vector``'s.
         """
-        if not self.m:
+        m = self._m
+        if not m:
             x = _as_vector(x, "x")
             return x, np.zeros(0), self.kernel._self_similarity(x)
         x = np.asarray(x, dtype=np.float64)
-        return x, self.kernel.against(self.atoms, x), self.kernel._self_similarity(x)
+        return x, self.kernel.against(self._atoms_buf[:m], x), self.kernel._self_similarity(x)
 
     def _admit_row(self, x: np.ndarray, kvec: np.ndarray, kxx: float, z: np.ndarray | None = None) -> float | None:
         """Admission of ``x`` given its row and, when the caller has it, z = L^-1 kvec.
@@ -204,12 +205,13 @@ class Dictionary:
         rejected, even where the criterion test raises :class:`NumericalError`;
         the scan for them runs only when the test passes or raises.
         """
-        if self.m == 0:
+        if not self._m:
             return self._append(x, kvec, kxx, z)
-        if self.criterion.max_atoms is not None and self.m >= self.criterion.max_atoms:
+        criterion = self.criterion
+        if criterion.max_atoms is not None and self._m >= criterion.max_atoms:
             return None
         try:
-            passes = self._passes(self.criterion.kind, kvec, kxx, self.criterion.threshold, z)
+            passes = self._passes(criterion.kind, kvec, kxx, criterion.threshold, z)
         except NumericalError:
             if self._contains(x):
                 return None
@@ -217,10 +219,10 @@ class Dictionary:
         return self._append(x, kvec, kxx, z) if passes and not self._contains(x) else None
 
     def _append(self, x: np.ndarray, kvec: np.ndarray, kxx: float, z: np.ndarray | None) -> float:
-        m = self.m
+        m = self._m
         if z is None:
             z = self._forward(kvec)
-        pivot = kxx - float(z @ z)
+        pivot = kxx - float(z.dot(z))
         if pivot < PIVOT_FLOOR:
             raise NumericalError(
                 f"near-singular admission: Schur pivot {pivot:.3e} below {PIVOT_FLOOR:.0e} "
@@ -278,13 +280,13 @@ class Dictionary:
         if kind == "approximation":
             if z is None:
                 z = self._forward(kvec)
-            return max(kxx - float(z @ z), 0.0) >= threshold**2
+            return max(kxx - float(z.dot(z)), 0.0) >= threshold**2
         if kind == "coherence":
             if kxx <= 0:
                 raise NumericalError("candidate has non-positive self-similarity; coherence undefined")
             if self.kernel.family == "gaussian":
                 # kxx * kappa(atom, atom) is exactly 1 and kvec = exp(.) >= 0: the cosines are kvec
-                return float(kvec.max()) <= threshold
+                return float(np.maximum.reduce(kvec)) <= threshold
             return float((np.abs(kvec) / np.sqrt(kxx * self._atom_norms("coherence"))).max()) <= threshold
         return float(np.abs(kvec).sum()) <= threshold
 
@@ -363,7 +365,10 @@ class Dictionary:
 
     def _forward(self, kvec: np.ndarray) -> np.ndarray:
         """z = L^-1 kvec, one packed triangular solve (kvec itself when the dictionary is empty)."""
-        return dtpsv(self.m, self._factor(), kvec, 1, 0, 0, 1) if self.m else kvec
+        m = self._m
+        if not m:
+            return kvec
+        return dtpsv(m, self._packed if self._packed is not None else self._factor(), kvec, 1, 0, 0, 1)
 
     def _coordinates(self, alpha) -> np.ndarray:
         """w = L^T alpha: the model sum_j alpha_j kappa(atom_j, .) in the factor's orthonormal coordinates."""

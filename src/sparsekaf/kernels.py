@@ -9,6 +9,7 @@ which the spectral bounds need as ``r_sq`` and ``R_sq``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,11 +17,23 @@ import numpy as np
 FAMILIES = ("linear", "polynomial", "gaussian")
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of float64 ``a`` is finite, in one reduction when it is.
+
+    A NaN or infinite entry makes every partial sum that includes it NaN or
+    infinite, so a finite sum proves every entry finite. A sum that is not
+    finite (a non-finite entry, or finite entries whose sum overflows) is
+    settled entry by entry; numpy warns about a sum that overflows or meets
+    both infinities (RuntimeWarning) before that check runs.
+    """
+    return math.isfinite(np.add.reduce(a, axis=None)) or bool(np.isfinite(a).all())
+
+
 def _as_vector(x, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"{name} must be a 1-D vector, got shape {x.shape}")
-    if not np.isfinite(x).all():
+    if not _all_finite(x):
         raise ValueError(f"{name} contains non-finite entries")
     return x
 
@@ -31,7 +44,7 @@ def _as_matrix(xs, name: str) -> np.ndarray:
         xs = xs.reshape(-1, 1)
     if xs.ndim != 2:
         raise ValueError(f"{name} must be a 2-D array of row vectors")
-    if not np.isfinite(xs).all():
+    if not _all_finite(xs):
         raise ValueError(f"{name} contains non-finite entries")
     return xs
 
@@ -116,12 +129,13 @@ class Kernel:
             return (atoms @ x + self.offset) ** self.degree
         sq = atoms - x
         np.square(sq, out=sq)
-        if 0 < sq.shape[1] < 8:
+        d = sq.shape[1]
+        if 0 < d < 8:
             # numpy sums fewer than 8 terms left to right, so adding one
             # coordinate at a time to the first is its reduction's arithmetic
             # without the per-row overhead; from 8 terms on it sums pairwise
-            d_sq = sq[:, 0].copy()
-            for k in range(1, sq.shape[1]):
+            d_sq = sq[:, 0] + sq[:, 1] if d > 1 else sq[:, 0].copy()
+            for k in range(2, d):
                 d_sq += sq[:, k]
         else:
             d_sq = sq.sum(axis=1)

@@ -79,8 +79,13 @@ class ModelState:
         w = np.asarray(w, dtype=np.float64)
         if len(w) != dictionary.m:
             raise ValueError(f"{len(w)} coordinates for a dictionary of {dictionary.m} atoms")
+        return cls._over(w, dictionary._factor())
+
+    @classmethod
+    def _over(cls, w: np.ndarray, packed: np.ndarray) -> "ModelState":
+        """The state holding float64 ``w`` over the factor in ``packed``, unchecked."""
         state = cls.__new__(cls)
-        state._alpha, state._w, state._packed, state._m = None, w, dictionary._factor(), len(w)
+        state._alpha, state._w, state._packed, state._m = None, w, packed, len(w)
         return state
 
     @property
@@ -109,7 +114,7 @@ class ModelState:
         return float(self.alpha @ dictionary.kernel_vector(x))
 
     def _check_size(self, dictionary: Dictionary) -> None:
-        if self._m != dictionary.m:
+        if self._m != dictionary._m:
             raise ValueError(f"state sized for {self._m} atoms but dictionary has {dictionary.m}")
 
     def __repr__(self) -> str:
@@ -157,7 +162,7 @@ def update_nlms(alpha, kvec, error: float, eta: float, eps: float) -> np.ndarray
     kvec = np.asarray(kvec, dtype=np.float64)
     if alpha.shape != kvec.shape:
         raise ValueError(f"length mismatch: alpha {alpha.shape} vs kvec {kvec.shape}")
-    denom = float(kvec @ kvec) + eps
+    denom = float(kvec.dot(kvec)) + eps
     if denom <= 0.0:
         raise NumericalError("nlms denominator ||kvec||^2 + eps is zero")
     return alpha + (eta / denom) * error * kvec
@@ -212,12 +217,17 @@ def step(
     if functional and 1.0 - cfg.eta * cfg.eps <= 0.0:
         raise NumericalError(f"functional update decay factor 1 - eta*eps = {1.0 - cfg.eta * cfg.eps} is <= 0")
     x, kvec, kxx = dictionary._row(x_t)
+    # ndarray.dot is the BLAS ddot that @ reaches for two vectors, with less dispatch
     if functional:
-        w, z = state.coordinates(dictionary), dictionary._forward(kvec)
-        prediction = float(w @ z)
+        z = dictionary._forward(kvec)
+        if state._w is not None and state._packed is dictionary._packed:
+            w = state._w
+        else:
+            w = dictionary._coordinates(state.alpha)
+        prediction = float(w.dot(z))
     else:
         z = None
-        prediction = float(state.alpha @ kvec)
+        prediction = float(state.alpha.dot(kvec))
     error = float(y_t) - prediction
 
     root = dictionary._admit_row(x, kvec, kxx, z)
@@ -225,7 +235,8 @@ def step(
     if functional:
         if admitted:
             w, z = np.concatenate((w, [0.0])), np.concatenate((z, [root]))
-        state = ModelState.from_coordinates(update_functional(w, z, error, cfg.eta, cfg.eps), dictionary)
+        # after a step the dictionary has atoms, so its packed factor is built
+        state = ModelState._over(update_functional(w, z, error, cfg.eta, cfg.eps), dictionary._packed)
     else:
         alpha = state.alpha
         if admitted:
@@ -238,5 +249,4 @@ def step(
             alpha = update_nlms(alpha, kvec, error, cfg.eta, cfg.eps)
         state = ModelState(alpha=alpha)
 
-    outcome = StepOutcome(prediction=prediction, error=error, admitted=admitted, new_m=dictionary.m)
-    return state, outcome
+    return state, StepOutcome(prediction, error, admitted, dictionary._m)

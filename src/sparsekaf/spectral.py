@@ -1,10 +1,11 @@
 """Spectral analysis of dictionary Gram matrices.
 
-Exact eigendecomposition (LAPACK ``eigh``) plus the theoretical guarantees
-a sparse dictionary earns from its sparsity measure: Gersgorin-derived
-eigenvalue bounds, a sufficient linear-independence condition, a condition
-number bound, and the quasi-isometry constant between the coefficient
-(dual) space R^m and the span of the dictionary atoms.
+Exact eigendecomposition (LAPACK ``eigh``, or ``eigvalsh`` where only the
+values are read) plus the theoretical guarantees a sparse dictionary earns
+from its sparsity measure: Gersgorin-derived eigenvalue bounds, a
+sufficient linear-independence condition, a condition number bound, and
+the quasi-isometry constant between the coefficient (dual) space R^m and
+the span of the dictionary atoms.
 
 :func:`spectral_report` checks the quasi-isometry exactly: with K the Gram
 matrix divided by the squared rescale factor, the Rayleigh quotient ranges
@@ -59,10 +60,14 @@ DEFAULT_TRIALS = 10_000
 
 @dataclass(frozen=True)
 class EigenSpectrum:
-    """Eigenvalues (non-increasing) and orthonormal eigenvectors (columns)."""
+    """Eigenvalues (non-increasing) and orthonormal eigenvectors (columns).
+
+    ``vectors`` is None in a :class:`SpectralReport`'s spectrum, which is
+    solved for values only.
+    """
 
     values: np.ndarray
-    vectors: np.ndarray
+    vectors: np.ndarray | None
 
     @property
     def lambda_max(self) -> float:
@@ -85,6 +90,21 @@ def eigensolve(gram: np.ndarray) -> EigenSpectrum:
 
     Deterministic up to eigenvector sign.
     """
+    values, vectors = np.linalg.eigh(_symmetric(gram))
+    return EigenSpectrum(values=values[::-1], vectors=vectors[:, ::-1])
+
+
+def _eigenvalues(gram: np.ndarray) -> EigenSpectrum:
+    """The eigenvalues of :func:`eigensolve`, by LAPACK ``eigvalsh``, with no vectors.
+
+    ``eigvalsh`` and ``eigh`` run different LAPACK drivers, so the values
+    can differ from :func:`eigensolve`'s in the last digits.
+    """
+    return EigenSpectrum(values=np.linalg.eigvalsh(_symmetric(gram))[::-1], vectors=None)
+
+
+def _symmetric(gram) -> np.ndarray:
+    """``gram`` as a new float64 array, checked square, non-empty and symmetric within 1e-12."""
     a = np.array(gram, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -92,8 +112,7 @@ def eigensolve(gram: np.ndarray) -> EigenSpectrum:
         raise ValueError("cannot eigensolve an empty matrix")
     if np.max(np.abs(a - a.T)) > 1e-12:
         raise ValueError("matrix is not symmetric within 1e-12")
-    values, vectors = np.linalg.eigh(a)
-    return EigenSpectrum(values=values[::-1], vectors=vectors[:, ::-1])
+    return a
 
 
 def _gersgorin_discs(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -407,13 +426,14 @@ def spectral_report(dictionary: Dictionary, nr: NormRange | None = None) -> Spec
     (fewer than two atoms) or numerically unavailable (a Gram matrix too
     close to singular for the approximation measure) yield NaN rows with
     no checks. The isometry extremes are the exact suprema over all
-    coefficient vectors, read off the spectrum; nothing is sampled.
+    coefficient vectors, read off the spectrum; nothing is sampled. The
+    spectrum is solved for eigenvalues only.
     """
     if dictionary.m == 0:
         raise ValueError("spectral_report requires a non-empty dictionary")
     if nr is None:
         nr = dictionary_norm_range(dictionary)
-    spectrum = eigensolve(dictionary.gram)
+    spectrum = _eigenvalues(dictionary.gram)
     report = SpectralReport(spectrum=spectrum, norm=nr)
 
     worst_gersgorin = gersgorin_margin(dictionary.gram, spectrum.values)

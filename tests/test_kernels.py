@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sparsekaf import Kernel, NormRange, kernel_vector, norm_range
+from sparsekaf import CriterionConfig, Dictionary, Kernel, NormRange, kernel_vector, norm_range
 
 
 def vectors(dim=3):
@@ -50,6 +50,64 @@ class TestEval:
             Kernel.polynomial(2, offset=-1.0)
         with pytest.raises(ValueError):
             Kernel("sigmoid")
+
+
+def overflowing_atoms():
+    """Eight finite 2-D atoms whose sum is NaN: numpy adds 9 to 128 terms in
+    eight running sums and combines them pairwise; the first pair overflows
+    to +inf and the third to -inf."""
+    atoms = 0.25 + np.arange(16).reshape(8, 2) / 64
+    atoms[0], atoms[2] = 1e308, -1e308
+    return atoms
+
+
+NON_FINITE = {"NaN": [np.nan, 0.5], "+inf": [np.inf, 0.5], "-inf": [-np.inf, 0.5], "+inf and -inf": [np.inf, -np.inf]}
+
+
+# numpy warns when a sum of these inputs overflows or meets both infinities
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+class TestFiniteCheck:
+    """The input checks sum an array once and look entry by entry only when
+    the sum is not finite, so they accept and reject exactly what an
+    entry-wise check does."""
+
+    KERNEL = Kernel.gaussian(1.0)
+    BIG = ([1e308, 1e308], [-1e308, -1e308])  # their sums overflow to +inf and -inf
+
+    def test_finite_inputs_whose_sum_overflows_are_accepted(self):
+        k, atoms = self.KERNEL, overflowing_atoms()
+        assert math.isnan(np.add.reduce(atoms, axis=None))
+        for big in self.BIG:
+            assert not math.isfinite(np.add.reduce(big))
+            assert k(big, big) == 1.0
+            assert k(big, [0.5, 0.5]) == k([0.5, 0.5], big) == 0.0
+            np.testing.assert_array_equal(k.against(atoms, big), [k(a, big) for a in atoms])
+            np.testing.assert_array_equal(kernel_vector(k, np.array([big, [0.5, 0.5]]), big), [1.0, 0.0])
+        x = np.array([0.3, 0.25])
+        row = k.against(atoms, x)
+        np.testing.assert_array_equal(row, [k(a, x) for a in atoms])
+        np.testing.assert_array_equal(kernel_vector(k, atoms, x), row)
+        d = Dictionary.from_atoms(k, CriterionConfig("coherence", 0.9), atoms)
+        assert d.atoms.tobytes() == atoms.tobytes()
+        np.testing.assert_array_equal(d.gram[0], [k(atoms[0], a) for a in atoms])
+
+    @pytest.mark.parametrize("bad", sorted(NON_FINITE))
+    def test_non_finite_entries_are_rejected(self, bad):
+        k, vector = self.KERNEL, NON_FINITE[bad]
+        atoms = np.array([[0.5, 0.5], vector, [0.0, 0.25]])
+        for call, name in [
+            (lambda: k(vector, [0.5, 0.5]), "x"),
+            (lambda: k([0.5, 0.5], vector), "y"),
+            (lambda: k.against(atoms, [0.5, 0.5]), "atoms"),
+            (lambda: k.against(np.zeros((2, 2)), vector), "x"),
+            (lambda: kernel_vector(k, atoms, [0.5, 0.5]), "atoms"),
+            (lambda: kernel_vector(k, np.zeros((2, 2)), vector), "x"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+                call()
+        with pytest.raises(ValueError, match="^atoms contain non-finite entries$"):
+            Dictionary.from_atoms(k, CriterionConfig("coherence", 0.9), atoms)
 
 
 class TestKernelVector:

@@ -6,6 +6,7 @@ import pytest
 
 import sparsekaf.dictionary as dictionary_module
 import sparsekaf.kernels as kernels_module
+import sparsekaf.learners as learners_module
 from sparsekaf import (
     ALGORITHMS,
     CRITERION_KINDS,
@@ -380,6 +381,37 @@ class TestStepDataFlow:
             assert calls == [d.m]
 
 
+class TestStepUpdateCalls:
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_one_public_update_per_step(self, monkeypatch, algo):
+        calls = []
+        rules = {"lms_identity": "update_lms_identity", "lms_gram": "update_lms_gram",
+                 "nlms": "update_nlms", "functional_sgd": "update_functional"}
+
+        def counting(name):
+            rule = getattr(learners_module, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return rule(*args, **kwargs)
+
+            return counted
+
+        for name in rules.values():
+            monkeypatch.setattr(learners_module, name, counting(name))
+        kernel, inputs, dim, cap, thresholds = DATA_FLOW_CASES["gaussian-plane"]
+        xs, ys = data_flow_stream(inputs, dim)
+        d = Dictionary(kernel, CriterionConfig("coherence", thresholds["coherence"], max_atoms=cap))
+        state, seen = ModelState.empty(), set()
+        for x, y in zip(xs, ys):
+            m = d.m
+            calls.clear()
+            state, out = step(state, d, x, y, LearnerConfig(algo, eta=0.2, eps=0.05))
+            assert calls == [rules[algo]]
+            seen.add("first" if m == 0 else "cap" if m == cap else "admit" if out.admitted else "reject")
+        assert seen == {"first", "admit", "reject", "cap"}
+
+
 class TestStepChecks:
     BAD = {"non-finite": [np.nan, 0.0], "2-D": [[0.5, 0.0]], "0-D": 0.5, "wrong dimension": [0.5, 0.0, 0.0]}
 
@@ -398,6 +430,34 @@ class TestStepChecks:
         before = (d.atoms.tobytes(), d.gram.tobytes(), d._lower().tobytes(), state.alpha.tobytes())
         with pytest.raises(ValueError, match="1-D|non-finite|mismatch"):
             step(state, d, self.BAD[bad], 1.0, cfg)
+        assert (d.atoms.tobytes(), d.gram.tobytes(), d._lower().tobytes(), state.alpha.tobytes()) == before
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_finite_inputs_whose_sum_overflows_are_accepted(self, algorithm):
+        cfg = LearnerConfig(algorithm, eta=0.5, eps=0.01)
+        d, state = fresh(sigma=0.7), ModelState.empty()
+        # at m = 0, then against atoms of ordinary size; the Gaussian row is 0
+        for x in ([1e308, 1e308], [0.5, 0.0], [-1e308, -1e308]):
+            state, out = step(state, d, x, 1.0, cfg)
+            assert out.admitted
+        # an ordinary x against atoms whose sum overflows
+        state, out = step(state, d, [0.6, 0.0], 1.0, cfg)
+        assert not out.admitted and d.m == 3
+        assert np.isfinite(state.alpha).all() and math.isfinite(out.prediction)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("algorithm", ["nlms", "functional_sgd"])
+    @pytest.mark.parametrize("m", [0, 3])
+    @pytest.mark.parametrize("bad", [[np.nan, 0.5], [np.inf, 0.5], [-np.inf, 0.5], [np.inf, -np.inf]])
+    def test_non_finite_input_message(self, algorithm, m, bad):
+        cfg = LearnerConfig(algorithm, eta=0.5, eps=0.01)
+        d, state = fresh(sigma=0.7), ModelState.empty()
+        for x in np.linspace(-3, 3, m):
+            state, _ = step(state, d, [x, 0.0], 1.0, cfg)
+        before = (d.atoms.tobytes(), d.gram.tobytes(), d._lower().tobytes(), state.alpha.tobytes())
+        with pytest.raises(ValueError, match="^x contains non-finite entries$"):
+            step(state, d, bad, 1.0, cfg)
         assert (d.atoms.tobytes(), d.gram.tobytes(), d._lower().tobytes(), state.alpha.tobytes()) == before
 
     def test_input_is_validated_once_per_step(self, monkeypatch):

@@ -450,6 +450,14 @@ class TestSpectralReport:
         assert coh.measure_value <= 0.5 + 1e-12
         assert not coh.vacuous_lower or d.m * 0.5 >= 1  # vacuous only for large m
 
+    def test_spectrum_is_eigenvalues_only(self):
+        d = build_gaussian_dict("coherence", 0.9, seed=5, n=300, spread=2.0)
+        report = spectral_report(d)
+        assert report.spectrum.vectors is None
+        values = eigensolve(d.gram).values
+        # eigvalsh and eigh are different LAPACK drivers: equal up to round-off
+        assert np.max(np.abs(report.spectrum.values - values)) <= 1e-14 * values[0]
+
     def test_babel_drift_is_flag_only(self):
         rng = np.random.default_rng(8)
         d = Dictionary(Kernel.gaussian(1.0), CriterionConfig("babel", 0.8))
