@@ -7,6 +7,7 @@ so identical configurations produce byte-identical CSV files.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -58,10 +59,14 @@ def synthesize(name: str, seed: int, length: int, noise: float | None = None):
     u uniform on [0, ``noise``] (default amplitude 0.5); the regressor is
     (y[k-1], y[k-2], u[k-1]) and the target y[k].
 
+    ``noise`` must be finite and >= 0; 0 disables it.
+
     Returns (X, y) with X of shape (length, d).
     """
     if length < 1:
         raise ValueError("length must be >= 1")
+    if noise is not None and not 0 <= noise < math.inf:  # NaN fails too
+        raise ValueError(f"noise must be finite and >= 0, got {noise!r}")
     rng = np.random.default_rng(seed)
     if name == "sinc1d":
         std = 0.01 if noise is None else noise
@@ -272,13 +277,15 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
     merged.update({k: v for k, v in mapping.items() if v is not None})
 
     family = merged["kernel"]
+    # each kernel parameter must parse, whichever family reads it
+    sigma, degree, offset = _get(merged, "sigma", float), _get(merged, "degree", int), _get(merged, "offset", float)
     try:
         if family == "linear":
             kernel = Kernel.linear()
         elif family == "polynomial":
-            kernel = Kernel.polynomial(_get(merged, "degree", int), _get(merged, "offset", float))
+            kernel = Kernel.polynomial(degree, offset)
         elif family == "gaussian":
-            kernel = Kernel.gaussian(_get(merged, "sigma", float))
+            kernel = Kernel.gaussian(sigma)
         else:
             raise ConfigError(f"field kernel={family!r}: unknown family")
         max_atoms = _get(merged, "max_atoms", int) if "max_atoms" in merged else None

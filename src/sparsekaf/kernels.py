@@ -60,7 +60,7 @@ class Kernel:
     degree : int
         Polynomial degree (polynomial family only), >= 1.
     offset : float
-        Additive constant of the polynomial kernel, >= 0.
+        Additive constant of the polynomial kernel, finite and >= 0.
     sigma : float
         Bandwidth of the Gaussian kernel, > 0.
     """
@@ -76,8 +76,8 @@ class Kernel:
         if self.family == "polynomial":
             if int(self.degree) != self.degree or self.degree < 1:
                 raise ValueError("polynomial degree must be a positive integer")
-            if self.offset < 0:
-                raise ValueError("polynomial offset must be >= 0")
+            if not 0 <= self.offset < math.inf:  # NaN fails too
+                raise ValueError("polynomial offset must be finite and >= 0")
         if self.family == "gaussian" and not self.sigma > 0:
             raise ValueError("gaussian bandwidth sigma must be > 0")
 

@@ -20,6 +20,7 @@ A learner run is strictly sequential; distinct runs are independent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +47,11 @@ class LearnerConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}, expected one of {ALGORITHMS}")
-        if not self.eta > 0:
-            raise ValueError("step size eta must be > 0")
-        if self.eps < 0:
-            raise ValueError("eps must be >= 0")
+        # NaN fails these comparisons too
+        if not 0 < self.eta < math.inf:
+            raise ValueError("step size eta must be finite and > 0")
+        if not 0 <= self.eps < math.inf:
+            raise ValueError("eps must be finite and >= 0")
 
 
 class ModelState:
@@ -210,9 +212,13 @@ def step(
     admission's Schur pivot and the update. On admission w gains a zero
     (L'^T [alpha, 0] = [w, 0]) and z the new diagonal entry of L, since
     L'^-1 [kvec, kappa(x_t, x_t)] = [z, sqrt(pivot)]. The dictionary is
-    updated in place.
+    updated in place. A non-finite ``x_t`` or ``y_t`` raises ``ValueError``
+    before anything changes.
     """
     state._check_size(dictionary)
+    y = float(y_t)
+    if not math.isfinite(y):
+        raise ValueError(f"y must be finite, got {y!r}")
     functional = cfg.algorithm == "functional_sgd"
     if functional and 1.0 - cfg.eta * cfg.eps <= 0.0:
         raise NumericalError(f"functional update decay factor 1 - eta*eps = {1.0 - cfg.eta * cfg.eps} is <= 0")
@@ -228,7 +234,7 @@ def step(
     else:
         z = None
         prediction = float(state.alpha.dot(kvec))
-    error = float(y_t) - prediction
+    error = y - prediction
 
     root = dictionary._admit_row(x, kvec, kxx, z)
     admitted = root is not None

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from sparsekaf import (
     synthesize,
     verify_dictionary,
 )
-from sparsekaf.cli import main
+from sparsekaf.cli import main, make_parser
 from sparsekaf.harness import (
     load_csv,
     parse_config_file,
@@ -69,6 +70,12 @@ class TestSynthesize:
     def test_narma2_default_bounded(self):
         _, ys = synthesize("narma2", seed=1, length=5000)
         assert np.max(np.abs(ys)) < 10.0
+
+    @pytest.mark.parametrize("name", ["sinc1d", "narma2"])
+    @pytest.mark.parametrize("noise", [-1.0, np.nan, np.inf])
+    def test_negative_or_non_finite_noise_raises(self, name, noise):
+        with pytest.raises(ValueError, match="noise"):
+            synthesize(name, seed=0, length=10, noise=noise)
 
     def test_unknown_generator_lists_names(self):
         with pytest.raises(ValueError, match="sinc1d, narma2"):
@@ -246,6 +253,11 @@ class TestConfig:
             build_config({"algo": "adam"})
         with pytest.raises(ConfigError, match="kernel"):
             build_config({"kernel": "sigmoid"})
+        # a parameter the chosen family does not read must still parse
+        with pytest.raises(ConfigError, match="sigma"):
+            build_config({"kernel": "linear", "sigma": "abc"})
+        with pytest.raises(ConfigError, match="degree"):
+            build_config({"kernel": "gaussian", "degree": "2.5"})
 
     def test_defaults(self):
         cfg = build_config({})
@@ -255,7 +267,90 @@ class TestConfig:
         assert cfg.length == 1000
 
 
+RUN_OPTIONS = {
+    "--config", "--data", "--kernel", "--sigma", "--degree", "--offset", "--criterion", "--threshold",
+    "--max-atoms", "--algo", "--eta", "--eps", "--seed", "--length", "--noise", "--out",
+}
+# 16 + 6 + 4 + 3 = 29 flags; each subcommand took 16 or 17 before, 66 in all
+CLI_OPTIONS = {
+    "run": RUN_OPTIONS,
+    "synthesize": {"--config", "--data", "--seed", "--length", "--noise", "--out"},
+    "verify": {"--config", "--dict", "--out", "--seed"},
+    "measure": {"--config", "--dict", "--out"},
+}
+# every subcommand used to take all of run's options, and verify and measure --dict too
+FORMER_OPTIONS = {"run": RUN_OPTIONS, "synthesize": RUN_OPTIONS,
+                  "verify": RUN_OPTIONS | {"--dict"}, "measure": RUN_OPTIONS | {"--dict"}}
+
+
+def subcommand_options(parser, name):
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {opt for action in sub.choices[name]._actions for opt in action.option_strings} - {"-h", "--help"}
+
+
 class TestCli:
+    @pytest.mark.parametrize("name, count", [("run", 16), ("synthesize", 6), ("verify", 4), ("measure", 3)])
+    def test_subcommand_takes_only_the_options_it_reads(self, name, count):
+        options = subcommand_options(make_parser(), name)
+        assert options == CLI_OPTIONS[name]
+        assert len(options) == count
+
+    @pytest.mark.parametrize(
+        "name, flag",
+        [(name, flag) for name in ("synthesize", "verify", "measure")
+         for flag in sorted(FORMER_OPTIONS[name] - CLI_OPTIONS[name])],
+    )
+    def test_formerly_accepted_run_flags_exit_one(self, name, flag, capsys):
+        assert main([name, flag, "1"]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_synthesize_honours_config(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("data = narma2\nlength = 7\nseed = 3\n")
+        out = str(tmp_path / "data")
+        assert main(["synthesize", "--config", str(cfg), "--out", out]) == 0
+        xs, ys = load_csv(os.path.join(out, "data.csv"))
+        want_xs, want_ys = synthesize("narma2", seed=3, length=7)
+        np.testing.assert_array_equal(xs, want_xs)
+        np.testing.assert_array_equal(ys, want_ys)
+        assert "(7 samples)" in capsys.readouterr().out
+
+    def test_synthesize_checks_its_config_like_run(self, tmp_path):
+        assert main(["synthesize", "--length", "0", "--out", str(tmp_path)]) == 1
+        assert main(["synthesize", "--seed", "x", "--out", str(tmp_path)]) == 1
+        assert main(["synthesize", "--noise", "-1", "--out", str(tmp_path)]) == 1
+        assert not (tmp_path / "data.csv").exists()
+
+    @pytest.mark.parametrize(
+        "algo", ["lms", "lms_identity", "lms-gram", "lms_gram", "nlms", "functional", "functional_sgd"]
+    )
+    def test_run_algo_takes_every_config_spelling(self, tmp_path, algo):
+        assert main(["run", "--algo", algo, "--length", "30", "--out", str(tmp_path)]) == 0
+
+    def test_benchmark_verify_invocation(self, tmp_path):
+        # perfbench/workloads.py runs verify with --seed, which verify ignores
+        assert main(["run", "--length", "60", "--sigma", "0.5", "--out", str(tmp_path / "exp")]) == 0
+        out = str(tmp_path / "verify")
+        assert main(["verify", "--dict", str(tmp_path / "exp" / "dictionary.txt"), "--seed", "0", "--out", out]) == 0
+        assert os.path.exists(os.path.join(out, "spectral.csv"))
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [(["--eps", "nan"], "eps"), (["--eta", "inf"], "eta"), (["--noise", "nan"], "noise"),
+         (["--kernel", "polynomial", "--offset", "nan"], "offset")],
+    )
+    def test_non_finite_values_exit_one_naming_the_field(self, tmp_path, capsys, flags, field):
+        out = tmp_path / "o"
+        assert main(["run", "--length", "30", *flags, "--out", str(out)]) == 1
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_csv_target_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("x,y\n0.0,1.0\n0.5,nan\n1.0,1.0\n")
+        assert main(["run", "--data", f"csv:{data}", "--out", str(tmp_path / "o")]) == 1
+        assert "y must be finite" in capsys.readouterr().err
+
     def test_run_and_verify_and_measure(self, tmp_path, capsys):
         out = str(tmp_path / "exp")
         rc = main([

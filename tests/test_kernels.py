@@ -48,6 +48,9 @@ class TestEval:
             Kernel.polynomial(0)
         with pytest.raises(ValueError):
             Kernel.polynomial(2, offset=-1.0)
+        for offset in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="offset"):
+                Kernel.polynomial(2, offset=offset)
         with pytest.raises(ValueError):
             Kernel("sigmoid")
 

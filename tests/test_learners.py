@@ -40,6 +40,13 @@ class TestLearnerConfig:
         with pytest.raises(ValueError):
             LearnerConfig("nlms", 0.5, eps=-1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eta_and_eps_name_the_field(self, value):
+        with pytest.raises(ValueError, match="eta"):
+            LearnerConfig("nlms", value)
+        with pytest.raises(ValueError, match="eps"):
+            LearnerConfig("nlms", 0.5, eps=value)
+
 
 class TestUpdateLmsIdentity:
     def test_zero_error_zero_eps_is_identity(self):
@@ -458,6 +465,21 @@ class TestStepChecks:
         before = (d.atoms.tobytes(), d.gram.tobytes(), d._lower().tobytes(), state.alpha.tobytes())
         with pytest.raises(ValueError, match="^x contains non-finite entries$"):
             step(state, d, bad, 1.0, cfg)
+        assert (d.atoms.tobytes(), d.gram.tobytes(), d._lower().tobytes(), state.alpha.tobytes()) == before
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("m", [0, 3])
+    @pytest.mark.parametrize("y", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_raises_and_changes_nothing(self, algorithm, m, y):
+        cfg = LearnerConfig(algorithm, eta=0.5, eps=0.01)
+        d, state = fresh(sigma=0.7), ModelState.empty()
+        for x in np.linspace(-3, 3, m):
+            state, _ = step(state, d, [x, 0.0], 1.0, cfg)
+        assert d.m == m
+        before = (d.atoms.tobytes(), d.gram.tobytes(), d._lower().tobytes(), state.alpha.tobytes())
+        # a novel x, which the dictionary would admit
+        with pytest.raises(ValueError, match="^y must be finite"):
+            step(state, d, [0.1, 2.0], y, cfg)
         assert (d.atoms.tobytes(), d.gram.tobytes(), d._lower().tobytes(), state.alpha.tobytes()) == before
 
     def test_input_is_validated_once_per_step(self, monkeypatch):
