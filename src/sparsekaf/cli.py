@@ -87,19 +87,23 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _load_dictionary(args) -> Dictionary:
-    if args.dict:
-        return Dictionary.load(args.dict)
+def _load_dictionary(args):
+    """(dictionary, config): ``--dict``, or else ``dictionary.txt`` in the configured ``out``.
+
+    The config is built either way, so a bad ``--config`` fails loudly.
+    """
     cfg = _config_from_args(args)
+    if args.dict:
+        return Dictionary.load(args.dict), cfg
     candidate = os.path.join(cfg.out or ".", "dictionary.txt")
     if not os.path.exists(candidate):
         raise ConfigError(f"no dictionary file: pass --dict PATH or --out DIR containing {candidate}")
-    return Dictionary.load(candidate)
+    return Dictionary.load(candidate), cfg
 
 
 def _cmd_verify(args) -> int:
-    dictionary = _load_dictionary(args)
-    code, report = verify_dictionary(dictionary, out=args.out)
+    dictionary, cfg = _load_dictionary(args)
+    code, report = verify_dictionary(dictionary, out=cfg.out)
     for bs in report.per_measure:
         note = " (vacuous lower bound)" if bs.vacuous_lower else ""
         print(
@@ -129,7 +133,7 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    dictionary = _load_dictionary(args)
+    dictionary, _ = _load_dictionary(args)
     for kind in CRITERION_KINDS:
         try:
             value = dictionary.measure(kind)

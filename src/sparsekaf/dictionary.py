@@ -1,10 +1,13 @@
 """Sparse dictionary construction and analysis.
 
 A :class:`Dictionary` holds an ordered set of atom vectors together with
-the Gram matrix of their kernel functions and its lower Cholesky factor,
-which grows by one row per admission. All three live in buffers whose
-capacity doubles when full, so an admission writes O(m) entries and copies
-the dictionary only when the buffers double.
+their self-similarities kappa(x, x) and the lower Cholesky factor of their
+Gram matrix, which grows by one row per admission. All three live in
+buffers whose capacity doubles when full, so an admission writes O(m)
+entries and copies the dictionary only when the buffers double. The dense
+Gram matrix, which only the Gram-weighted update and the offline analysis
+read, is built on its first read and from then on extended in place at
+each admission.
 Candidates are admitted online under one of four criteria (distance,
 approximation, coherence, Babel); the exact sparsity measure of a finished
 dictionary can be recomputed offline with :meth:`Dictionary.measure`.
@@ -75,22 +78,25 @@ class ProjectionResult:
 
 
 class Dictionary:
-    """Ordered atom set with cached Gram matrix, its Cholesky factor and admission rule."""
+    """Ordered atom set with its Cholesky factor, a Gram matrix built on first read, and admission rule."""
 
     def __init__(self, kernel: Kernel, criterion: CriterionConfig):
         self.kernel = kernel
         self.criterion = criterion
         self._m = 0
-        # The atoms are the first m rows of _atoms_buf, gram the leading m x m
-        # block of _gram_buf. _packed holds L row by row (L^T in BLAS upper
-        # packed storage), row i from i(i+1)/2: dtpsv(m, _packed, b) solves
-        # L^T y = b, dtpsv(m, _packed, b, 1, 0, 0, 1) (trans=1 after incx,
-        # offx, lower: f2py parses a keyword in ~1 us) L y = b, and dtpmv(m,
-        # _packed, b) is L^T b. All three hold as many atoms as _gram_buf has
-        # rows. Admissions write only past the filled entries, so the first
-        # m(m+1)/2 entries of a packed buffer hold L while the buffer lives.
+        # The atoms are the first m rows of _atoms_buf and their kappa(x, x)
+        # the first m entries of _diag_buf. _packed holds L row by row (L^T in
+        # BLAS upper packed storage), row i from i(i+1)/2: dtpsv(m, _packed, b)
+        # solves L^T y = b, dtpsv(m, _packed, b, 1, 0, 0, 1) (trans=1 after
+        # incx, offx, lower: f2py parses a keyword in ~1 us) L y = b, and
+        # dtpmv(m, _packed, b) is L^T b. All three hold as many atoms as
+        # _atoms_buf has rows. _gram_buf is None until gram is first read;
+        # from then on gram is its leading m x m block and it has as many rows
+        # as the others. Admissions write only past the filled entries, so the
+        # first m(m+1)/2 entries of a packed buffer hold L while it lives.
         self._atoms_buf = np.zeros((0, 0))
-        self._gram_buf = np.zeros((0, 0))
+        self._diag_buf = np.zeros(0)
+        self._gram_buf: np.ndarray | None = None
         self._packed: np.ndarray | None = np.zeros(0)
         self._gram_inv: np.ndarray | None = None
 
@@ -110,6 +116,7 @@ class Dictionary:
         if atoms.shape[0]:
             d._atoms_buf = atoms.copy()
             d._gram_buf = kernel.gram(atoms)
+            d._diag_buf = np.diagonal(d._gram_buf).copy()
             d._packed = None
             d._m = atoms.shape[0]
         return d
@@ -132,8 +139,17 @@ class Dictionary:
 
     @property
     def gram(self) -> np.ndarray:
-        """Gram matrix of the atoms: a view that later admissions leave unchanged. Do not mutate."""
-        return self._gram_buf[: self.m, : self.m]
+        """Gram matrix of the atoms: a view that later admissions leave unchanged. Do not mutate.
+
+        The first read builds it with :meth:`Kernel.gram`, which replays the
+        admissions' arithmetic bit for bit; later admissions extend it in place.
+        """
+        m = self._m
+        if self._gram_buf is None:
+            cap = self._atoms_buf.shape[0]
+            self._gram_buf = np.empty((cap, cap))
+            self._gram_buf[:m, :m] = self.kernel.gram(self.atoms)
+        return self._gram_buf[:m, :m]
 
     @property
     def gram_inv(self) -> np.ndarray:
@@ -229,16 +245,21 @@ class Dictionary:
                 "(criterion threshold too loose for numeric safety)"
             )
         start = m * (m + 1) // 2
-        if m == self._gram_buf.shape[0]:
+        if m == self._atoms_buf.shape[0]:
             cap = max(2 * m, 16)
-            atoms = np.empty((cap, x.shape[0]))
-            gram, packed = np.empty((cap, cap)), np.empty(cap * (cap + 1) // 2)
+            atoms, diag, packed = np.empty((cap, x.shape[0])), np.empty(cap), np.empty(cap * (cap + 1) // 2)
             if m:
-                atoms[:m], gram[:m, :m], packed[:start] = self.atoms, self.gram, self._packed[:start]
-            self._atoms_buf, self._gram_buf, self._packed = atoms, gram, packed
+                atoms[:m], diag[:m], packed[:start] = self.atoms, self._diag_buf[:m], self._packed[:start]
+            if self._gram_buf is not None:
+                gram = np.empty((cap, cap))
+                gram[:m, :m] = self._gram_buf[:m, :m]
+                self._gram_buf = gram
+            self._atoms_buf, self._diag_buf, self._packed = atoms, diag, packed
         self._atoms_buf[m] = x
-        self._gram_buf[m, m] = kxx
-        self._gram_buf[m, :m] = self._gram_buf[:m, m] = kvec
+        self._diag_buf[m] = kxx
+        if self._gram_buf is not None:
+            self._gram_buf[m, m] = kxx
+            self._gram_buf[m, :m] = self._gram_buf[:m, m] = kvec
         root = math.sqrt(pivot)
         self._packed[start : start + m] = z
         self._packed[start + m] = root
@@ -291,8 +312,8 @@ class Dictionary:
         return float(np.abs(kvec).sum()) <= threshold
 
     def _atom_norms(self, kind: str) -> np.ndarray:
-        """kappa(atom_j, atom_j) for every atom, read from the Gram diagonal; all must be positive."""
-        diag = np.diag(self.gram)
+        """kappa(atom_j, atom_j) for every atom, as admission stored it (no Gram matrix read); all must be positive."""
+        diag = self._diag_buf[: self._m]
         if (diag <= 0).any():
             raise NumericalError(f"atom with zero self-similarity; {kind} test undefined")
         return diag

@@ -168,11 +168,10 @@ def run_online(cfg: ExperimentConfig) -> RunRecord:
     for t in range(xs.shape[0]):
         state, outcome = step(state, dictionary, xs[t], float(ys[t]), cfg.learner)
         alpha_sq = float(state.alpha @ state.alpha)
-        if cfg.learner.algorithm == "functional_sgd":  # state holds w: ||w||^2 = alpha^T K alpha
-            w = state.coordinates(dictionary)
-            psi_sq = float(w @ w)
-        else:
-            psi_sq = float(state.alpha @ (dictionary.gram @ state.alpha))
+        # ||w||^2 = alpha^T K alpha with w = L^T alpha, which a functional state
+        # holds and any other costs one packed triangular product
+        w = state.coordinates(dictionary)
+        psi_sq = float(w @ w)
         record.rows.append(
             (t + 1, outcome.prediction, outcome.error, outcome.admitted, outcome.new_m, alpha_sq, psi_sq)
         )

@@ -62,7 +62,7 @@ class Kernel:
     offset : float
         Additive constant of the polynomial kernel, finite and >= 0.
     sigma : float
-        Bandwidth of the Gaussian kernel, > 0.
+        Bandwidth of the Gaussian kernel, finite and > 0.
     """
 
     family: str
@@ -78,8 +78,8 @@ class Kernel:
                 raise ValueError("polynomial degree must be a positive integer")
             if not 0 <= self.offset < math.inf:  # NaN fails too
                 raise ValueError("polynomial offset must be finite and >= 0")
-        if self.family == "gaussian" and not self.sigma > 0:
-            raise ValueError("gaussian bandwidth sigma must be > 0")
+        if self.family == "gaussian" and not 0 < self.sigma < math.inf:  # NaN fails too
+            raise ValueError("gaussian bandwidth sigma must be finite and > 0")
 
     @classmethod
     def linear(cls) -> "Kernel":

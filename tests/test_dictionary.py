@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sparsekaf import CriterionConfig, Dictionary, Kernel, NumericalError, harness
+from sparsekaf import CriterionConfig, Dictionary, Kernel, LearnerConfig, ModelState, NumericalError, harness, step
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -425,26 +426,78 @@ class TestCholeskyFactor:
         assert np.array_equal(inv, inv.T)
 
     def test_admissions_fill_spare_capacity(self):
-        # the atom, Gram and factor buffers double together when
-        # full instead of being reallocated per admission, and gram and atoms
-        # views handed out earlier keep their values while later atoms are
-        # written past them
+        # the atom, diagonal and factor buffers double together when full
+        # instead of being reallocated per admission, admission allocates no
+        # Gram buffer, and atoms views and factor rows handed out earlier keep
+        # their values while later atoms are written past them
         rng = np.random.default_rng(1)
         d = Dictionary(Kernel.gaussian(0.4), CriterionConfig("coherence", 0.95))
         points = iter(rng.uniform(-1, 1, size=(2000, 4)))
-        bufs, reallocations, early = (None, None), 0, None
+        bufs, reallocations, early = (None, None, None), 0, None
         while d.m < 100:
             d.admit(next(points))
-            grown = [new is not old for new, old in zip((d._gram_buf, d._atoms_buf), bufs)]
+            current = (d._atoms_buf, d._diag_buf, d._packed)
+            grown = [new is not old for new, old in zip(current, bufs)]
             assert all(grown) or not any(grown)
             if grown[0]:
-                bufs, reallocations = (d._gram_buf, d._atoms_buf), reallocations + 1
+                bufs, reallocations = current, reallocations + 1
+            assert d._gram_buf is None
+            assert d._diag_buf.shape[0] == d._atoms_buf.shape[0]
+            assert d._packed.shape[0] == d._atoms_buf.shape[0] * (d._atoms_buf.shape[0] + 1) // 2
             if d.m == 10 and early is None:
-                early = (d.gram, d.gram.copy(), d.atoms, d.atoms.copy())
+                early = (d.atoms, d.atoms.copy(), d._lower())
         assert reallocations <= 5
-        assert np.array_equal(early[0], early[1]) and np.array_equal(early[2], early[3])
-        assert np.array_equal(d.gram[:10, :10], early[1])
-        assert np.array_equal(d.atoms[:10], early[3])
+        assert np.array_equal(early[0], early[1])
+        assert np.array_equal(d.atoms[:10], early[1])
+        assert np.array_equal(d._lower()[:10, :10], early[2])
+        assert np.array_equal(d._diag_buf[: d.m], np.ones(d.m))
+
+    def test_gram_read_mid_stream_is_extended_bit_for_bit(self):
+        # gram is built from the atoms on first read, once before a doubling
+        # (m = 10, capacity 16) and once just after one (m = 17, capacity
+        # 32), and every later admission extends it in place: it stays
+        # bit-identical to Kernel.gram replaying the admissions from scratch
+        for dim in (1, 4, 9):
+            for first_read in (10, 17):
+                rng = np.random.default_rng(dim)
+                d = Dictionary(Kernel.gaussian(0.05 * dim), CriterionConfig("coherence", 0.9))
+                points = iter(rng.uniform(-1, 1, size=(5000, dim)))
+                while d.m < first_read:
+                    d.admit(next(points))
+                view = d.gram
+                assert view.tobytes() == d.kernel.gram(d.atoms).tobytes()
+                frozen = view.copy()
+                while d.m < 40:
+                    if d.admit(next(points)):
+                        assert d.gram.tobytes() == d.kernel.gram(d.atoms).tobytes()
+                assert d._gram_buf.shape == (64, 64)
+                assert view.tobytes() == frozen.tobytes()
+
+    def test_streams_that_never_read_gram_allocate_no_dense_buffer(self):
+        # nlms never reads gram: growing past 512 atoms doubles the buffers to
+        # 1024 rows, and nothing the size of a 1024 x 1024 Gram matrix may be
+        # allocated on the way (the packed factor is about half of it)
+        cap = 1024
+        rng = np.random.default_rng(2)
+        xs = rng.uniform(-1, 1, size=(3000, 4))
+        ys = np.sin(np.pi * xs[:, 0]) * xs[:, 1]
+        d = Dictionary(Kernel.gaussian(0.4), CriterionConfig("coherence", 0.95, max_atoms=520))
+        cfg = LearnerConfig("nlms", eta=0.5, eps=1e-6)
+        state = ModelState.empty()
+        tracemalloc.start()
+        try:
+            for x, y in zip(xs, ys):
+                state, _ = step(state, d, x, y, cfg)
+                if d.m == 520:
+                    break
+            largest = max(trace.size for trace in tracemalloc.take_snapshot().traces)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.m == 520 and d._atoms_buf.shape[0] == cap
+        assert largest < cap * cap * 8
+        assert peak < cap * cap * 8
+        assert d._gram_buf is None
 
 
 class TestCriterionSoundness:

@@ -115,6 +115,15 @@ class TestRunOnline:
         assert (t, pred, admitted, m) == (1, 0.0, True, 1)
         assert err != 0.0
 
+    @pytest.mark.parametrize("algo", ["lms_identity", "lms_gram", "nlms", "functional_sgd"])
+    def test_psi_sq_norm_is_the_function_norm(self, algo):
+        # run.csv's psi_sq_norm is ||L^T alpha||^2 for every rule; it agrees
+        # with alpha^T K alpha to round-off
+        record = run_online(make_config(length=300, learner=LearnerConfig(algo, 0.2, 0.01)))
+        alpha, gram = record.state.alpha, record.dictionary.gram
+        psi_sq = record.rows[-1][6]
+        assert abs(psi_sq - float(alpha @ gram @ alpha)) <= 1e-12 * psi_sq
+
     def test_m_non_decreasing_and_bounded_by_t(self):
         record = run_online(make_config(length=300))
         ms = [row[4] for row in record.rows]
@@ -344,6 +353,39 @@ class TestCli:
         assert main(["run", "--length", "30", *flags, "--out", str(out)]) == 1
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("sigma", ["inf", "nan"])
+    def test_non_finite_sigma_exits_one(self, tmp_path, capsys, sigma):
+        # with an infinite bandwidth every kernel value is 1 and coherence would
+        # keep one atom
+        out = tmp_path / "o"
+        assert main(["run", "--length", "50", "--sigma", sigma, "--out", str(out)]) == 1
+        assert "sigma must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["verify", "measure"])
+    def test_dict_commands_open_their_config(self, tmp_path, capsys, name):
+        assert main(["run", "--length", "60", "--sigma", "0.5", "--out", str(tmp_path / "exp")]) == 0
+        capsys.readouterr()
+        path = str(tmp_path / "exp" / "dictionary.txt")
+        assert main([name, "--dict", path, "--config", str(tmp_path / "missing.cfg")]) == 1
+        assert "cannot read config" in capsys.readouterr().err
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("sigma = 0\n")
+        assert main([name, "--dict", path, "--config", str(bad)]) == 1
+        assert "sigma" in capsys.readouterr().err
+
+    def test_verify_writes_to_the_config_out(self, tmp_path):
+        assert main(["run", "--length", "60", "--sigma", "0.5", "--out", str(tmp_path / "exp")]) == 0
+        path = str(tmp_path / "exp" / "dictionary.txt")
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text(f"out = {tmp_path / 'from-config'}\n")
+        assert main(["verify", "--dict", path, "--config", str(cfg)]) == 0
+        assert (tmp_path / "from-config" / "spectral.csv").exists()
+        # the flag overrides the file
+        assert main(["verify", "--dict", path, "--config", str(cfg), "--out", str(tmp_path / "flag")]) == 0
+        assert (tmp_path / "flag" / "spectral.csv").read_bytes() == (
+            tmp_path / "from-config" / "spectral.csv").read_bytes()
 
     def test_non_finite_csv_target_exits_one(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

@@ -54,6 +54,11 @@ class TestEval:
         with pytest.raises(ValueError):
             Kernel("sigmoid")
 
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan, -math.inf])
+    def test_gaussian_bandwidth_must_be_finite(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite and > 0"):
+            Kernel.gaussian(sigma)
+
 
 def overflowing_atoms():
     """Eight finite 2-D atoms whose sum is NaN: numpy adds 9 to 128 terms in
