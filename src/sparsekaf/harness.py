@@ -76,9 +76,16 @@ def synthesize(name: str, seed: int, length: int, noise: float | None = None):
     if name == "narma2":
         amplitude = 0.5 if noise is None else noise
         u = rng.uniform(0.0, amplitude, size=length + 2) if amplitude > 0 else np.zeros(length + 2)
-        y = np.zeros(length + 2)
+        # the recursion runs on Python floats, whose arithmetic is float64's
+        # without numpy's per-scalar cost
+        try:
+            cubes = [v**3 for v in u.tolist()]
+        except OverflowError:  # a cube past float64's range: numpy's scalars give inf
+            cubes = [float(v**3) for v in u]
+        y = [0.0, 0.0]
         for k in range(2, length + 2):
-            y[k] = 0.4 * y[k - 1] + 0.4 * y[k - 1] * y[k - 2] + 0.6 * u[k - 1] ** 3 + 0.1
+            y.append(0.4 * y[k - 1] + 0.4 * y[k - 1] * y[k - 2] + 0.6 * cubes[k - 1] + 0.1)
+        y = np.array(y)
         x = np.column_stack([y[1 : length + 1], y[:length], u[1 : length + 1]])
         return x, y[2:]
     raise ValueError(f"unknown generator {name!r}; valid names: {', '.join(GENERATORS)}")
@@ -172,9 +179,7 @@ def run_online(cfg: ExperimentConfig) -> RunRecord:
         # holds and any other costs one packed triangular product
         w = state.coordinates(dictionary)
         psi_sq = float(w @ w)
-        record.rows.append(
-            (t + 1, outcome.prediction, outcome.error, outcome.admitted, outcome.new_m, alpha_sq, psi_sq)
-        )
+        record.rows.append((t + 1, *outcome, alpha_sq, psi_sq))
     record.dictionary = dictionary
     record.state = state
     record.report = spectral_report(dictionary)

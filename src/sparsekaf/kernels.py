@@ -29,6 +29,31 @@ def _all_finite(a: np.ndarray) -> bool:
     return math.isfinite(np.add.reduce(a, axis=None)) or bool(np.isfinite(a).all())
 
 
+def _sq_distances(atoms: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance from ``x`` to every row of ``atoms``, in a new array."""
+    sq = atoms - x
+    np.square(sq, out=sq)
+    d = sq.shape[1]
+    if 0 < d < 8:
+        # numpy sums fewer than 8 terms left to right, so adding one
+        # coordinate at a time to the first is its reduction's arithmetic
+        # without the per-row overhead; from 8 terms on it sums pairwise
+        d_sq = sq[:, 0] + sq[:, 1] if d > 1 else sq[:, 0].copy()
+        for k in range(2, d):
+            d_sq += sq[:, k]
+        return d_sq
+    return sq.sum(axis=1)
+
+
+def _distances_finite(d_sq: np.ndarray) -> bool:
+    """Whether every entry of the non-empty squared distances ``d_sq`` is finite, by one max.
+
+    A NaN entry makes the max NaN and an infinite one makes it +inf (no entry
+    is negative); unlike a sum, a max cannot overflow, so it never warns.
+    """
+    return math.isfinite(np.maximum.reduce(d_sq, axis=None))
+
+
 def _as_vector(x, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
@@ -113,13 +138,31 @@ class Kernel:
     def against(self, atoms: np.ndarray, x) -> np.ndarray:
         """Evaluate kappa(atom_j, x) for every row of ``atoms`` at once.
 
-        Equivalent to an entry-wise :meth:`__call__` loop but vectorized.
+        Equivalent to an entry-wise :meth:`__call__` loop but vectorized, with
+        the same checks. A Gaussian row over well-formed input (``atoms`` 2-D
+        with at least one row, ``x`` 1-D of the atoms' dimension) is checked
+        through its own squared distances: a NaN or infinite entry in the
+        atoms or in ``x`` makes one of them NaN or +inf, so one max of the
+        distances, which cannot warn, stands for both inputs' checks. Any
+        other input, or a max that is not finite, is checked entry by entry,
+        atoms first, and the error names the faulty input; finite inputs whose
+        squared distances overflow get the row :meth:`_against` computes.
+        Linear and polynomial rows are always checked before the product: a
+        BLAS may skip a zero multiplier and so hide an inf * 0.
         """
+        atoms = np.asarray(atoms, dtype=np.float64)
+        x = np.asarray(x, dtype=np.float64)
+        d_sq = None
+        if (self.family == "gaussian" and atoms.ndim == 2 and x.ndim == 1
+                and atoms.shape[0] and atoms.shape[1] == x.shape[0]):
+            d_sq = _sq_distances(atoms, x)
+            if _distances_finite(d_sq):
+                return self._gaussian(d_sq)
         atoms = _as_matrix(atoms, "atoms")
         x = _as_vector(x, "x")
         if atoms.shape[1] != x.shape[0]:
             raise ValueError(f"dimension mismatch: atoms have {atoms.shape[1]}, x has {x.shape[0]}")
-        return self._against(atoms, x)
+        return self._against(atoms, x) if d_sq is None else self._gaussian(d_sq)
 
     def _against(self, atoms: np.ndarray, x: np.ndarray) -> np.ndarray:
         """:meth:`against` without input checks, for float64 arrays already validated."""
@@ -127,18 +170,10 @@ class Kernel:
             return atoms @ x
         if self.family == "polynomial":
             return (atoms @ x + self.offset) ** self.degree
-        sq = atoms - x
-        np.square(sq, out=sq)
-        d = sq.shape[1]
-        if 0 < d < 8:
-            # numpy sums fewer than 8 terms left to right, so adding one
-            # coordinate at a time to the first is its reduction's arithmetic
-            # without the per-row overhead; from 8 terms on it sums pairwise
-            d_sq = sq[:, 0] + sq[:, 1] if d > 1 else sq[:, 0].copy()
-            for k in range(2, d):
-                d_sq += sq[:, k]
-        else:
-            d_sq = sq.sum(axis=1)
+        return self._gaussian(_sq_distances(atoms, x))
+
+    def _gaussian(self, d_sq: np.ndarray) -> np.ndarray:
+        """exp(-d_sq / (2 sigma^2)), computed in place in the squared distances ``d_sq``."""
         # -(a / b) and a / -b round alike: IEEE division is sign-symmetric
         d_sq /= -2.0 * self.sigma**2
         return np.exp(d_sq, out=d_sq)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,8 +124,9 @@ class ModelState:
         return f"ModelState(alpha={self.alpha!r})"
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
+    """What one :func:`step` did: an immutable tuple (prediction, error, admitted, new_m)."""
+
     prediction: float
     error: float
     admitted: bool

@@ -71,6 +71,25 @@ class TestSynthesize:
         _, ys = synthesize("narma2", seed=1, length=5000)
         assert np.max(np.abs(ys)) < 10.0
 
+    # 0.9 drives the series to +inf; at 1e200 the cube u^3 itself overflows
+    # and inf * 0 makes the series NaN
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("noise", [None, 0.0, 0.9, 1e200])
+    def test_narma2_is_the_recursion_on_float64_scalars_bit_for_bit(self, noise):
+        # the recursion on numpy float64 entries, written into a float64 array
+        for seed in (0, 1, 7, 123):
+            for length in (1, 2, 3, 50, 1500):
+                amplitude = 0.5 if noise is None else noise
+                rng = np.random.default_rng(seed)
+                u = rng.uniform(0.0, amplitude, size=length + 2) if amplitude > 0 else np.zeros(length + 2)
+                y = np.zeros(length + 2)
+                for k in range(2, length + 2):
+                    y[k] = 0.4 * y[k - 1] + 0.4 * y[k - 1] * y[k - 2] + 0.6 * u[k - 1] ** 3 + 0.1
+                xs, ys = synthesize("narma2", seed=seed, length=length, noise=noise)
+                assert ys.tobytes() == y[2:].tobytes()
+                assert xs.tobytes() == np.column_stack([y[1:-1], y[:-2], u[1:-1]]).tobytes()
+
     @pytest.mark.parametrize("name", ["sinc1d", "narma2"])
     @pytest.mark.parametrize("noise", [-1.0, np.nan, np.inf])
     def test_negative_or_non_finite_noise_raises(self, name, noise):

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +120,100 @@ class TestFiniteCheck:
             Dictionary.from_atoms(k, CriterionConfig("coherence", 0.9), atoms)
 
 
+ROW_FAULTS = {
+    # x holds the fault; the atoms are finite and of x's dimension
+    "x NaN": ([np.nan, 0.5], None, "x contains non-finite entries"),
+    "x +inf": ([0.5, np.inf], None, "x contains non-finite entries"),
+    "x -inf": ([-np.inf, 0.5], None, "x contains non-finite entries"),
+    "x 0-D": (0.5, None, "x must be a 1-D vector, got shape ()"),
+    "x 2-D": ([[0.5, 0.5]], None, "x must be a 1-D vector, got shape (1, 2)"),
+    "x of another dimension": ([0.5, 0.5, 0.5], None, "dimension mismatch: atoms have 2, x has 3"),
+    # the atoms hold the fault (a list: in one row of three); x is finite
+    "atoms NaN": ([0.5, 0.5], [np.nan, 0.5], "atoms contains non-finite entries"),
+    "atoms +inf": ([0.5, 0.5], [0.5, np.inf], "atoms contains non-finite entries"),
+    "atoms -inf": ([0.5, 0.5], [-np.inf, 0.5], "atoms contains non-finite entries"),
+    "atoms 1-D": ([0.5, 0.5], np.array([0.5, 0.25, 0.0]), "dimension mismatch: atoms have 1, x has 2"),
+    "atoms 3-D": ([0.5, 0.5], np.zeros((3, 2, 1)), "atoms must be a 2-D array of row vectors"),
+    "no atoms, x NaN": ([np.nan, 0.5], np.zeros((0, 2)), "x contains non-finite entries"),
+    "no atoms, x +inf": ([np.inf, 0.5], np.zeros((0, 2)), "x contains non-finite entries"),
+}
+
+
+def faulty_row_inputs(fault, where):
+    """(atoms, x) for ``fault``; a faulty atom row goes at row ``where`` of three."""
+    x, bad, _ = ROW_FAULTS[fault]
+    atoms = np.array([[0.5, 0.5], [0.0, 0.25], [-0.5, 1.0]])
+    if isinstance(bad, list):
+        atoms[where] = bad
+    elif bad is not None:
+        atoms = bad
+    return atoms, x
+
+
+class TestGaussianRowCheck:
+    """A Gaussian row over well-formed input is checked through its own
+    squared distances; it must accept, reject, word its errors and return
+    rows exactly as checking every input entry by entry does."""
+
+    KERNEL = Kernel.gaussian(0.7)
+
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    @pytest.mark.parametrize("fault", sorted(ROW_FAULTS))
+    def test_each_fault_raises_as_the_entry_wise_check(self, fault, where):
+        atoms, x = faulty_row_inputs(fault, where)
+        text = ROW_FAULTS[fault][2]
+        for call in (lambda: self.KERNEL.against(atoms, x), lambda: self.KERNEL.against(atoms.tolist(), x)):
+            with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+                call()
+
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    @pytest.mark.parametrize("bad", ["NaN", "+inf", "-inf"])
+    def test_non_finite_input_raises_value_error_without_warning(self, bad, where):
+        # finite atoms and a non-finite x (or the reverse): no RuntimeWarning,
+        # which an error filter would raise in place of the ValueError
+        atoms, vector = np.array([[0.5, 0.5], [0.0, 0.25], [-0.5, 1.0]]), np.array(NON_FINITE[bad])
+        bad_atoms = atoms.copy()
+        bad_atoms[where] = vector
+        for a, x, name in [(atoms, vector, "x"), (bad_atoms, [0.5, 0.5], "atoms")]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+                    self.KERNEL.against(a, x)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_same_signed_inf_in_atoms_and_x_is_rejected(self):
+        # inf - inf makes that squared distance NaN (numpy warns); the atoms
+        # are reported first, as the entry-wise check reports them
+        atoms = np.array([[0.5, 0.5], [np.inf, 0.5]])
+        with pytest.raises(ValueError, match="^atoms contains non-finite entries$"):
+            self.KERNEL.against(atoms, [np.inf, 0.5])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_finite_inputs_whose_distances_overflow_get_the_unchecked_row(self):
+        k = self.KERNEL
+        atoms = np.array([[1e200, 0.5], [0.5, 0.5], [-1e200, -1e200], [0.25, 1e-300]])
+        for x in ([-1e200, 0.5], [0.5, 0.5], [1e300, -1e300], [0.0, 0.0]):
+            x = np.array(x)
+            row = k.against(atoms, x)
+            assert row.tobytes() == k._against(atoms, x).tobytes()
+            np.testing.assert_array_equal(row, [k(a, x) for a in atoms])
+        assert not np.isfinite(((atoms - [1e300, -1e300]) ** 2).sum(axis=1)).all()
+        assert k.against(atoms, [-1e200, 0.5])[0] == 0.0
+
+    def test_rows_match_for_every_input_form(self):
+        # lists, a column-major stack and integer entries are converted to
+        # float64 first, as the entry-wise check converts them
+        k = self.KERNEL
+        atoms = np.arange(12, dtype=np.int64).reshape(3, 4)
+        x = [1, 0, 2, 1]
+        expected = k._against(atoms.astype(np.float64), np.array(x, dtype=np.float64)).tobytes()
+        assert k.against(atoms, x).tobytes() == expected
+        assert k.against(atoms.tolist(), tuple(x)).tobytes() == expected
+        assert k.against(np.asfortranarray(atoms.astype(np.float64)), x).tobytes() == expected
+        # one coordinate: a 1-D stack of atoms is a column
+        np.testing.assert_array_equal(k.against([0.5, 1.0], [0.5]), [1.0, k([1.0], [0.5])])
+
+
 class TestKernelVector:
     def test_single_atom_self(self):
         k = Kernel.gaussian(1.0)
@@ -140,10 +236,12 @@ class TestKernelVector:
         expected = [k(atom, x) for atom in atoms]
         np.testing.assert_allclose(kernel_vector(k, atoms, x), expected, rtol=1e-13)
 
-    @pytest.mark.parametrize("dim", [0, 1, 2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("dim", range(10))
     def test_gaussian_row_is_the_reduction_bit_for_bit(self, dim):
         # from 1 to 7 coordinates the row adds them one at a time, which must
-        # round exactly as numpy's reduction does; from 8 on it reduces
+        # round exactly as numpy's reduction does; from 8 on it reduces. The
+        # checked row (through its squared distances) and the unchecked one
+        # must both be that row
         rng = np.random.default_rng(dim)
         k = Kernel.gaussian(0.7)
         buf = rng.uniform(-3, 3, size=(300, dim))
@@ -151,6 +249,8 @@ class TestKernelVector:
             atoms = buf[:m]
             for x in rng.uniform(-3, 3, size=(20, dim)):
                 expected = np.exp(-((atoms - x) ** 2).sum(axis=1) / (2.0 * 0.7**2))
+                assert k.against(atoms, x).tobytes() == expected.tobytes()
+                assert k._against(atoms, x).tobytes() == expected.tobytes()
                 assert kernel_vector(k, atoms, x).tobytes() == expected.tobytes()
                 if dim == 0:
                     assert (expected == 1.0).all()

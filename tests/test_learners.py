@@ -483,22 +483,33 @@ class TestStepChecks:
         assert (d.atoms.tobytes(), d.gram.tobytes(), d._lower().tobytes(), state.alpha.tobytes()) == before
 
     def test_input_is_validated_once_per_step(self, monkeypatch):
+        # exactly one finiteness check covers x: _as_vector's with no atoms,
+        # the kernel row's check of its own squared distances with atoms; no
+        # check re-reads the atoms. The Gram matrix, whose first read checks
+        # the atoms once, is built before the stream (lms_gram reads it)
         calls = []
-        as_vector = kernels_module._as_vector
 
-        def counting(x, name):
-            calls.append(name)
-            return as_vector(x, name)
+        def counting(name, check):
+            def wrapped(*args):
+                calls.append(name)
+                return check(*args)
+            return wrapped
 
-        monkeypatch.setattr(kernels_module, "_as_vector", counting)
-        monkeypatch.setattr(dictionary_module, "_as_vector", counting)
+        checks = {name: counting(name, getattr(kernels_module, name))
+                  for name in ("_as_vector", "_as_matrix", "_all_finite", "_distances_finite")}
+        for module in (kernels_module, dictionary_module, learners_module):
+            for name, check in checks.items():
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, check)
         xs, ys = synthesize("sinc1d", seed=3, length=60, noise=0.01)
         for algorithm in ALGORITHMS:
             d, state = fresh(sigma=0.3), ModelState.empty()
+            assert d.gram.shape == (0, 0)
             for x, y in zip(xs, ys):
                 calls.clear()
+                expected = ["_distances_finite"] if d.m else ["_as_vector", "_all_finite"]
                 state, _ = step(state, d, x, float(y), LearnerConfig(algorithm, eta=0.5, eps=0.01))
-                assert calls == ["x"]
+                assert calls == expected
             assert d.m > 1
 
 
