@@ -27,7 +27,7 @@ from .harness import (
     build_config,
     parse_config_file,
     run_online,
-    synthesize,
+    synthesize_finite,
     verify_dictionary,
 )
 from .kernels import FAMILIES
@@ -119,7 +119,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_synthesize(args) -> int:
     cfg = _config_from_args(args)
-    xs, ys = synthesize(cfg.data, cfg.seed, cfg.length, cfg.noise)
+    xs, ys = synthesize_finite(cfg.data, cfg.seed, cfg.length, cfg.noise)
     out = cfg.out or "."
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "data.csv")

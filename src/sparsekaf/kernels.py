@@ -254,8 +254,13 @@ def norm_range(kernel: Kernel, samples=None) -> NormRange:
 
 
 def kernel_vector(kernel: Kernel, atoms: np.ndarray, x) -> np.ndarray:
-    """Vector whose j-th entry is kappa(atom_j, x), in atom order."""
-    atoms = _as_matrix(atoms, "atoms")
-    if atoms.shape[0] == 0:
+    """Vector whose j-th entry is kappa(atom_j, x), in atom order.
+
+    An empty stack of atoms (1-D or 2-D, read as :meth:`Kernel.against`
+    reads it) is rejected from its shape; :meth:`Kernel.against` makes every
+    other check, so each input is checked once.
+    """
+    atoms = np.asarray(atoms, dtype=np.float64)
+    if atoms.ndim in (1, 2) and atoms.shape[0] == 0:
         raise ValueError("kernel_vector requires a non-empty atom set")
     return kernel.against(atoms, x)

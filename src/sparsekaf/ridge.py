@@ -6,6 +6,12 @@ or the plain coefficient norm ||alpha||^2 (``param_norm``). Both are
 solved through their normal equations with a Cholesky factorization; the
 popular shortcut (K + eps I)^{-1} y is deliberately not used because it is
 only equivalent when K is nonsingular.
+
+:func:`solve` builds only the lower triangle of the normal matrix, with one
+symmetric rank-k update (BLAS ``dsyrk``, half the flops of ``K @ K``), and
+factors it in place, so it works in two n x n arrays: K and A. The
+refinement step and :func:`normal_residual` apply A through K, as
+K(K alpha) plus the regularizer's term, and never form it.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dsyrk
 
 from .errors import NumericalError
 from .kernels import Kernel, _as_matrix
@@ -68,22 +75,42 @@ class RidgeProblem:
 def solve(prob: RidgeProblem) -> np.ndarray:
     """Coefficient vector solving the variant's normal equations.
 
-    Uses a Cholesky factorization plus one step of iterative refinement.
+    Builds the lower triangle of A = K^2 + eps K (``rkhs_norm``) or
+    K^2 + eps I (``param_norm``) with one ``dsyrk``, factors it in place by
+    Cholesky and makes one step of iterative refinement, whose residual
+    applies A through K. Besides the Gram matrix it holds one n x n array.
     The ``rkhs_norm`` system is singular whenever the Gram matrix is
     (linearly dependent samples); that surfaces as a NumericalError
     suggesting the ``param_norm`` variant, whose system is always
     positive definite.
     """
-    A, b = prob.normal_system()
+    K = prob.gram
+    # K.T is K's buffer read in Fortran order, which dsyrk takes without a
+    # copy; with K symmetric, (K.T)^T K.T = K^2
+    if prob.variant == "rkhs_norm":
+        A = dsyrk(1.0, K.T, beta=prob.eps, c=np.array(K, order="F"), trans=1, lower=1, overwrite_c=1)
+    else:
+        A = dsyrk(1.0, K.T, trans=1, lower=1)
+        A[np.diag_indices_from(A)] += prob.eps
     try:
-        factor = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
+        factor = scipy.linalg.cho_factor(A, lower=True, overwrite_a=True, check_finite=False)
     except (np.linalg.LinAlgError, ValueError) as exc:
         hint = " (singular Gram matrix; the param_norm variant stays solvable)" \
             if prob.variant == "rkhs_norm" else ""
         raise NumericalError(f"normal equations not positive definite{hint}: {exc}") from None
+    b = K @ prob.targets
     alpha = scipy.linalg.cho_solve(factor, b, check_finite=False)
-    alpha += scipy.linalg.cho_solve(factor, b - A @ alpha, check_finite=False)
+    alpha += scipy.linalg.cho_solve(factor, b - _normal_product(prob, alpha), check_finite=False)
     return alpha
+
+
+def _normal_product(prob: RidgeProblem, alpha: np.ndarray) -> np.ndarray:
+    """A @ alpha for the variant's normal matrix A, as K(K alpha) + eps (K alpha or alpha)."""
+    K = prob.gram
+    k_alpha = K @ alpha
+    out = K @ k_alpha
+    out += prob.eps * (k_alpha if prob.variant == "rkhs_norm" else alpha)
+    return out
 
 
 def objective(prob: RidgeProblem, alpha) -> float:
@@ -111,9 +138,14 @@ def gradient(prob: RidgeProblem, alpha) -> np.ndarray:
 
 
 def normal_residual(prob: RidgeProblem, alpha) -> float:
-    """Relative residual ||A alpha - b|| / ||b|| of the normal equations."""
-    A, b = prob.normal_system()
+    """Relative residual ||A alpha - b|| / ||b|| of the normal equations.
+
+    A is applied through K, as in :func:`solve`'s refinement, so this takes
+    O(n^2) time and O(n) memory once the Gram matrix is built.
+    """
+    alpha = np.asarray(alpha, dtype=np.float64).reshape(-1)
+    b = prob.gram @ prob.targets
     denom = float(np.linalg.norm(b))
     if denom == 0.0:
-        return float(np.linalg.norm(A @ alpha))
-    return float(np.linalg.norm(A @ alpha - b)) / denom
+        return float(np.linalg.norm(_normal_product(prob, alpha)))
+    return float(np.linalg.norm(_normal_product(prob, alpha) - b)) / denom

@@ -1,11 +1,12 @@
 """Spectral analysis of dictionary Gram matrices.
 
-Exact eigendecomposition (LAPACK ``eigh``, or ``eigvalsh`` where only the
-values are read) plus the theoretical guarantees a sparse dictionary earns
-from its sparsity measure: Gersgorin-derived eigenvalue bounds, a
-sufficient linear-independence condition, a condition number bound, and
-the quasi-isometry constant between the coefficient (dual) space R^m and
-the span of the dictionary atoms.
+Exact eigendecomposition (:func:`eigensolve`: LAPACK ``eigh``, or
+``eigvalsh`` where only the values are read) plus the theoretical
+guarantees a sparse dictionary earns from its sparsity measure:
+Gersgorin-derived eigenvalue bounds, a sufficient linear-independence
+condition, a condition number bound, and the quasi-isometry constant
+between the coefficient (dual) space R^m and the span of the dictionary
+atoms.
 
 :func:`spectral_report` checks the quasi-isometry exactly: with K the Gram
 matrix divided by the squared rescale factor, the Rayleigh quotient ranges
@@ -62,8 +63,8 @@ DEFAULT_TRIALS = 10_000
 class EigenSpectrum:
     """Eigenvalues (non-increasing) and orthonormal eigenvectors (columns).
 
-    ``vectors`` is None in a :class:`SpectralReport`'s spectrum, which is
-    solved for values only.
+    ``vectors`` is None for a values-only solve (``eigensolve(gram,
+    vectors=False)``), such as a :class:`SpectralReport`'s spectrum.
     """
 
     values: np.ndarray
@@ -85,22 +86,19 @@ class EigenSpectrum:
         return self.lambda_max / self.lambda_min
 
 
-def eigensolve(gram: np.ndarray) -> EigenSpectrum:
-    """Full eigendecomposition of a symmetric matrix by LAPACK ``eigh``.
+def eigensolve(gram: np.ndarray, vectors: bool = True) -> EigenSpectrum:
+    """Eigendecomposition of a symmetric matrix by LAPACK: ``eigh``, or
+    ``eigvalsh`` with ``vectors=False``, whose spectrum has no vectors.
 
-    Deterministic up to eigenvector sign.
+    Deterministic up to eigenvector sign. ``eigvalsh`` and ``eigh`` run
+    different LAPACK drivers, so the values of the two modes can differ in
+    the last digits.
     """
-    values, vectors = np.linalg.eigh(_symmetric(gram))
-    return EigenSpectrum(values=values[::-1], vectors=vectors[:, ::-1])
-
-
-def _eigenvalues(gram: np.ndarray) -> EigenSpectrum:
-    """The eigenvalues of :func:`eigensolve`, by LAPACK ``eigvalsh``, with no vectors.
-
-    ``eigvalsh`` and ``eigh`` run different LAPACK drivers, so the values
-    can differ from :func:`eigensolve`'s in the last digits.
-    """
-    return EigenSpectrum(values=np.linalg.eigvalsh(_symmetric(gram))[::-1], vectors=None)
+    a = _symmetric(gram)
+    if not vectors:
+        return EigenSpectrum(values=np.linalg.eigvalsh(a)[::-1], vectors=None)
+    values, vecs = np.linalg.eigh(a)
+    return EigenSpectrum(values=values[::-1], vectors=vecs[:, ::-1])
 
 
 def _symmetric(gram) -> np.ndarray:
@@ -433,7 +431,7 @@ def spectral_report(dictionary: Dictionary, nr: NormRange | None = None) -> Spec
         raise ValueError("spectral_report requires a non-empty dictionary")
     if nr is None:
         nr = dictionary_norm_range(dictionary)
-    spectrum = _eigenvalues(dictionary.gram)
+    spectrum = eigensolve(dictionary.gram, vectors=False)
     report = SpectralReport(spectrum=spectrum, norm=nr)
 
     worst_gersgorin = gersgorin_margin(dictionary.gram, spectrum.values)

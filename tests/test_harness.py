@@ -22,6 +22,7 @@ from sparsekaf.cli import main, make_parser
 from sparsekaf.harness import (
     load_csv,
     parse_config_file,
+    synthesize_finite,
     verification_exit_code,
 )
 from sparsekaf.spectral import SpectralReport, eigensolve
@@ -348,6 +349,23 @@ class TestCli:
         assert main(["synthesize", "--seed", "x", "--out", str(tmp_path)]) == 1
         assert main(["synthesize", "--noise", "-1", "--out", str(tmp_path)]) == 1
         assert not (tmp_path / "data.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv, where",
+        [(["synthesize", "--length", "3000", "--seed", "1"], "sample 108 of 3000"),
+         (["run"], "sample 107 of 1000")],
+    )
+    def test_divergent_narma2_exits_one_before_writing(self, tmp_path, capsys, argv, where):
+        # at input amplitude 0.9 the narma2 recursion leaves float64's range
+        out = tmp_path / "o"
+        assert main([*argv, "--data", "narma2", "--noise", "0.9", "--out", str(out)]) == 1
+        assert f"narma2 with noise 0.9 diverges: {where} is inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_finite_series_pass_the_divergence_check_unchanged(self):
+        for name, noise in (("narma2", 0.8), ("narma2", None), ("sinc1d", 2.0)):
+            got, want = synthesize_finite(name, 3, 2000, noise), synthesize(name, 3, 2000, noise)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
     @pytest.mark.parametrize(
         "algo", ["lms", "lms_identity", "lms-gram", "lms_gram", "nlms", "functional", "functional_sgd"]

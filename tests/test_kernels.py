@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import sparsekaf.kernels as kernels_module
 from sparsekaf import CriterionConfig, Dictionary, Kernel, NormRange, kernel_vector, norm_range
 
 
@@ -258,6 +259,56 @@ class TestKernelVector:
     def test_empty_dictionary_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             kernel_vector(Kernel.linear(), np.zeros((0, 2)), [1.0, 2.0])
+
+    FAULTS = {
+        # atoms, x, the ValueError's text
+        "empty": (np.zeros((0, 2)), [0.5, 0.5], "kernel_vector requires a non-empty atom set"),
+        "empty 1-D": (np.zeros(0), [0.5], "kernel_vector requires a non-empty atom set"),
+        "0-D": (np.float64(0.5), [0.5, 0.5], "atoms must be a 2-D array of row vectors"),
+        "1-D": (np.array([0.5, 0.25]), [0.5, 0.5], "dimension mismatch: atoms have 1, x has 2"),
+        "3-D": (np.zeros((2, 2, 2)), [0.5, 0.5], "atoms must be a 2-D array of row vectors"),
+        "empty 3-D": (np.zeros((0, 2, 2)), [0.5, 0.5], "atoms must be a 2-D array of row vectors"),
+        "atoms NaN": (np.array([[0.5, np.nan]]), [0.5, 0.5], "atoms contains non-finite entries"),
+        "atoms inf": (np.array([[0.5, np.inf], [0.0, 0.0]]), [0.5, 0.5], "atoms contains non-finite entries"),
+        "x inf": (np.zeros((2, 2)), [np.inf, 0.5], "x contains non-finite entries"),
+        "x 2-D": (np.zeros((2, 2)), [[0.5, 0.5]], "x must be a 1-D vector, got shape (1, 2)"),
+        "mismatch": (np.zeros((2, 2)), [0.5, 0.5, 0.5], "dimension mismatch: atoms have 2, x has 3"),
+    }
+
+    @pytest.mark.parametrize("family", ["linear", "polynomial", "gaussian"])
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_each_fault_keeps_its_text(self, family, fault):
+        atoms, x, text = self.FAULTS[fault]
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            kernel_vector(Kernel(family, degree=3, offset=0.5, sigma=1.3), atoms, x)
+
+    @pytest.mark.parametrize("family", ["linear", "polynomial", "gaussian"])
+    def test_one_dimensional_atoms_are_a_column(self, family):
+        k = Kernel(family, degree=3, offset=0.5, sigma=1.3)
+        np.testing.assert_array_equal(kernel_vector(k, [0.5, 0.25], [0.5]), k.against([[0.5], [0.25]], [0.5]))
+
+    @pytest.mark.parametrize("family", ["linear", "polynomial", "gaussian"])
+    def test_inputs_are_checked_once(self, family, monkeypatch):
+        # Kernel.against makes the only check of each input: the Gaussian row
+        # through its squared distances, the others entry by entry
+        calls = []
+
+        def counting(name, check):
+            def wrapped(*args):
+                calls.append(name)
+                return check(*args)
+            return wrapped
+
+        for name in ("_as_vector", "_as_matrix", "_all_finite", "_distances_finite"):
+            monkeypatch.setattr(kernels_module, name, counting(name, getattr(kernels_module, name)))
+        rng = np.random.default_rng(4)
+        k = Kernel(family, degree=3, offset=0.5, sigma=1.3)
+        row = kernel_vector(k, rng.standard_normal((50, 3)), rng.standard_normal(3))
+        assert row.shape == (50,)
+        if family == "gaussian":
+            assert calls == ["_distances_finite"]
+        else:
+            assert calls == ["_as_matrix", "_all_finite", "_as_vector", "_all_finite"]
 
     def test_gram_matches_pairwise_eval(self):
         k = Kernel.gaussian(0.9)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,89 @@ class TestSolve:
             RidgeProblem([[0.0]], [1.0, 2.0], Kernel.gaussian(1.0), eps=1.0)
         with pytest.raises(ValueError):
             RidgeProblem([[0.0]], [1.0], Kernel.gaussian(1.0), eps=1.0, variant="lasso")
+
+
+# Each kernel on samples it keeps full rank on, so that rkhs_norm is solvable too:
+# a cubic in 4 variables spans 35 monomials, a linear kernel d of them.
+KERNEL_PROBLEMS = [
+    (Kernel.gaussian(0.7), (40, 2)),
+    (Kernel.polynomial(3, 0.5), (30, 4)),
+    (Kernel.linear(), (30, 30)),
+]
+
+
+def dense_residual(prob, alpha):
+    A, b = prob.normal_system()
+    return float(np.linalg.norm(A @ alpha - b)) / float(np.linalg.norm(b))
+
+
+class TestSolveAgainstDense:
+    @pytest.mark.parametrize("variant", ["rkhs_norm", "param_norm"])
+    @pytest.mark.parametrize("kernel, shape", KERNEL_PROBLEMS)
+    def test_agrees_with_a_dense_solve(self, variant, kernel, shape):
+        rng = np.random.default_rng(6)
+        prob = RidgeProblem(rng.uniform(-3, 3, size=shape), rng.standard_normal(shape[0]), kernel, 0.3, variant)
+        A, b = prob.normal_system()
+        expected = np.linalg.solve(A, b)
+        # both solves are backward stable: each is off by about cond(A) * u
+        rtol = 100 * np.linalg.cond(A) * np.finfo(np.float64).eps
+        assert np.linalg.norm(solve(prob) - expected) <= rtol * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("n", [3, 60])
+    def test_singular_rkhs_norm_raises_with_the_hint(self, n):
+        # a zero sample gives the linear Gram matrix, and so K^2 + eps K, an
+        # exactly zero row: the Cholesky pivot there is 0 whatever the rounding
+        rng = np.random.default_rng(n)
+        samples = rng.uniform(-1, 1, size=(n, n))
+        samples[n // 2] = 0.0
+        targets = rng.standard_normal(n)
+        with pytest.raises(NumericalError, match="param_norm variant stays solvable"):
+            solve(RidgeProblem(samples, targets, Kernel.linear(), 0.1, "rkhs_norm"))
+        prob = RidgeProblem(samples, targets, Kernel.linear(), 0.1, "param_norm")
+        assert normal_residual(prob, solve(prob)) <= 1e-8
+
+    @pytest.mark.parametrize("variant", ["rkhs_norm", "param_norm"])
+    def test_residual_matches_the_dense_formula(self, variant):
+        rng = np.random.default_rng(2)
+        prob = RidgeProblem(rng.uniform(-3, 3, size=(80, 3)), rng.standard_normal(80), Kernel.gaussian(0.5),
+                            0.1, variant)
+        alpha = solve(prob)
+        # at the solution both are round-off, about 1e-15, and agree only in size
+        assert normal_residual(prob, alpha) <= 1e-12 and dense_residual(prob, alpha) <= 1e-12
+        for scale in (1e-6, 1e-3, 1.0):
+            perturbed = alpha + scale * rng.standard_normal(80)
+            assert normal_residual(prob, perturbed) == pytest.approx(dense_residual(prob, perturbed), rel=1e-8)
+
+
+class TestSolveMemory:
+    N = 400
+
+    def problem(self, variant):
+        rng = np.random.default_rng(2)
+        prob = RidgeProblem(rng.uniform(-3, 3, size=(self.N, 3)), rng.standard_normal(self.N),
+                            Kernel.gaussian(0.5), 0.1, variant)
+        prob.gram  # built before tracing: both calls read it
+        return prob
+
+    @staticmethod
+    def traced_peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("variant", ["rkhs_norm", "param_norm"])
+    def test_solve_holds_one_n_by_n_array(self, variant):
+        peak = self.traced_peak(solve, self.problem(variant))
+        assert peak <= 1.1 * self.N**2 * 8 + 16 * self.N * 8
+
+    @pytest.mark.parametrize("variant", ["rkhs_norm", "param_norm"])
+    def test_residual_holds_vectors_only(self, variant):
+        prob = self.problem(variant)
+        alpha = solve(prob)
+        assert self.traced_peak(normal_residual, prob, alpha) <= 16 * self.N * 8
 
 
 class TestNormalSystem:

@@ -458,6 +458,12 @@ class TestSpectralReport:
         # eigvalsh and eigh are different LAPACK drivers: equal up to round-off
         assert np.max(np.abs(report.spectrum.values - values)) <= 1e-14 * values[0]
 
+    def test_spectrum_is_the_values_only_eigensolve(self):
+        d = build_gaussian_dict("coherence", 0.9, seed=5, n=300, spread=2.0)
+        expected = eigensolve(d.gram, vectors=False)
+        assert expected.vectors is None
+        assert spectral_report(d).spectrum.values.tobytes() == expected.values.tobytes()
+
     def test_babel_drift_is_flag_only(self):
         rng = np.random.default_rng(8)
         d = Dictionary(Kernel.gaussian(1.0), CriterionConfig("babel", 0.8))
