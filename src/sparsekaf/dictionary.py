@@ -7,14 +7,18 @@ buffers whose capacity doubles when full, so an admission writes O(m)
 entries and copies the dictionary only when the buffers double. The dense
 Gram matrix, which only the Gram-weighted update and the offline analysis
 read, is built on its first read and from then on extended in place at
-each admission.
+each admission. A dictionary built from given atoms (a loaded file)
+replays the admissions' arithmetic to build its factor on first use, so
+it holds the same factor, bit for bit, as the dictionary that grew them.
 Candidates are admitted online under one of four criteria (distance,
 approximation, coherence, Babel); the exact sparsity measure of a finished
 dictionary can be recomputed offline with :meth:`Dictionary.measure`.
 
 A Dictionary is a single-writer object: admissions must be serialized by
-the caller. Read-only operations (measure, project, kernel_vector) are
-safe to run concurrently between admissions.
+the caller. Read-only operations (measure, project, the criterion tests)
+keep no cache of their own; once the Gram matrix and the factor have been
+built by a first read, they are safe to run concurrently between
+admissions.
 """
 
 from __future__ import annotations
@@ -23,11 +27,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.blas import dtpmv, dtpsv
+from scipy.linalg.lapack import dpptri
 
 from .errors import NumericalError
-from .kernels import Kernel, _as_vector, kernel_vector
+from .kernels import Kernel, _as_vector
 
 CRITERION_KINDS = ("distance", "approximation", "coherence", "babel")
 
@@ -98,7 +102,6 @@ class Dictionary:
         self._diag_buf = np.zeros(0)
         self._gram_buf: np.ndarray | None = None
         self._packed: np.ndarray | None = np.zeros(0)
-        self._gram_inv: np.ndarray | None = None
 
     @classmethod
     def from_atoms(cls, kernel: Kernel, criterion: CriterionConfig, atoms) -> "Dictionary":
@@ -151,36 +154,25 @@ class Dictionary:
             self._gram_buf[:m, :m] = self.kernel.gram(self.atoms)
         return self._gram_buf[:m, :m]
 
-    @property
-    def gram_inv(self) -> np.ndarray:
-        """Inverse Gram matrix, computed lazily from the Cholesky factor and dropped on admission."""
-        if self._gram_inv is None:
-            if self.m == 0:
-                raise ValueError("empty dictionary has no gram inverse")
-            inv = scipy.linalg.cho_solve((self._lower(), True), np.eye(self.m), check_finite=False)
-            self._gram_inv = 0.5 * (inv + inv.T)
-        return self._gram_inv
-
     def _factor(self) -> np.ndarray:
-        """Packed buffer of the lower Cholesky factor L; built here only for from_atoms dictionaries."""
+        """Packed buffer of the lower Cholesky factor L; replayed here only for from_atoms dictionaries.
+
+        The replay builds row i as admission does, from the forward solve of
+        the Gram row against the rows before it and the same pivot rule, so a
+        reloaded dictionary's factor is bit-identical to the grown one. A
+        pivot below ``PIVOT_FLOOR`` raises :class:`NumericalError`.
+        """
         if self._packed is None:
-            try:
-                lower = np.linalg.cholesky(self.gram)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(f"gram matrix is singular or not positive definite: {exc}") from None
-            self._packed = lower[np.tril_indices(self.m)]
+            gram, cap = self.gram, self._atoms_buf.shape[0]
+            packed = np.empty(cap * (cap + 1) // 2)
+            for i in range(self._m):
+                row = gram[i, :i]
+                z = dtpsv(i, packed, row, 1, 0, 0, 1) if i else row
+                start = i * (i + 1) // 2
+                packed[start : start + i] = z
+                packed[start + i] = _pivot_root(gram[i, i], z, "gram matrix")
+            self._packed = packed
         return self._packed
-
-    def _lower(self) -> np.ndarray:
-        """L as a new dense (m, m) lower-triangular array."""
-        m = self.m
-        lower = np.zeros((m, m))
-        lower[np.tril_indices(m)] = self._factor()[: m * (m + 1) // 2]
-        return lower
-
-    def kernel_vector(self, x) -> np.ndarray:
-        """kappa(atom_j, x) for every atom, in atom order."""
-        return kernel_vector(self.kernel, self.atoms, x)
 
     # -- admission ---------------------------------------------------------
 
@@ -238,12 +230,7 @@ class Dictionary:
         m = self._m
         if z is None:
             z = self._forward(kvec)
-        pivot = kxx - float(z.dot(z))
-        if pivot < PIVOT_FLOOR:
-            raise NumericalError(
-                f"near-singular admission: Schur pivot {pivot:.3e} below {PIVOT_FLOOR:.0e} "
-                "(criterion threshold too loose for numeric safety)"
-            )
+        root = _pivot_root(kxx, z, "admission (criterion threshold too loose for numeric safety)")
         start = m * (m + 1) // 2
         if m == self._atoms_buf.shape[0]:
             cap = max(2 * m, 16)
@@ -260,11 +247,9 @@ class Dictionary:
         if self._gram_buf is not None:
             self._gram_buf[m, m] = kxx
             self._gram_buf[m, :m] = self._gram_buf[:m, m] = kvec
-        root = math.sqrt(pivot)
         self._packed[start : start + m] = z
         self._packed[start + m] = root
         self._m = m + 1
-        self._gram_inv = None
         return root
 
     def _contains(self, x: np.ndarray) -> bool:
@@ -372,9 +357,16 @@ class Dictionary:
             cos = np.abs(gram) / np.sqrt(np.outer(diag, diag))
             return float(np.max(cos[off]))
         # approximation: atom i's residual against the others is 1/(K^-1)_ii
-        # (the last pivot of K with atom i ordered last)
-        inv = self.gram_inv
-        return math.sqrt(max(float(np.min(1.0 / np.diag(inv))), 0.0))
+        # (the last pivot of K with atom i ordered last). dpptri inverts
+        # K = U^T U from U = L^T, which _packed holds in upper packed
+        # storage; the inverse comes back in the same storage, diagonal
+        # entry j at j(j+3)/2.
+        m = self.m
+        inv, info = dpptri(m, self._factor()[: m * (m + 1) // 2])
+        if info:
+            raise NumericalError(f"packed Cholesky inverse failed (LAPACK dpptri info={info})")
+        j = np.arange(m)
+        return math.sqrt(max(float(np.min(1.0 / inv[j * (j + 3) // 2])), 0.0))
 
     def project(self, x) -> ProjectionResult:
         """Least-squares projection of kappa(x, .) onto the dictionary span."""
@@ -458,6 +450,14 @@ class Dictionary:
     def load(cls, path) -> "Dictionary":
         with open(path, "r", encoding="ascii") as fh:
             return cls.from_text(fh.read())
+
+
+def _pivot_root(kxx: float, z: np.ndarray, what: str) -> float:
+    """sqrt(kxx - ||z||^2), the new diagonal entry of L; a Schur pivot below ``PIVOT_FLOOR`` raises."""
+    pivot = kxx - float(z.dot(z))
+    if pivot < PIVOT_FLOOR:
+        raise NumericalError(f"near-singular {what}: Schur pivot {pivot:.3e} below {PIVOT_FLOOR:.0e}")
+    return math.sqrt(pivot)
 
 
 def _coefficients(packed: np.ndarray, w: np.ndarray) -> np.ndarray:

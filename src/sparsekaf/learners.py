@@ -28,7 +28,7 @@ import numpy as np
 
 from .dictionary import Dictionary, _coefficients
 from .errors import NumericalError
-from .kernels import _as_vector
+from .kernels import _as_vector, kernel_vector
 
 ALGORITHMS = ("lms_identity", "lms_gram", "nlms", "functional_sgd")
 
@@ -114,7 +114,7 @@ class ModelState:
         if self._m == 0:
             _as_vector(x, "x")
             return 0.0
-        return float(self.alpha @ dictionary.kernel_vector(x))
+        return float(self.alpha @ kernel_vector(dictionary.kernel, dictionary.atoms, x))
 
     def _check_size(self, dictionary: Dictionary) -> None:
         if self._m != dictionary._m:

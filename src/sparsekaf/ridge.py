@@ -80,9 +80,10 @@ def solve(prob: RidgeProblem) -> np.ndarray:
     Cholesky and makes one step of iterative refinement, whose residual
     applies A through K. Besides the Gram matrix it holds one n x n array.
     The ``rkhs_norm`` system is singular whenever the Gram matrix is
-    (linearly dependent samples); that surfaces as a NumericalError
-    suggesting the ``param_norm`` variant, whose system is always
-    positive definite.
+    (linearly dependent samples). Whether the factorization sees that
+    depends on rounding: it may raise a NumericalError suggesting the
+    ``param_norm`` variant, whose system is always positive definite, or
+    return one of the minimizers, which all share the same K alpha.
     """
     K = prob.gram
     # K.T is K's buffer read in Fortran order, which dsyrk takes without a

@@ -278,37 +278,6 @@ def _nonzero_normal(rng: np.random.Generator, trials: int, m: int) -> np.ndarray
         out[bad] = rng.standard_normal((int(bad.sum()), m))
 
 
-@dataclass(frozen=True)
-class _IsometryStats:
-    """Per-trial raw statistics, reusable across per-kind rescale factors."""
-
-    ratios: np.ndarray     # alpha^T K alpha / ||alpha||^2
-    ip_kernel: np.ndarray  # alpha'^T K alpha'' / (||alpha'|| ||alpha''||)
-    ip_euclid: np.ndarray  # alpha'^T alpha'' / (||alpha'|| ||alpha''||)
-
-    def extremes(self, rescale_factor: float = 1.0) -> tuple[float, float, float]:
-        s_sq = rescale_factor**2
-        ratios = self.ratios / s_sq
-        dev = np.abs(self.ip_kernel / s_sq - self.ip_euclid)
-        return float(ratios.min()), float(ratios.max()), float(dev.max())
-
-
-def _isometry_stats(gram: np.ndarray, trials: int, rng_seed: int) -> _IsometryStats:
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    m = gram.shape[0]
-    rng = np.random.default_rng(rng_seed)
-    a = _nonzero_normal(rng, trials, m)
-    quad = np.sum((a @ gram) * a, axis=1)
-    ratios = quad / np.sum(a * a, axis=1)
-    a1 = _nonzero_normal(rng, trials, m)
-    a2 = _nonzero_normal(rng, trials, m)
-    norms = np.linalg.norm(a1, axis=1) * np.linalg.norm(a2, axis=1)
-    ip_kernel = np.sum((a1 @ gram) * a2, axis=1) / norms
-    ip_euclid = np.sum(a1 * a2, axis=1) / norms
-    return _IsometryStats(ratios=ratios, ip_kernel=ip_kernel, ip_euclid=ip_euclid)
-
-
 def verify_isometry(
     dictionary: Dictionary,
     trials: int = DEFAULT_TRIALS,
@@ -328,8 +297,17 @@ def verify_isometry(
     """
     if dictionary.m == 0:
         raise ValueError("verify_isometry requires a non-empty dictionary")
-    stats = _isometry_stats(dictionary.gram, trials, rng_seed)
-    return stats.extremes(rescale_factor)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    gram, m, s_sq = dictionary.gram, dictionary.m, rescale_factor**2
+    rng = np.random.default_rng(rng_seed)
+    a = _nonzero_normal(rng, trials, m)
+    ratios = np.sum((a @ gram) * a, axis=1) / np.sum(a * a, axis=1) / s_sq
+    a1 = _nonzero_normal(rng, trials, m)
+    a2 = _nonzero_normal(rng, trials, m)
+    norms = np.linalg.norm(a1, axis=1) * np.linalg.norm(a2, axis=1)
+    dev = np.abs(np.sum((a1 @ gram) * a2, axis=1) / norms / s_sq - np.sum(a1 * a2, axis=1) / norms)
+    return float(ratios.min()), float(ratios.max()), float(dev.max())
 
 
 # -- report ---------------------------------------------------------------------

@@ -18,6 +18,7 @@ import time
 import numpy as np
 import pytest
 
+from cholesky_views import gram_inverse
 from sparsekaf import (
     CriterionConfig,
     Dictionary,
@@ -31,6 +32,7 @@ from sparsekaf import (
     eigensolve,
     gradient,
     isometry_constant,
+    kernel_vector,
     lin_indep_condition,
     normal_residual,
     objective,
@@ -40,9 +42,10 @@ from sparsekaf import (
     sound_isometry_constant,
     step,
     synthesize,
+    verify_isometry,
 )
 from sparsekaf.harness import ExperimentConfig
-from sparsekaf.spectral import _isometry_stats, gersgorin_margin
+from sparsekaf.spectral import gersgorin_margin
 
 KINDS = ("distance", "approximation", "coherence", "babel")
 UNIT = NormRange(1.0, 1.0, source="analytic")
@@ -106,7 +109,7 @@ def built_dictionaries():
                 "dict": d,
                 "spectrum": eigensolve(d.gram),
                 "measures": measures,
-                "stats": _isometry_stats(d.gram, trials=10_000, rng_seed=500 + len(entries)),
+                "isometry_seed": 500 + len(entries),
             })
     _timings["build"] = time.perf_counter() - start
     return entries
@@ -239,7 +242,7 @@ def test_acceptance_5_quasi_isometry(built_dictionaries, checked_kind):
         d = entry["dict"]
         value = entry["measures"][checked_kind]
         nu, rescale = sound_isometry_constant(checked_kind, value, d.m, UNIT)
-        lo, hi, dev = entry["stats"].extremes(rescale)
+        lo, hi, dev = verify_isometry(d, trials=10_000, rng_seed=entry["isometry_seed"], rescale_factor=rescale)
         label = f"{entry['kind']}@{entry['threshold']} (m={d.m}, nu={nu:.4f})"
         if lo < 1 - nu - SLACK:
             failures.append(f"{label}: worst ratio {lo:.6f} < 1-nu = {1 - nu:.6f}")
@@ -352,7 +355,7 @@ def test_acceptance_7_learner_sanity():
         state, out = step(state, d, xs[t], float(ys[t]), cfg)
         prev_ext = np.append(prev, 0.0) if out.admitted else prev
         lhs = d.gram @ state.alpha
-        rhs = (1 - eta * eps) * (d.gram @ prev_ext) + eta * out.error * d.kernel_vector(xs[t])
+        rhs = (1 - eta * eps) * (d.gram @ prev_ext) + eta * out.error * kernel_vector(d.kernel, d.atoms, xs[t])
         worst = float(np.max(np.abs(lhs - rhs)))
         if worst > 1e-10:
             failures.append(f"t={t}: fidelity identity off by {worst:.3e}")
@@ -370,22 +373,22 @@ def test_acceptance_7_learner_sanity():
 def test_acceptance_8_dictionary_mechanics(tmp_path):
     failures = []
 
-    # incremental inverse vs fresh inversion after 50+ admissions
+    # inverse from the grown factor vs fresh inversion after 50+ admissions
     rng = np.random.default_rng(800)
     d = Dictionary(Kernel.gaussian(0.6), CriterionConfig("coherence", 0.97, max_atoms=55))
     for x in rng.uniform(-4, 4, size=(600, 2)):
         d.admit(x)
     if d.m < 50:
         failures.append(f"only reached m={d.m}")
-    drift = float(np.max(np.abs(d.gram_inv - np.linalg.inv(d.gram))))
+    drift = float(np.max(np.abs(gram_inverse(d) - np.linalg.inv(d.gram))))
     if drift > 1e-8:
-        failures.append(f"incremental inverse drift {drift:.3e} > 1e-8")
+        failures.append(f"factor inverse drift {drift:.3e} > 1e-8")
 
     # rejected candidates leave state bit-identical
-    before = (d.atoms.tobytes(), d.gram.tobytes(), d.gram_inv.tobytes())
+    before = (d.atoms.tobytes(), d.gram.tobytes(), gram_inverse(d).tobytes())
     if d.admit(d.atoms[0] + 1e-3):
         failures.append("candidate expected to be rejected was admitted")
-    after = (d.atoms.tobytes(), d.gram.tobytes(), d.gram_inv.tobytes())
+    after = (d.atoms.tobytes(), d.gram.tobytes(), gram_inverse(d).tobytes())
     if before != after:
         failures.append("rejected candidate mutated dictionary state")
 

@@ -4,7 +4,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sparsekaf import CriterionConfig, Dictionary, Kernel, LearnerConfig, ModelState, NumericalError, harness, step
+from cholesky_views import gram_inverse, lower
+from sparsekaf import (
+    CriterionConfig,
+    Dictionary,
+    Kernel,
+    LearnerConfig,
+    ModelState,
+    NumericalError,
+    harness,
+    kernel_vector,
+    spectral_report,
+    step,
+)
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -129,20 +141,20 @@ class TestAdmit:
         d = gaussian_dict(threshold=1.0)
         for x in ([0.0, 0.0], [2.0, 0.0], [0.0, 2.5]):
             d.admit(x)
-        before = (d.atoms.tobytes(), d.gram.tobytes(), d._lower().tobytes())
+        before = (d.atoms.tobytes(), d.gram.tobytes(), lower(d).tobytes())
         with pytest.raises(NumericalError, match="near-singular"):
             d.admit([1e-9, 0.0])
-        assert (d.atoms.tobytes(), d.gram.tobytes(), d._lower().tobytes()) == before
+        assert (d.atoms.tobytes(), d.gram.tobytes(), lower(d).tobytes()) == before
 
     def test_rejection_is_bit_identical(self):
         d = gaussian_dict(threshold=0.5)
         for x in ([0.0, 0.0], [2.0, 0.0], [0.0, 2.5]):
             d.admit(x)
-        atoms, gram, inv = d.atoms.copy(), d.gram.copy(), d.gram_inv.copy()
+        atoms, gram, inv = d.atoms.copy(), d.gram.copy(), gram_inverse(d).copy()
         assert not d.admit([0.05, 0.0])
         assert d.atoms.tobytes() == atoms.tobytes()
         assert d.gram.tobytes() == gram.tobytes()
-        assert d.gram_inv.tobytes() == inv.tobytes()
+        assert gram_inverse(d).tobytes() == inv.tobytes()
 
 
 class TestDistanceTest:
@@ -297,6 +309,36 @@ class TestMeasure:
         assert d.m >= 10
         assert d.measure("approximation") == pytest.approx(math.sqrt(min(residuals)), rel=1e-10)
 
+    @pytest.mark.parametrize("kernel, shape, kind, threshold, target_m", [
+        (Kernel.gaussian(0.3), (300, 2), "coherence", 0.5, 20),
+        (Kernel.gaussian(0.5), (400, 3), "approximation", 0.3, 60),
+        (Kernel.polynomial(3, 0.5), (200, 3), "approximation", 0.2, 16),
+        (Kernel.gaussian(0.4), (5000, 4), "coherence", 0.95, 800),
+    ], ids=["gaussian-20", "gaussian-60", "polynomial-16", "gaussian-800"])
+    def test_approximation_matches_a_dense_inverse(self, kernel, shape, kind, threshold, target_m):
+        # reference: numpy's dense inverse of the Gram matrix, on grown and
+        # reloaded dictionaries whose Gram matrices are well conditioned
+        d = Dictionary(kernel, CriterionConfig(kind, threshold, max_atoms=target_m))
+        for x in np.random.default_rng(3).uniform(-1, 1, size=shape):
+            d.admit(x)
+        assert d.m == target_m and np.linalg.cond(d.gram) < 1e6
+        expected = math.sqrt(np.min(1.0 / np.diag(np.linalg.inv(d.gram))))
+        for built in (d, Dictionary.from_text(d.to_text())):
+            assert built.measure("approximation") == pytest.approx(expected, rel=1e-10)
+
+    def test_near_singular_file_has_no_approximation_measure(self):
+        # the second atom's replayed pivot is about 1e-14: the Gram matrix
+        # still has a Cholesky factor (cond 1.2e15), but admission would
+        # have refused the atom, and so does the replay
+        d = Dictionary.from_text(
+            "kernel gaussian sigma=1.0\ncriterion coherence threshold=1.0\natom 0.0\natom 1e-07\natom 1.0\n"
+        )
+        assert d.measure("coherence") == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(NumericalError, match="near-singular gram matrix"):
+            d.measure("approximation")
+        rows = {bs.measure_kind: bs for bs in spectral_report(d).per_measure}
+        assert math.isnan(rows["approximation"].measure_value) and rows["coherence"].measure_value > 0.99
+
     def test_approximation_measure_singular_subgram(self):
         # three copies of a direction: removing one atom leaves a singular pair
         d = linear_dict([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
@@ -344,7 +386,7 @@ class TestProject:
         for _ in range(5):
             x = rng.uniform(-2, 2, size=2)
             res = d.project(x)
-            kvec = d.kernel_vector(x)
+            kvec = kernel_vector(d.kernel, d.atoms, x)
             kxx = d.kernel.self_similarity(x)
             for _ in range(100):
                 xi_p = res.coefficients + 0.1 * rng.standard_normal(d.m)
@@ -356,11 +398,11 @@ class TestProject:
         d = gaussian_dict(threshold=0.8, sigma=1.0)
         for x in rng.uniform(-2, 2, size=(12, 2)):
             d.admit(x)
-        lower = np.linalg.cholesky(d.gram)
+        factor = np.linalg.cholesky(d.gram)
         for x in rng.uniform(-2, 2, size=(5, 2)):
             res = d.project(x)
-            np.testing.assert_allclose(lower @ res.z, d.kernel_vector(x), atol=1e-12)
-            np.testing.assert_allclose(lower.T @ res.coefficients, res.z, atol=1e-12)
+            np.testing.assert_allclose(factor @ res.z, kernel_vector(d.kernel, d.atoms, x), atol=1e-12)
+            np.testing.assert_allclose(factor.T @ res.coefficients, res.z, atol=1e-12)
             assert res.residual_sq == max(d.kernel.self_similarity(x) - float(res.z @ res.z), 0.0)
             # the approximation test reads the same residual, bit for bit
             for delta in (math.sqrt(res.residual_sq), math.nextafter(math.sqrt(res.residual_sq), math.inf)):
@@ -377,10 +419,10 @@ class TestIncrementalInverse:
                 break
             d.admit(x)
         assert d.m >= 30
-        eye_resid = np.linalg.norm(d.gram @ d.gram_inv - np.eye(d.m))
+        eye_resid = np.linalg.norm(d.gram @ gram_inverse(d) - np.eye(d.m))
         assert eye_resid <= 1e-8 * d.m
         fresh = np.linalg.inv(d.gram)
-        assert np.max(np.abs(d.gram_inv - fresh)) <= 1e-8
+        assert np.max(np.abs(gram_inverse(d) - fresh)) <= 1e-8
 
     def test_forced_refresh_keeps_consistency(self):
         # 80 admissions in 1-d, a long growth of the factor
@@ -391,7 +433,7 @@ class TestIncrementalInverse:
                 break
             d.admit(x)
         assert d.m >= 80
-        eye_resid = np.linalg.norm(d.gram @ d.gram_inv - np.eye(d.m))
+        eye_resid = np.linalg.norm(d.gram @ gram_inverse(d) - np.eye(d.m))
         assert eye_resid <= 1e-8 * d.m
 
 
@@ -407,19 +449,16 @@ class TestCholeskyFactor:
         assert d.m >= 44
         # reference: the same pivot from a Cholesky of the Gram matrix in
         # 60-digit arithmetic (mpmath)
-        assert d._lower()[43, 43] ** 2 == pytest.approx(1.315e-9, rel=0.05)
+        assert lower(d)[43, 43] ** 2 == pytest.approx(1.315e-9, rel=0.05)
 
     def test_invariants_at_grow_scale(self):
         rng = np.random.default_rng(0)
         d = Dictionary(Kernel.gaussian(0.4), CriterionConfig("coherence", 0.95))
         points = iter(rng.uniform(-1, 1, size=(5000, 4)))
-        while d.m < 799:
-            d.admit(next(points))
-        stale = d.gram_inv
         while d.m < 800:
             d.admit(next(points))
-        factor, inv = d._lower(), d.gram_inv
-        assert inv is not stale and inv.shape == (800, 800)
+        factor, inv = lower(d), gram_inverse(d)
+        assert inv.shape == (800, 800)
         assert np.array_equal(factor, np.tril(factor))
         assert np.max(np.abs(factor @ factor.T - d.gram)) <= 1e-12
         assert np.linalg.norm(d.gram @ inv - np.eye(800)) <= 1e-9
@@ -445,11 +484,11 @@ class TestCholeskyFactor:
             assert d._diag_buf.shape[0] == d._atoms_buf.shape[0]
             assert d._packed.shape[0] == d._atoms_buf.shape[0] * (d._atoms_buf.shape[0] + 1) // 2
             if d.m == 10 and early is None:
-                early = (d.atoms, d.atoms.copy(), d._lower())
+                early = (d.atoms, d.atoms.copy(), lower(d))
         assert reallocations <= 5
         assert np.array_equal(early[0], early[1])
         assert np.array_equal(d.atoms[:10], early[1])
-        assert np.array_equal(d._lower()[:10, :10], early[2])
+        assert np.array_equal(lower(d)[:10, :10], early[2])
         assert np.array_equal(d._diag_buf[: d.m], np.ones(d.m))
 
     def test_gram_read_mid_stream_is_extended_bit_for_bit(self):
@@ -591,6 +630,33 @@ class TestSerialization:
         assert np.array_equal(d.atoms, d2.atoms)
         assert np.array_equal(d.gram, d2.gram)
 
+    # every generator, kernel and criterion; linear and polynomial
+    # dictionaries are capped at their feature-space dimension, where more
+    # atoms would make a singular Gram matrix
+    @pytest.mark.parametrize("kind, threshold", [
+        ("distance", 0.3), ("approximation", 0.1), ("coherence", 0.9), ("babel", 3.0),
+    ])
+    @pytest.mark.parametrize("kernel, cap", [
+        (Kernel.gaussian(0.1), lambda dim: None),
+        (Kernel.linear(), lambda dim: dim),
+        (Kernel.polynomial(3, 0.5), lambda dim: math.comb(dim + 3, 3)),
+    ], ids=["gaussian", "linear", "polynomial"])
+    @pytest.mark.parametrize("data", harness.GENERATORS)
+    def test_round_trip_preserves_factor_and_report(self, data, kernel, cap, kind, threshold):
+        # the factor replayed from the file is the grown one bit for bit, so
+        # verify of the saved dictionary writes run's spectral.csv
+        dim = harness.synthesize(data, 1, 1)[0].shape[1]
+        cfg = harness.ExperimentConfig(
+            kernel, CriterionConfig(kind, threshold, max_atoms=cap(dim)), LearnerConfig("nlms", 0.5, 1e-6),
+            data=data, seed=1, length=800,
+        )
+        record = harness.run_online(cfg)
+        d = record.dictionary
+        loaded = Dictionary.from_text(d.to_text())
+        size = d.m * (d.m + 1) // 2
+        assert loaded._factor()[:size].tobytes() == d._factor()[:size].tobytes()
+        assert spectral_report(loaded).to_csv() == record.report.to_csv()
+
     def test_parse_errors_carry_line_numbers(self):
         with pytest.raises(ValueError, match="line 2"):
             Dictionary.from_text("kernel gaussian sigma=1.0\nbogus record\n")
@@ -602,7 +668,8 @@ class TestSerialization:
             )
 
     def test_singular_hand_built_file_loads(self):
-        # duplicate-direction atoms: measures still work, inverse does not
+        # duplicate-direction atoms: measures that read only the Gram matrix
+        # still work, the factor and the approximation measure do not
         text = (
             "kernel linear\n"
             "criterion coherence threshold=1.0\n"
@@ -611,8 +678,10 @@ class TestSerialization:
         )
         d = Dictionary.from_text(text)
         assert d.measure("coherence") == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(NumericalError, match="near-singular gram matrix"):
+            d.measure("approximation")
         with pytest.raises(NumericalError):
-            _ = d.gram_inv
+            d._factor()
 
 
 class TestEmptyDictionary:
@@ -623,8 +692,6 @@ class TestEmptyDictionary:
         with pytest.raises(ValueError):
             d.project([0.0])
         with pytest.raises(ValueError):
-            d.kernel_vector([0.0])
+            kernel_vector(d.kernel, d.atoms, [0.0])
         with pytest.raises(ValueError):
             d.measure("babel")
-        with pytest.raises(ValueError):
-            _ = d.gram_inv

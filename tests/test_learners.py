@@ -7,6 +7,7 @@ import pytest
 import sparsekaf.dictionary as dictionary_module
 import sparsekaf.kernels as kernels_module
 import sparsekaf.learners as learners_module
+from cholesky_views import gram_inverse, lower
 from sparsekaf import (
     ALGORITHMS,
     CRITERION_KINDS,
@@ -273,8 +274,8 @@ class TestStepDataFlow:
             assert state.coordinates(d).tobytes() == state_ref.coordinates(d_ref).tobytes()
             seen.add("first" if m == 0 else "cap" if m == cap else "admit" if out.admitted else "reject")
         assert seen == {"first", "admit", "reject", "cap"}
-        for name in ("atoms", "gram", "gram_inv"):
-            assert getattr(d, name).tobytes() == getattr(d_ref, name).tobytes()
+        for got, expected in ((d.atoms, d_ref.atoms), (d.gram, d_ref.gram), (gram_inverse(d), gram_inverse(d_ref))):
+            assert got.tobytes() == expected.tobytes()
 
     def test_update_reads_the_gram_diagonal(self):
         # kappa(x, x) of the polynomial family rounds as a scalar power, while
@@ -332,14 +333,14 @@ class TestStepDataFlow:
         x = np.array([0.3, 0.1])
         state, out = step(ModelState(alpha=alpha), d, x, 1.0, LearnerConfig("functional_sgd", eta=0.5, eps=0.01))
         assert not out.admitted
-        assert out.prediction == pytest.approx(float(alpha @ d.kernel_vector(x)), rel=1e-12)
+        assert out.prediction == pytest.approx(float(alpha @ kernel_vector(d.kernel, d.atoms, x)), rel=1e-12)
         expected = update_functional(alpha, d.project(x).coefficients, out.error, 0.5, 0.01)
         assert np.linalg.norm(state.alpha - expected) <= 1e-12 * np.linalg.norm(expected)
         # a state carried over another dictionary's factor enters as its alpha
         atoms = np.column_stack([np.full(d.m, 0.5), np.linspace(-2, 2, d.m)])
         other = Dictionary.from_atoms(d.kernel, d.criterion, atoms)
         _, out = step(state, other, x, 1.0, LearnerConfig("functional_sgd", eta=0.5, eps=0.01))
-        assert out.prediction == pytest.approx(float(state.alpha @ other.kernel_vector(x)), rel=1e-12)
+        assert out.prediction == pytest.approx(float(state.alpha @ kernel_vector(other.kernel, other.atoms, x)), rel=1e-12)
 
     def test_state_outlives_buffer_doubling_and_deepcopy(self):
         xs, ys = synthesize("sinc1d", seed=2, length=400, noise=0.01)
@@ -434,10 +435,10 @@ class TestStepChecks:
         for x in np.linspace(-3, 3, m):
             state, _ = step(state, d, [x, 0.0], 1.0, cfg)
         assert d.m == m
-        before = (d.atoms.tobytes(), d.gram.tobytes(), d._lower().tobytes(), state.alpha.tobytes())
+        before = (d.atoms.tobytes(), d.gram.tobytes(), lower(d).tobytes(), state.alpha.tobytes())
         with pytest.raises(ValueError, match="1-D|non-finite|mismatch"):
             step(state, d, self.BAD[bad], 1.0, cfg)
-        assert (d.atoms.tobytes(), d.gram.tobytes(), d._lower().tobytes(), state.alpha.tobytes()) == before
+        assert (d.atoms.tobytes(), d.gram.tobytes(), lower(d).tobytes(), state.alpha.tobytes()) == before
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -462,10 +463,10 @@ class TestStepChecks:
         d, state = fresh(sigma=0.7), ModelState.empty()
         for x in np.linspace(-3, 3, m):
             state, _ = step(state, d, [x, 0.0], 1.0, cfg)
-        before = (d.atoms.tobytes(), d.gram.tobytes(), d._lower().tobytes(), state.alpha.tobytes())
+        before = (d.atoms.tobytes(), d.gram.tobytes(), lower(d).tobytes(), state.alpha.tobytes())
         with pytest.raises(ValueError, match="^x contains non-finite entries$"):
             step(state, d, bad, 1.0, cfg)
-        assert (d.atoms.tobytes(), d.gram.tobytes(), d._lower().tobytes(), state.alpha.tobytes()) == before
+        assert (d.atoms.tobytes(), d.gram.tobytes(), lower(d).tobytes(), state.alpha.tobytes()) == before
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("m", [0, 3])
@@ -476,11 +477,11 @@ class TestStepChecks:
         for x in np.linspace(-3, 3, m):
             state, _ = step(state, d, [x, 0.0], 1.0, cfg)
         assert d.m == m
-        before = (d.atoms.tobytes(), d.gram.tobytes(), d._lower().tobytes(), state.alpha.tobytes())
+        before = (d.atoms.tobytes(), d.gram.tobytes(), lower(d).tobytes(), state.alpha.tobytes())
         # a novel x, which the dictionary would admit
         with pytest.raises(ValueError, match="^y must be finite"):
             step(state, d, [0.1, 2.0], y, cfg)
-        assert (d.atoms.tobytes(), d.gram.tobytes(), d._lower().tobytes(), state.alpha.tobytes()) == before
+        assert (d.atoms.tobytes(), d.gram.tobytes(), lower(d).tobytes(), state.alpha.tobytes()) == before
 
     def test_input_is_validated_once_per_step(self, monkeypatch):
         # exactly one finiteness check covers x: _as_vector's with no atoms,
@@ -561,7 +562,7 @@ class TestInvariants:
             state, out = step(state, d, xs[t], float(ys[t]), cfg)
             alpha_prev = np.append(prev_alpha, 0.0) if out.admitted else prev_alpha
             lhs = d.gram @ state.alpha
-            rhs = (1 - eta * eps) * (d.gram @ alpha_prev) + eta * out.error * d.kernel_vector(xs[t])
+            rhs = (1 - eta * eps) * (d.gram @ alpha_prev) + eta * out.error * kernel_vector(d.kernel, d.atoms, xs[t])
             np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
     @pytest.mark.parametrize("kind", CRITERION_KINDS)
@@ -577,7 +578,7 @@ class TestInvariants:
         cfg = LearnerConfig("functional_sgd", eta=0.5, eps=0.01)
         state, alpha = ModelState.empty(), np.zeros(0)
         for x, y in zip(xs, ys):
-            prediction = float(alpha @ d.kernel_vector(x)) if d.m else 0.0
+            prediction = float(alpha @ kernel_vector(d.kernel, d.atoms, x)) if d.m else 0.0
             state, out = step(state, d, x, float(y), cfg)
             if out.admitted:
                 alpha = np.append(alpha, 0.0)

@@ -111,6 +111,25 @@ class TestSolveAgainstDense:
         prob = RidgeProblem(samples, targets, Kernel.linear(), 0.1, "param_norm")
         assert normal_residual(prob, solve(prob)) <= 1e-8
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_duplicated_sample_raises_or_returns_a_minimizer(self, seed):
+        # a copied sample makes K singular but K^2 + eps K only singular up to
+        # rounding: the Cholesky factorization fails on some seeds and not on
+        # others. Every minimizer has the same K alpha, so a returned alpha
+        # must match the least-squares solution's K alpha.
+        rng = np.random.default_rng(seed)
+        samples = rng.uniform(-2, 2, size=(50, 2))
+        samples[25] = samples[0]
+        prob = RidgeProblem(samples, rng.standard_normal(50), Kernel.gaussian(1.0), 0.1, "rkhs_norm")
+        try:
+            alpha = solve(prob)
+        except NumericalError as exc:
+            assert "param_norm variant stays solvable" in str(exc)
+            return
+        A, b = prob.normal_system()
+        k_ref = prob.gram @ np.linalg.lstsq(A, b, rcond=None)[0]
+        assert np.max(np.abs(prob.gram @ alpha - k_ref)) <= 1e-8 * np.max(np.abs(k_ref))
+
     @pytest.mark.parametrize("variant", ["rkhs_norm", "param_norm"])
     def test_residual_matches_the_dense_formula(self, variant):
         rng = np.random.default_rng(2)

@@ -20,7 +20,7 @@ from sparsekaf import (
     verify_isometry,
 )
 from sparsekaf.harness import verification_exit_code
-from sparsekaf.spectral import _isometry_stats, gersgorin_margin
+from sparsekaf.spectral import gersgorin_margin
 
 UNIT = NormRange(1.0, 1.0, source="analytic")
 KINDS = ("distance", "approximation", "coherence", "babel")
@@ -331,18 +331,19 @@ class TestVerifyIsometry:
         d = build_gaussian_dict("coherence", 0.6, seed=4, n=60)
         assert verify_isometry(d, 300, rng_seed=9) == verify_isometry(d, 300, rng_seed=9)
 
-    def test_stats_match_einsum_reference(self):
+    @pytest.mark.parametrize("rescale", [1.0, 0.8])
+    def test_extremes_match_einsum_reference(self, rescale):
         d = build_gaussian_dict("coherence", 0.6, seed=4, n=60)
         gram, trials = d.gram, 500
-        stats = _isometry_stats(gram, trials, 9)
+        lo, hi, dev = verify_isometry(d, trials, rng_seed=9, rescale_factor=rescale)
         rng = np.random.default_rng(9)
         a, a1, a2 = (rng.standard_normal((trials, d.m)) for _ in range(3))
-        ratios = np.einsum("ti,ij,tj->t", a, gram, a) / np.sum(a * a, axis=1)
+        ratios = np.einsum("ti,ij,tj->t", a, gram, a) / np.sum(a * a, axis=1) / rescale**2
         norms = np.linalg.norm(a1, axis=1) * np.linalg.norm(a2, axis=1)
-        ip_kernel = np.einsum("ti,ij,tj->t", a1, gram, a2) / norms
-        np.testing.assert_allclose(stats.ratios, ratios, rtol=1e-12)
-        np.testing.assert_allclose(stats.ip_kernel, ip_kernel, rtol=1e-12, atol=1e-14)
-        np.testing.assert_array_equal(stats.ip_euclid, np.sum(a1 * a2, axis=1) / norms)
+        ip_kernel = np.einsum("ti,ij,tj->t", a1, gram, a2) / norms / rescale**2
+        dev_ref = np.abs(ip_kernel - np.sum(a1 * a2, axis=1) / norms).max()
+        np.testing.assert_allclose([lo, hi], [ratios.min(), ratios.max()], rtol=1e-12)
+        np.testing.assert_allclose(dev, dev_ref, rtol=1e-12, atol=1e-14)
 
     def test_empty_rejected(self):
         d = Dictionary(Kernel.gaussian(1.0), CriterionConfig("coherence", 0.5))
