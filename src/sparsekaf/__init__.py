@@ -15,16 +15,10 @@ from .spectral import (
     BoundSet,
     EigenSpectrum,
     SpectralReport,
-    condition_number_bound,
-    eigen_bounds,
+    Violation,
     eigensolve,
-    gersgorin_intervals,
-    isometry_constant,
-    lin_indep_condition,
-    sound_eigen_bounds,
-    sound_isometry_constant,
     spectral_report,
-    verify_isometry,
+    window,
 )
 from .learners import (
     ALGORITHMS,
@@ -69,22 +63,16 @@ __all__ = [
     "RunRecord",
     "SpectralReport",
     "StepOutcome",
+    "Violation",
     "build_config",
-    "condition_number_bound",
-    "eigen_bounds",
     "eigensolve",
-    "gersgorin_intervals",
     "gradient",
-    "isometry_constant",
     "kernel_vector",
-    "lin_indep_condition",
     "norm_range",
     "normal_residual",
     "objective",
     "run_online",
     "solve",
-    "sound_eigen_bounds",
-    "sound_isometry_constant",
     "spectral_report",
     "step",
     "synthesize",
@@ -93,5 +81,5 @@ __all__ = [
     "update_lms_identity",
     "update_nlms",
     "verify_dictionary",
-    "verify_isometry",
+    "window",
 ]

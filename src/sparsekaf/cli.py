@@ -31,7 +31,6 @@ from .harness import (
     verify_dictionary,
 )
 from .kernels import FAMILIES
-from .spectral import is_hard_violation
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -81,10 +80,14 @@ def _cmd_run(args) -> int:
     record = run_online(cfg)
     print(f"processed {len(record.rows)} samples, dictionary size {record.dictionary.m}")
     print(f"wrote {os.path.join(cfg.out, 'run.csv')} and {os.path.join(cfg.out, 'spectral.csv')}")
-    for name, margin in record.report.violations:
-        label = "VIOLATION" if is_hard_violation(name) else "flag (informational)"
-        print(f"{label}: {name} margin {margin:.3e}")
+    _print_violations(record.report)
     return EXIT_OK
+
+
+def _print_violations(report) -> None:
+    for v in report.violations:
+        label = "VIOLATION" if v.hard else "flag (informational)"
+        print(f"{label}: {v.name} margin {v.margin:.3e}")
 
 
 def _load_dictionary(args):
@@ -110,9 +113,7 @@ def _cmd_verify(args) -> int:
             f"{bs.measure_kind}: measure={bs.measure_value!r} bounds=({bs.lower!r}, {bs.upper!r})"
             f" nu={bs.isometry_nu!r}{note}"
         )
-    for name, margin in report.violations:
-        label = "VIOLATION" if is_hard_violation(name) else "flag (informational)"
-        print(f"{label}: {name} margin {margin:.3e}")
+    _print_violations(report)
     print("verification " + ("FAILED" if code else "passed"))
     return code
 

@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dictionary import CriterionConfig, Dictionary
+from .errors import NumericalError
 from .kernels import Kernel
 from .learners import LearnerConfig, ModelState, step
-from .spectral import SpectralReport, is_hard_violation, spectral_report
+from .spectral import SpectralReport, spectral_report
 
 GENERATORS = ("sinc1d", "narma2")
 
@@ -180,19 +181,29 @@ def run_online(cfg: ExperimentConfig) -> RunRecord:
     """Stream the configured data through the online learner.
 
     Writes ``run.csv``, ``spectral.csv`` and the serialized dictionary to
-    ``cfg.out`` when set.
+    ``cfg.out`` when set. A learner that diverges (a non-finite prediction
+    or row norm) raises ``NumericalError`` naming the step, and nothing is
+    written.
     """
     xs, ys = _resolve_data(cfg)
     dictionary = Dictionary(cfg.kernel, cfg.criterion)
     state = ModelState.empty()
     record = RunRecord()
     for t in range(xs.shape[0]):
-        state, outcome = step(state, dictionary, xs[t], float(ys[t]), cfg.learner)
+        try:
+            state, outcome = step(state, dictionary, xs[t], float(ys[t]), cfg.learner)
+        except NumericalError as exc:
+            raise NumericalError(f"step {t + 1}: {exc}") from None
         alpha_sq = float(state.alpha @ state.alpha)
         # ||w||^2 = alpha^T K alpha with w = L^T alpha, which a functional state
         # holds and any other costs one packed triangular product
         w = state.coordinates(dictionary)
         psi_sq = float(w @ w)
+        if not (math.isfinite(alpha_sq) and math.isfinite(psi_sq)):
+            raise NumericalError(
+                f"step {t + 1}: {cfg.learner.algorithm} with eta {cfg.learner.eta} diverged:"
+                f" alpha_sq_norm {alpha_sq!r}, psi_sq_norm {psi_sq!r}"
+            )
         record.rows.append((t + 1, *outcome, alpha_sq, psi_sq))
     record.dictionary = dictionary
     record.state = state
@@ -214,7 +225,7 @@ def run_online(cfg: ExperimentConfig) -> RunRecord:
 
 def verification_exit_code(report: SpectralReport) -> int:
     """3 when a sound containment guarantee is violated beyond slack, else 0."""
-    return 3 if any(is_hard_violation(name) for name, _ in report.violations) else 0
+    return 3 if any(v.hard for v in report.violations) else 0
 
 
 def verify_dictionary(dictionary: Dictionary, out: str | None = None) -> tuple[int, SpectralReport]:

@@ -214,7 +214,8 @@ def step(
     admission's Schur pivot and the update. On admission w gains a zero
     (L'^T [alpha, 0] = [w, 0]) and z the new diagonal entry of L, since
     L'^-1 [kvec, kappa(x_t, x_t)] = [z, sqrt(pivot)]. The dictionary is
-    updated in place. A non-finite ``x_t`` or ``y_t`` raises ``ValueError``
+    updated in place. A non-finite ``x_t`` or ``y_t`` raises ``ValueError``,
+    and a non-finite prediction (a diverged model) ``NumericalError``,
     before anything changes.
     """
     state._check_size(dictionary)
@@ -237,6 +238,8 @@ def step(
         z = None
         prediction = float(state.alpha.dot(kvec))
     error = y - prediction
+    if not math.isfinite(error):
+        raise NumericalError(f"{cfg.algorithm} with eta {cfg.eta} diverged: prediction {prediction!r}")
 
     root = dictionary._admit_row(x, kvec, kxx, z)
     admitted = root is not None

@@ -2,25 +2,23 @@
 
 Exact eigendecomposition (:func:`eigensolve`: LAPACK ``eigh``, or
 ``eigvalsh`` where only the values are read) plus the theoretical
-guarantees a sparse dictionary earns from its sparsity measure:
-Gersgorin-derived eigenvalue bounds, a sufficient linear-independence
-condition, a condition number bound, and the quasi-isometry constant
-between the coefficient (dual) space R^m and the span of the dictionary
-atoms.
+guarantees a sparse dictionary earns from its sparsity measure, built by
+:func:`window`: Gersgorin-derived eigenvalue bounds, a sufficient
+linear-independence condition, a condition number bound, and the
+quasi-isometry constant between the coefficient (dual) space R^m and the
+span of the dictionary atoms.
 
 :func:`spectral_report` checks the quasi-isometry exactly: with K the Gram
 matrix divided by the squared rescale factor, the Rayleigh quotient ranges
 over [lambda_min, lambda_max] of K and the worst inner-product deviation
-is ||K - I||_2 = max_i |lambda_i - 1|. :func:`verify_isometry` is the
-paper's randomized experiment; its sampled extremes always fall inside
-these.
+is ||K - I||_2 = max_i |lambda_i - 1|.
 
-All bound functions take the *measured* sparsity value of a finished
+Every window takes the *measured* sparsity value of a finished
 dictionary, not the admission threshold: the measured value is at least as
 tight, and stays valid even when Babel admission drifts post hoc.
 
 Soundness caveat: the distance, coherence and Babel windows are hard
-guarantees (Gersgorin arguments), but the approximation window is
+guarantees (Gersgorin arguments), but the paper's approximation window is
 optimistic and the exact spectrum can escape it. Two unit-norm atoms with
 correlation c have spectrum {1-c, 1+c} while their approximation measure
 gives the window [1-c^2, 1+c^2]; in general lambda_min <= min_i of the
@@ -28,25 +26,20 @@ atom reconstruction residuals, which *is* the squared approximation
 measure. Reports therefore record approximation escapes as informational
 flags rather than hard failures.
 
-:func:`sound_eigen_bounds` and :func:`sound_isometry_constant` give a hard
-window for every measure. For the approximation measure it is
-[delta^2/m, m R^2 - (m-1) delta^2/m]: a unit coefficient vector has some
-|alpha_k|^2 >= 1/m, and ||sum_i alpha_i phi_i||^2 >= alpha_k^2 res_k >=
-delta^2/m, where res_k is atom k's residual against the others; the upper
-end follows from trace K <= m R^2 with the other m-1 eigenvalues at least
-delta^2/m. For the other three measures it is the paper's window.
-
-Note on the general (non-unit-norm) isometry constant: the closed forms
-use an (m-1) multiplicity factor, and the constant applies to atoms
-rescaled by ``rescale_factor`` = sqrt((upper+lower)/2), which centers the
-eigenvalue bounds about 1. :func:`verify_isometry` therefore checks the
-rescaled Gram matrix.
+``window(..., sound=True)`` gives a hard window for every measure. For the
+approximation measure it is [delta^2/m, m R^2 - (m-1) delta^2/m]: a unit
+coefficient vector has some |alpha_k|^2 >= 1/m, and
+||sum_i alpha_i phi_i||^2 >= alpha_k^2 res_k >= delta^2/m, where res_k is
+atom k's residual against the others; the upper end follows from
+trace K <= m R^2 with the other m-1 eigenvalues at least delta^2/m. For
+the other three measures it is the paper's window.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,7 +49,6 @@ from .kernels import NormRange, norm_range
 
 # Slack applied to every containment check, per the bound-verification contract.
 CONTAINMENT_SLACK = 1e-9
-DEFAULT_TRIALS = 10_000
 
 
 @dataclass(frozen=True)
@@ -113,25 +105,18 @@ def _symmetric(gram) -> np.ndarray:
     return a
 
 
-def _gersgorin_discs(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def gersgorin_margin(gram: np.ndarray, eigenvalues) -> float:
+    """Largest distance from any of ``eigenvalues`` (a scalar or an array)
+    to its nearest Gersgorin disc; 0 when every one lies inside the union.
+
+    Disc i is centred on the diagonal entry with the absolute off-diagonal
+    row sum as radius; every eigenvalue lies in the union of the discs.
+    """
     a = np.asarray(gram, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     centers = np.diag(a)
-    return centers, np.sum(np.abs(a), axis=1) - np.abs(centers)
-
-
-def gersgorin_intervals(gram: np.ndarray) -> list[tuple[float, float]]:
-    """Disc (center, radius) per row: the diagonal entry and the absolute
-    off-diagonal row sum. Every eigenvalue lies in the union of the discs."""
-    centers, radii = _gersgorin_discs(gram)
-    return list(zip(centers.tolist(), radii.tolist()))
-
-
-def gersgorin_margin(gram: np.ndarray, eigenvalues) -> float:
-    """Largest distance from any of ``eigenvalues`` (a scalar or an array)
-    to its nearest Gersgorin disc; 0 when every one lies inside the union."""
-    centers, radii = _gersgorin_discs(gram)
+    radii = np.sum(np.abs(a), axis=1) - np.abs(centers)
     lam = np.atleast_1d(np.asarray(eigenvalues, dtype=np.float64))
     gaps = np.abs(lam[:, None] - centers[None, :]) - radii[None, :]
     return float(np.max(np.maximum(np.min(gaps, axis=1), 0.0)))
@@ -154,177 +139,28 @@ def _check_bound_args(kind: str, value: float, m: int, nr: NormRange):
         raise ValueError(f"approximation delta^2={value**2} exceeds R^2={nr.R_sq}")
 
 
-def eigen_bounds(kind: str, value: float, m: int, nr: NormRange) -> tuple[float, float]:
-    """Lower/upper eigenvalue bounds for a dictionary with the given measure.
-
-    distance: r^2 -+ (m-1) R sqrt(R^2 - delta^2);
-    approximation: [delta^2, 2 R^2 - delta^2];
-    coherence: r^2 -+ (m-1) gamma R^2;
-    Babel: [r^2 - gamma, R^2 + gamma].
-    The lower bound may be negative (vacuous); it is returned as-is.
-    The approximation window is not a sound containment guarantee (see the
-    module docstring); the other three are. :func:`sound_eigen_bounds`
-    gives a sound window for all four.
-    """
-    _check_bound_args(kind, value, m, nr)
-    r_sq, R_sq = nr.r_sq, nr.R_sq
-    if kind == "distance":
-        spread = (m - 1) * math.sqrt(R_sq) * math.sqrt(R_sq - value**2)
-        return r_sq - spread, R_sq + spread
-    if kind == "approximation":
-        return value**2, 2.0 * R_sq - value**2
-    if kind == "coherence":
-        spread = (m - 1) * value * R_sq
-        return r_sq - spread, R_sq + spread
-    return r_sq - value, R_sq + value
-
-
-def lin_indep_condition(kind: str, value: float, m: int, nr: NormRange) -> bool:
-    """Sufficient condition for the atoms to be linearly independent.
-
-    True exactly when the sound lower eigenvalue bound
-    (:func:`sound_eigen_bounds`) is strictly positive.
-    """
-    _check_bound_args(kind, value, m, nr)
-    r_sq, R_sq = nr.r_sq, nr.R_sq
-    if kind == "distance":
-        return (m - 1) * math.sqrt(R_sq) * math.sqrt(R_sq - value**2) < r_sq
-    if kind == "approximation":
-        return value > 0.0
-    if kind == "coherence":
-        return (m - 1) * value * R_sq < r_sq
-    return value < r_sq
-
-
-def condition_number_bound(kind: str, value: float, m: int, nr: NormRange) -> float:
-    """Upper bound on cond(gram) = lambda_1 / lambda_m; +inf when vacuous."""
-    lower, upper = eigen_bounds(kind, value, m, nr)
-    if kind == "approximation":
-        if value == 0.0:
-            return math.inf
-        return 2.0 * nr.R_sq / value**2 - 1.0
-    if lower <= 0.0:
-        return math.inf
-    return upper / lower
-
-
-def isometry_constant(kind: str, value: float, m: int, nr: NormRange) -> tuple[float, float]:
-    """Quasi-isometry constant nu and the atom rescale factor it assumes.
-
-    With (l, u) the eigenvalue bounds, nu = (u - l)/(u + l) and the atoms
-    are implicitly divided by sqrt((u + l)/2), which makes the bounds
-    symmetric about 1. For unit-norm kernels (r = R = 1) the bounds are
-    already symmetric, the rescale factor is exactly 1, and nu reduces to
-    the closed forms (m-1) sqrt(1-delta^2), 1-delta^2, (m-1) gamma and
-    gamma for the four measures respectively.
-    """
-    if nr.is_unit:
-        # bounds are symmetric about 1: rescale factor is exactly 1 and nu
-        # reduces to the closed forms
-        _check_bound_args(kind, value, m, nr)
-        if kind == "distance":
-            nu = (m - 1) * math.sqrt(1.0 - value**2)
-        elif kind == "approximation":
-            nu = 1.0 - value**2
-        elif kind == "coherence":
-            nu = (m - 1) * value
-        else:
-            nu = value
-        return nu, 1.0
-    return _centered_isometry(*eigen_bounds(kind, value, m, nr))
-
-
-def _centered_isometry(lower: float, upper: float) -> tuple[float, float]:
-    if upper + lower <= 0.0:
-        raise NumericalError(f"vacuous eigenvalue bounds ({lower}, {upper}): no isometry constant")
-    nu = (upper - lower) / (upper + lower)
-    return nu, math.sqrt((upper + lower) / 2.0)
-
-
-def sound_eigen_bounds(kind: str, value: float, m: int, nr: NormRange) -> tuple[float, float]:
-    """Eigenvalue window that contains the spectrum for every measure.
-
-    approximation: [delta^2/m, m R^2 - (m-1) delta^2/m] (proof in the
-    module docstring); distance, coherence, Babel: :func:`eigen_bounds`.
-    """
-    if kind != "approximation":
-        return eigen_bounds(kind, value, m, nr)
-    _check_bound_args(kind, value, m, nr)
-    lower = value**2 / m
-    return lower, m * nr.R_sq - (m - 1) * lower
-
-
-def sound_isometry_constant(kind: str, value: float, m: int, nr: NormRange) -> tuple[float, float]:
-    """Quasi-isometry constant nu and rescale factor of :func:`sound_eigen_bounds`.
-
-    approximation: nu = (u - l)/(u + l) and rescale factor sqrt((u + l)/2)
-    from the sound window (l, u); distance, coherence, Babel:
-    :func:`isometry_constant`.
-    """
-    if kind != "approximation":
-        return isometry_constant(kind, value, m, nr)
-    return _centered_isometry(*sound_eigen_bounds(kind, value, m, nr))
-
-
-# -- randomized verification ---------------------------------------------------
-
-
-def _nonzero_normal(rng: np.random.Generator, trials: int, m: int) -> np.ndarray:
-    out = rng.standard_normal((trials, m))
-    while True:
-        bad = np.linalg.norm(out, axis=1) == 0.0
-        if not bad.any():
-            return out
-        out[bad] = rng.standard_normal((int(bad.sum()), m))
-
-
-def verify_isometry(
-    dictionary: Dictionary,
-    trials: int = DEFAULT_TRIALS,
-    rng_seed: int = 0,
-    rescale_factor: float = 1.0,
-) -> tuple[float, float, float]:
-    """Monte-Carlo extremes of the dual-to-feature-space distortion.
-
-    Draws ``trials`` standard-normal coefficient vectors (and pairs) and
-    returns (worst_ratio_low, worst_ratio_high, worst_ip_deviation) of the
-    Rayleigh quotient alpha^T K alpha / ||alpha||^2 and the inner-product
-    deviation |alpha'^T (K - I) alpha''| / (||alpha'|| ||alpha''||), where
-    K is the Gram matrix divided by ``rescale_factor**2``. For a
-    dictionary with isometry constant nu (at this rescale factor) the
-    ratios must lie in [1-nu, 1+nu] and the deviations below nu. The
-    sampled extremes never pass the exact ones in :func:`spectral_report`.
-    """
-    if dictionary.m == 0:
-        raise ValueError("verify_isometry requires a non-empty dictionary")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    gram, m, s_sq = dictionary.gram, dictionary.m, rescale_factor**2
-    rng = np.random.default_rng(rng_seed)
-    a = _nonzero_normal(rng, trials, m)
-    ratios = np.sum((a @ gram) * a, axis=1) / np.sum(a * a, axis=1) / s_sq
-    a1 = _nonzero_normal(rng, trials, m)
-    a2 = _nonzero_normal(rng, trials, m)
-    norms = np.linalg.norm(a1, axis=1) * np.linalg.norm(a2, axis=1)
-    dev = np.abs(np.sum((a1 @ gram) * a2, axis=1) / norms / s_sq - np.sum(a1 * a2, axis=1) / norms)
-    return float(ratios.min()), float(ratios.max()), float(dev.max())
-
-
-# -- report ---------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class BoundSet:
-    """All theoretical guarantees derived from one measured sparsity value."""
+    """All theoretical guarantees derived from one measured sparsity value.
+
+    ``sound`` tells whether the spectrum is guaranteed to lie in
+    [``lower``, ``upper``]: true for every window but the paper's
+    approximation window.
+    """
 
     measure_kind: str
     measure_value: float
     lower: float
     upper: float
-    lin_indep_condition_holds: bool
     cond_number_bound: float
     isometry_nu: float
     rescale_factor: float
+    sound: bool
+
+    @property
+    def lin_indep_condition_holds(self) -> bool:
+        """Sufficient condition for linearly independent atoms: a positive lower bound."""
+        return self.lower > 0.0
 
     @property
     def vacuous_lower(self) -> bool:
@@ -332,25 +168,90 @@ class BoundSet:
         return not self.lower > 0.0
 
 
+def window(kind: str, value: float, m: int, nr: NormRange, sound: bool = False) -> BoundSet:
+    """Every guarantee of an m-atom dictionary whose ``kind`` measure is ``value``.
+
+    With kappa(x, x) in [r^2, R^2] (``nr``), the paper's eigenvalue windows are
+
+    - distance delta: [r^2 - s, R^2 + s] with s = (m-1) R sqrt(R^2 - delta^2);
+    - approximation delta: [delta^2, 2 R^2 - delta^2];
+    - coherence gamma: [r^2 - s, R^2 + s] with s = (m-1) gamma R^2;
+    - Babel gamma: [r^2 - gamma, R^2 + gamma].
+
+    The lower bound may be negative (vacuous); it is kept as-is. The
+    approximation window is not a sound containment guarantee (see the
+    module docstring); ``sound=True`` replaces it by
+    [delta^2/m, m R^2 - (m-1) delta^2/m] and leaves the other three alone.
+
+    From the window (l, u): the atoms are linearly independent when l > 0;
+    cond(gram) <= u/l, +inf when l <= 0, which for the paper's approximation
+    window is 2 R^2/delta^2 - 1; and the quasi-isometry constant is
+    nu = (u - l)/(u + l) for atoms divided by the rescale factor
+    sqrt((u + l)/2), which centres the window about 1. For unit-norm kernels
+    (r = R = 1) the paper's windows are 1 -+ s, the rescale factor is
+    exactly 1, and nu = s: (m-1) sqrt(1-delta^2), 1-delta^2, (m-1) gamma
+    and gamma for the four measures.
+    """
+    _check_bound_args(kind, value, m, nr)
+    r_sq, R_sq = nr.r_sq, nr.R_sq
+    if kind == "approximation":
+        if sound:
+            lower = value**2 / m
+            upper = m * R_sq - (m - 1) * lower
+        else:
+            lower, upper = value**2, 2.0 * R_sq - value**2
+        spread = R_sq - value**2
+    else:
+        if kind == "distance":
+            spread = (m - 1) * math.sqrt(R_sq) * math.sqrt(R_sq - value**2)
+        elif kind == "coherence":
+            spread = (m - 1) * value * R_sq
+        else:
+            spread = value
+        lower, upper = r_sq - spread, R_sq + spread
+    paper_approximation = kind == "approximation" and not sound
+    if not lower > 0.0:
+        cond = math.inf
+    elif paper_approximation:
+        cond = 2.0 * R_sq / value**2 - 1.0
+    else:
+        cond = upper / lower
+    if nr.is_unit and (kind != "approximation" or paper_approximation):
+        nu, rescale = spread, 1.0
+    elif upper + lower <= 0.0:
+        raise NumericalError(f"vacuous eigenvalue bounds ({lower}, {upper}): no isometry constant")
+    else:
+        nu, rescale = (upper - lower) / (upper + lower), math.sqrt((upper + lower) / 2.0)
+    return BoundSet(kind, value, lower, upper, cond, nu, rescale, sound=not paper_approximation)
+
+
+class Violation(NamedTuple):
+    """A check that failed: its name (``"<kind>:<check>"`` or ``"gersgorin"``),
+    the margin by which it failed, and whether it breaks a sound guarantee."""
+
+    name: str
+    margin: float
+    hard: bool
+
+
 @dataclass
 class SpectralReport:
     """Exact spectrum, per-measure theoretical bounds, and any violations.
 
-    ``violations`` pairs a bound name (``"<kind>:<check>"`` or
-    ``"gersgorin"``) with the margin by which it failed; it stays empty
-    for dictionaries built by admission under the distance and coherence
-    criteria. Two informational entries can appear on honest dictionaries:
-    ``approximation:*`` containment escapes (that window is not a sound
-    bound, see the module docstring) and ``babel:admission_threshold``
-    (Babel admission does not control the post-hoc measure). Hard failures
-    are the remaining names; :func:`is_hard_violation` tells them apart.
+    ``violations`` stays empty for dictionaries built by admission under the
+    distance and coherence criteria. Two informational (not ``hard``)
+    kinds can appear on honest dictionaries: ``approximation:*``
+    containment escapes (the paper's window is not a sound bound, see the
+    module docstring) and ``<kind>:admission_threshold`` (Babel admission
+    does not control the post-hoc measure). Gersgorin and the containment
+    checks of a sound window are hard.
     """
 
     spectrum: EigenSpectrum
     norm: NormRange
     per_measure: list[BoundSet] = field(default_factory=list)
     isometry_extremes: dict[str, tuple[float, float, float]] = field(default_factory=dict)
-    violations: list[tuple[str, float]] = field(default_factory=list)
+    violations: list[Violation] = field(default_factory=list)
 
     CSV_COLUMNS = (
         "kind", "measure", "lower", "upper", "lambda_min", "lambda_max",
@@ -359,7 +260,7 @@ class SpectralReport:
     )
 
     def violated_kinds(self) -> set[str]:
-        return {name.split(":", 1)[0] for name, _ in self.violations}
+        return {v.name.split(":", 1)[0] for v in self.violations}
 
     def to_csv(self) -> str:
         """One row per measure kind, shortest round-trip decimals."""
@@ -398,12 +299,12 @@ def dictionary_norm_range(dictionary: Dictionary) -> NormRange:
 def spectral_report(dictionary: Dictionary, nr: NormRange | None = None) -> SpectralReport:
     """Measure the dictionary all four ways and check every guarantee.
 
-    Bounds use the measured sparsity values. Measures that are undefined
-    (fewer than two atoms) or numerically unavailable (a Gram matrix too
-    close to singular for the approximation measure) yield NaN rows with
-    no checks. The isometry extremes are the exact suprema over all
-    coefficient vectors, read off the spectrum; nothing is sampled. The
-    spectrum is solved for eigenvalues only.
+    Bounds use the measured sparsity values and the paper's windows. Measures
+    that are undefined (fewer than two atoms) or numerically unavailable (a
+    Gram matrix too close to singular for the approximation measure) yield
+    NaN rows with no checks. The isometry extremes are the exact suprema
+    over all coefficient vectors, read off the spectrum; nothing is sampled.
+    The spectrum is solved for eigenvalues only.
     """
     if dictionary.m == 0:
         raise ValueError("spectral_report requires a non-empty dictionary")
@@ -414,29 +315,16 @@ def spectral_report(dictionary: Dictionary, nr: NormRange | None = None) -> Spec
 
     worst_gersgorin = gersgorin_margin(dictionary.gram, spectrum.values)
     if worst_gersgorin > CONTAINMENT_SLACK:
-        report.violations.append(("gersgorin", worst_gersgorin))
+        report.violations.append(Violation("gersgorin", worst_gersgorin, True))
 
-    m = dictionary.m
     for kind in CRITERION_KINDS:
         try:
             value = dictionary.measure(kind)
         except (ValueError, NumericalError):
-            report.per_measure.append(
-                BoundSet(kind, math.nan, math.nan, math.nan, False, math.nan, math.nan, math.nan)
-            )
+            nan = math.nan
+            report.per_measure.append(BoundSet(kind, nan, nan, nan, nan, nan, nan, kind != "approximation"))
             continue
-        lower, upper = eigen_bounds(kind, value, m, nr)
-        nu, rescale = isometry_constant(kind, value, m, nr)
-        bs = BoundSet(
-            measure_kind=kind,
-            measure_value=value,
-            lower=lower,
-            upper=upper,
-            lin_indep_condition_holds=lin_indep_condition(kind, value, m, nr),
-            cond_number_bound=condition_number_bound(kind, value, m, nr),
-            isometry_nu=nu,
-            rescale_factor=rescale,
-        )
+        bs = window(kind, value, dictionary.m, nr)
         report.per_measure.append(bs)
         extremes = _exact_extremes(spectrum, bs.rescale_factor)
         report.isometry_extremes[kind] = extremes
@@ -451,31 +339,11 @@ def _exact_extremes(spectrum: EigenSpectrum, rescale_factor: float) -> tuple[flo
     quotient alpha^T K alpha / ||alpha||^2 ranges over [lambda_min, lambda_max]
     of K, and the largest |alpha'^T (K - I) alpha''| over unit alpha',
     alpha'' is ||K - I||_2 = max_i |lambda_i - 1|, reached at an end of the
-    spectrum. These are the suprema that :func:`verify_isometry` samples.
+    spectrum.
     """
     s_sq = rescale_factor**2
     low, high = spectrum.lambda_min / s_sq, spectrum.lambda_max / s_sq
     return low, high, max(high - 1.0, 1.0 - low)
-
-
-_SOUND_CONTAINMENT_KINDS = ("distance", "coherence", "babel")
-
-
-def is_hard_violation(name: str) -> bool:
-    """Whether a violation name breaks a *sound* guarantee.
-
-    Two families are informational only: admission-threshold drift (Babel
-    admission does not control the post-hoc measure) and
-    approximation-window escapes (that window is optimistic, not a bound;
-    see the module docstring). Gersgorin and the
-    distance/coherence/babel containment checks are hard guarantees.
-    """
-    if name == "gersgorin":
-        return True
-    kind, _, check = name.partition(":")
-    if check == "admission_threshold":
-        return False
-    return kind in _SOUND_CONTAINMENT_KINDS
 
 
 def _append_violations(
@@ -484,28 +352,27 @@ def _append_violations(
     extremes: tuple[float, float, float],
     dictionary: Dictionary,
 ) -> None:
-    kind = bs.measure_kind
-    lam_min, lam_max = report.spectrum.lambda_min, report.spectrum.lambda_max
-    if lam_min < bs.lower - CONTAINMENT_SLACK:
-        report.violations.append((f"{kind}:eigen_lower", bs.lower - lam_min))
-    if lam_max > bs.upper + CONTAINMENT_SLACK:
-        report.violations.append((f"{kind}:eigen_upper", lam_max - bs.upper))
-    if math.isfinite(bs.cond_number_bound) and math.isfinite(report.spectrum.cond):
-        excess = report.spectrum.cond - bs.cond_number_bound * (1.0 + CONTAINMENT_SLACK)
-        if excess > 0.0:
-            report.violations.append((f"{kind}:cond", excess))
+    kind, nu, slack = bs.measure_kind, bs.isometry_nu, CONTAINMENT_SLACK
+    lam_min, lam_max, cond = report.spectrum.lambda_min, report.spectrum.lambda_max, report.spectrum.cond
     lo, hi, ipdev = extremes
-    if lo < 1.0 - bs.isometry_nu - CONTAINMENT_SLACK:
-        report.violations.append((f"{kind}:isometry_low", (1.0 - bs.isometry_nu) - lo))
-    if hi > 1.0 + bs.isometry_nu + CONTAINMENT_SLACK:
-        report.violations.append((f"{kind}:isometry_high", hi - (1.0 + bs.isometry_nu)))
-    if ipdev > bs.isometry_nu + CONTAINMENT_SLACK:
-        report.violations.append((f"{kind}:isometry_ip", ipdev - bs.isometry_nu))
+    cond_excess = 0.0
+    if math.isfinite(bs.cond_number_bound) and math.isfinite(cond):
+        cond_excess = cond - bs.cond_number_bound * (1.0 + slack)
+    for check, failed, margin in (
+        ("eigen_lower", lam_min < bs.lower - slack, bs.lower - lam_min),
+        ("eigen_upper", lam_max > bs.upper + slack, lam_max - bs.upper),
+        ("cond", cond_excess > 0.0, cond_excess),
+        ("isometry_low", lo < 1.0 - nu - slack, (1.0 - nu) - lo),
+        ("isometry_high", hi > 1.0 + nu + slack, hi - (1.0 + nu)),
+        ("isometry_ip", ipdev > nu + slack, ipdev - nu),
+    ):
+        if failed:
+            report.violations.append(Violation(f"{kind}:{check}", margin, bs.sound))
     if kind == dictionary.criterion.kind:
         threshold = dictionary.criterion.threshold
         if kind in ("distance", "approximation"):
             drift = threshold - bs.measure_value
         else:
             drift = bs.measure_value - threshold
-        if drift > CONTAINMENT_SLACK:
-            report.violations.append((f"{kind}:admission_threshold", drift))
+        if drift > slack:
+            report.violations.append(Violation(f"{kind}:admission_threshold", drift, False))

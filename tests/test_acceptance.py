@@ -1,8 +1,7 @@
 """Acceptance suite: one pass/fail line per criterion (run with ``pytest -v -s``).
 
 Criteria 2, 4 and 5 are parametrized by measure kind and check the sound
-window of each measure (``sound_eigen_bounds`` and
-``sound_isometry_constant``). For distance, coherence and Babel that is the
+window of each measure (``window(..., sound=True)``). For distance, coherence and Babel that is the
 paper's Gersgorin window. For the approximation measure the paper's window
 [delta^2, 2 R^2 - delta^2] is not a containment bound (two unit-norm atoms
 with correlation c have spectrum {1-c, 1+c} but window [1-c^2, 1+c^2]; in
@@ -19,6 +18,7 @@ import numpy as np
 import pytest
 
 from cholesky_views import gram_inverse
+from sampled_isometry import verify_isometry
 from sparsekaf import (
     CriterionConfig,
     Dictionary,
@@ -27,22 +27,16 @@ from sparsekaf import (
     ModelState,
     NormRange,
     RidgeProblem,
-    condition_number_bound,
-    eigen_bounds,
     eigensolve,
     gradient,
-    isometry_constant,
     kernel_vector,
-    lin_indep_condition,
     normal_residual,
     objective,
     run_online,
     solve,
-    sound_eigen_bounds,
-    sound_isometry_constant,
     step,
     synthesize,
-    verify_isometry,
+    window,
 )
 from sparsekaf.harness import ExperimentConfig
 from sparsekaf.spectral import gersgorin_margin
@@ -122,7 +116,8 @@ def test_acceptance_2_eigen_bound_containment(built_dictionaries, checked_kind):
     for entry in built_dictionaries:
         d, spec = entry["dict"], entry["spectrum"]
         value = entry["measures"][checked_kind]
-        lo, hi = sound_eigen_bounds(checked_kind, value, d.m, UNIT)
+        bs = window(checked_kind, value, d.m, UNIT, sound=True)
+        lo, hi = bs.lower, bs.upper
         label = f"{entry['kind']}@{entry['threshold']} (m={d.m}, measured {value:.4f})"
         if spec.values[-1] < lo - SLACK:
             failures.append(f"{label}: lambda_min {spec.values[-1]:.6f} < lower {lo:.6f}")
@@ -147,13 +142,14 @@ def test_acceptance_3_exact_two_atom_algebra():
         spec = eigensolve(np.array([[1.0, c], [c, 1.0]]))
         if abs(spec.values[0] - (1 + c)) > 1e-12 or abs(spec.values[-1] - (1 - c)) > 1e-12:
             failures.append(f"c={c}: eigenvalues {spec.values} vs closed form (1-c, 1+c)")
-        lo, hi = eigen_bounds("coherence", c, 2, UNIT)
+        bs = window("coherence", c, 2, UNIT)
+        lo, hi = bs.lower, bs.upper
         if abs(lo - (1 - c)) > 1e-12 or abs(hi - (1 + c)) > 1e-12:
             failures.append(f"c={c}: coherence bounds ({lo}, {hi}) not (1-c, 1+c)")
         # tightness: the bounds are attained exactly at gamma = c
         if abs(spec.values[-1] - lo) > 1e-12 or abs(spec.values[0] - hi) > 1e-12:
             failures.append(f"c={c}: bounds not tight against the exact spectrum")
-        bound = condition_number_bound("coherence", c, 2, UNIT)
+        bound = bs.cond_number_bound
         expect = (1 + c) / (1 - c)
         if abs(bound - expect) > 1e-12 * expect:
             failures.append(f"c={c}: cond bound {bound} vs (1+c)/(1-c) {expect}")
@@ -199,7 +195,7 @@ def test_acceptance_4_lambda_min_positive(small_dictionaries):
     for kind in KINDS:
         hits = 0
         for i, d, value, spec in small_dictionaries[kind]:
-            if not lin_indep_condition(kind, value, d.m, UNIT):
+            if not window(kind, value, d.m, UNIT).lin_indep_condition_holds:
                 continue
             hits += 1
             if not spec.values[-1] > 1e-12:
@@ -217,9 +213,10 @@ def test_acceptance_4_rayleigh_lower_bound(small_dictionaries, built_kind):
     rng = np.random.default_rng(450 + KINDS.index(built_kind))
     failures = []
     for i, d, value, spec in small_dictionaries[built_kind]:
-        if not lin_indep_condition(built_kind, value, d.m, UNIT):
+        bs = window(built_kind, value, d.m, UNIT, sound=True)
+        if not bs.lin_indep_condition_holds:
             continue
-        lower = sound_eigen_bounds(built_kind, value, d.m, UNIT)[0]
+        lower = bs.lower
         for _ in range(100):
             xi = rng.standard_normal(d.m)
             quad = float(xi @ d.gram @ xi)
@@ -241,7 +238,8 @@ def test_acceptance_5_quasi_isometry(built_dictionaries, checked_kind):
     for entry in built_dictionaries:
         d = entry["dict"]
         value = entry["measures"][checked_kind]
-        nu, rescale = sound_isometry_constant(checked_kind, value, d.m, UNIT)
+        bs = window(checked_kind, value, d.m, UNIT, sound=True)
+        nu, rescale = bs.isometry_nu, bs.rescale_factor
         lo, hi, dev = verify_isometry(d, trials=10_000, rng_seed=entry["isometry_seed"], rescale_factor=rescale)
         label = f"{entry['kind']}@{entry['threshold']} (m={d.m}, nu={nu:.4f})"
         if lo < 1 - nu - SLACK:
@@ -265,7 +263,8 @@ def test_acceptance_5_unit_norm_formulas():
                 "babel": theta,
             }
             for kind, expect in cases.items():
-                nu, rescale = isometry_constant(kind, theta, m, UNIT)
+                bs = window(kind, theta, m, UNIT)
+                nu, rescale = bs.isometry_nu, bs.rescale_factor
                 if abs(nu - expect) > 1e-14 * max(1.0, expect) or rescale != 1.0:
                     failures.append(f"{kind} m={m} theta={theta}: nu={nu} expect {expect}, s={rescale}")
     _report(5, "unit-norm isometry constants match closed forms", failures)

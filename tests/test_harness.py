@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+import sparsekaf.harness as harness_module
+import sparsekaf.spectral as spectral
 from sparsekaf import (
     ConfigError,
     CriterionConfig,
@@ -13,8 +15,13 @@ from sparsekaf import (
     ExperimentConfig,
     Kernel,
     LearnerConfig,
+    NormRange,
+    NumericalError,
+    StepOutcome,
+    Violation,
     build_config,
     run_online,
+    spectral_report,
     synthesize,
     verify_dictionary,
 )
@@ -25,7 +32,6 @@ from sparsekaf.harness import (
     synthesize_finite,
     verification_exit_code,
 )
-from sparsekaf.spectral import SpectralReport, eigensolve
 
 
 def make_config(**overrides):
@@ -135,6 +141,30 @@ class TestRunOnline:
         assert (t, pred, admitted, m) == (1, 0.0, True, 1)
         assert err != 0.0
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("column", ["alpha_sq_norm", "psi_sq_norm"])
+    def test_non_finite_row_norm_raises_at_its_step(self, monkeypatch, tmp_path, column):
+        # a stand-in learner whose state leaves float64's range at the last of three steps
+        class State:
+            def __init__(self, alpha, w):
+                self.alpha, self.w = np.array(alpha), np.array(w)
+
+            def coordinates(self, dictionary):
+                return self.w
+
+        def diverging_step(state, dictionary, x, y, learner):
+            diverging_step.t += 1
+            big = 1e200 if diverging_step.t == 3 else 1.0
+            norms = ([big], [1.0]) if column == "alpha_sq_norm" else ([1.0], [big])
+            return State(*norms), StepOutcome(0.0, y, False, 0)
+
+        diverging_step.t = 0
+        monkeypatch.setattr(harness_module, "step", diverging_step)
+        out = tmp_path / "o"
+        with pytest.raises(NumericalError, match=f"^step 3: nlms with eta 0.5 diverged: .*{column} inf"):
+            run_online(make_config(length=3, out=str(out)))
+        assert not out.exists()
+
     @pytest.mark.parametrize("algo", ["lms_identity", "lms_gram", "nlms", "functional_sgd"])
     def test_psi_sq_norm_is_the_function_norm(self, algo):
         # run.csv's psi_sq_norm is ||L^T alpha||^2 for every rule; it agrees
@@ -234,17 +264,26 @@ class TestVerify:
         assert coh.measure_value == pytest.approx(1.0, abs=1e-12)
         assert coh.vacuous_lower
 
-    def test_exit_policy_function(self):
-        spectrum = eigensolve(np.eye(2))
-        report = SpectralReport(spectrum=spectrum, norm=None)
+    def test_exit_policy_reads_hard(self, monkeypatch):
+        # two Gaussian atoms with correlation exp(-0.08) = 0.92, admitted under Babel 0.5
+        d = Dictionary.from_atoms(Kernel.gaussian(1.0), CriterionConfig("babel", 0.5), [[0.0], [0.4]])
+        report = spectral_report(d)
+        flags = {v.name: v.hard for v in report.violations}
+        assert flags["babel:admission_threshold"] is False
+        assert flags["approximation:eigen_lower"] is False and flags["approximation:eigen_upper"] is False
+        assert not any(flags.values())
         assert verification_exit_code(report) == 0
-        report.violations = [("babel:admission_threshold", 0.2)]
-        assert verification_exit_code(report) == 0
-        report.violations = [("approximation:eigen_lower", 0.2)]
-        assert verification_exit_code(report) == 0
-        report.violations = [("coherence:eigen_lower", 0.2)]
+        # a norm range the atoms do not have: every sound window misses the spectrum
+        report = spectral_report(d, nr=NormRange(0.5, 0.5))
+        hard = {v.name for v in report.violations if v.hard}
+        assert {"distance:eigen_upper", "coherence:eigen_upper", "babel:eigen_upper"} <= hard
+        assert {name.split(":")[0] for name in hard} == {"distance", "coherence", "babel"}
+        soft = {v.name for v in report.violations if not v.hard}
+        assert {"approximation:eigen_upper", "babel:admission_threshold"} <= soft
         assert verification_exit_code(report) == 3
-        report.violations = [("gersgorin", 1e-6)]
+        monkeypatch.setattr(spectral, "gersgorin_margin", lambda gram, values: 1e-6)
+        report = spectral_report(d)
+        assert report.violations[0] == Violation("gersgorin", 1e-6, True)
         assert verification_exit_code(report) == 3
 
 
@@ -360,6 +399,25 @@ class TestCli:
         out = tmp_path / "o"
         assert main([*argv, "--data", "narma2", "--noise", "0.9", "--out", str(out)]) == 1
         assert f"narma2 with noise 0.9 diverges: {where} is inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    DIVERGENT = ["run", "--data", "sinc1d", "--kernel", "polynomial", "--degree", "3", "--offset", "0.5",
+                 "--criterion", "babel", "--threshold", "3.0", "--max-atoms", "4", "--eta", "0.1",
+                 "--eps", "0.01", "--seed", "2"]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "algo, name, length, t",
+        # at length 148 the first non-finite row is the last one
+        [("lms", "lms_identity", 1000, 148), ("lms", "lms_identity", 148, 148),
+         ("lms_gram", "lms_gram", 1000, 148), ("functional_sgd", "functional_sgd", 1000, 343)],
+    )
+    def test_divergent_learner_exits_two_before_writing(self, tmp_path, capsys, algo, name, length, t):
+        out = tmp_path / "o"
+        argv = [*self.DIVERGENT, "--algo", algo, "--length", str(length), "--out", str(out)]
+        assert main(argv) == 2
+        assert f"numerical failure: step {t}: {name} with eta 0.1 diverged: alpha_sq_norm inf" in capsys.readouterr().err
         assert not out.exists()
 
     def test_finite_series_pass_the_divergence_check_unchanged(self):

@@ -483,6 +483,23 @@ class TestStepChecks:
             step(state, d, [0.1, 2.0], y, cfg)
         assert (d.atoms.tobytes(), d.gram.tobytes(), lower(d).tobytes(), state.alpha.tobytes()) == before
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_non_finite_prediction_raises_and_changes_nothing(self, algorithm):
+        cfg = LearnerConfig(algorithm, eta=0.5, eps=0.01)
+        d, state = fresh(threshold=0.9), ModelState.empty()
+        for x in (-0.5, 0.0, 0.5):
+            state, _ = step(state, d, [x, 0.0], 1.0, cfg)
+        assert d.m == 3
+        # finite coefficients whose prediction overflows at a novel x, which
+        # the dictionary would admit: the kernel row sums to 2.47, its largest entry is 0.896
+        state = ModelState(alpha=np.full(3, 1e308))
+        before = (d.atoms.tobytes(), d.gram.tobytes(), lower(d).tobytes())
+        with pytest.raises(NumericalError, match=f"^{algorithm} with eta 0.5 diverged: prediction (inf|nan)$"):
+            step(state, d, [0.0, 0.47], 1.0, cfg)
+        assert (d.atoms.tobytes(), d.gram.tobytes(), lower(d).tobytes()) == before
+
     def test_input_is_validated_once_per_step(self, monkeypatch):
         # exactly one finiteness check covers x: _as_vector's with no atoms,
         # the kernel row's check of its own squared distances with atoms; no

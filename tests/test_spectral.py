@@ -3,21 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from sampled_isometry import gersgorin_intervals, verify_isometry
 from sparsekaf import (
     CriterionConfig,
     Dictionary,
     Kernel,
     NormRange,
-    condition_number_bound,
-    eigen_bounds,
+    NumericalError,
+    Violation,
     eigensolve,
-    gersgorin_intervals,
-    isometry_constant,
-    lin_indep_condition,
-    sound_eigen_bounds,
-    sound_isometry_constant,
     spectral_report,
-    verify_isometry,
+    window,
 )
 from sparsekaf.harness import verification_exit_code
 from sparsekaf.spectral import gersgorin_margin
@@ -25,6 +21,16 @@ from sparsekaf.spectral import gersgorin_margin
 UNIT = NormRange(1.0, 1.0, source="analytic")
 KINDS = ("distance", "approximation", "coherence", "babel")
 SOUND_KINDS = ("distance", "coherence", "babel")
+
+
+def bounds(kind, value, m, nr, sound=False):
+    bs = window(kind, value, m, nr, sound)
+    return bs.lower, bs.upper
+
+
+def isometry(kind, value, m, nr, sound=False):
+    bs = window(kind, value, m, nr, sound)
+    return bs.isometry_nu, bs.rescale_factor
 
 
 def build_gaussian_dict(kind, threshold, seed, sigma=1.0, max_atoms=None, n=200, spread=3.0, dim=2):
@@ -114,118 +120,180 @@ class TestGersgorin:
         assert gersgorin_margin(gram, lams) == expected
 
 
+def paper_window(kind, value, m, r_sq, R_sq, sound):
+    """(lower, upper, lin_indep, cond bound, nu, rescale, sound), from the closed forms."""
+    d_sq, R = value * value, math.sqrt(R_sq)
+    if kind == "approximation":
+        lo, hi = (d_sq / m, m * R_sq - (m - 1) * d_sq / m) if sound else (d_sq, 2 * R_sq - d_sq)
+    else:
+        if kind == "distance":
+            spread = (m - 1) * R * math.sqrt(R_sq - d_sq)
+        elif kind == "coherence":
+            spread = (m - 1) * value * R_sq
+        else:
+            spread = value
+        lo, hi = r_sq - spread, R_sq + spread
+    paper_approximation = kind == "approximation" and not sound
+    if lo <= 0:
+        cond = math.inf
+    else:
+        cond = 2 * R_sq / d_sq - 1 if paper_approximation else hi / lo
+    if r_sq == R_sq == 1.0 and not (kind == "approximation" and sound):
+        nu = {
+            "distance": lambda: (m - 1) * math.sqrt(1 - d_sq),
+            "approximation": lambda: 1 - d_sq,
+            "coherence": lambda: (m - 1) * value,
+            "babel": lambda: value,
+        }[kind]()
+        rescale = 1.0
+    else:
+        nu, rescale = (hi - lo) / (hi + lo), math.sqrt((hi + lo) / 2)
+    return lo, hi, lo > 0, cond, nu, rescale, not paper_approximation
+
+
+class TestWindowTable:
+    @pytest.mark.parametrize("sound", [False, True])
+    @pytest.mark.parametrize("nr", [UNIT, NormRange(0.5, 2.0)], ids=["unit", "general"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_closed_forms(self, kind, nr, sound):
+        for m in (1, 2, 5, 40, 800):
+            # 1e-170 squares to 0: the approximation window's lower end is 0
+            for value in (0.0, 1e-170, 0.05, 0.3, 0.9):
+                bs = window(kind, value, m, nr, sound)
+                lo, hi, indep, cond, nu, rescale, is_sound = paper_window(kind, value, m, nr.r_sq, nr.R_sq, sound)
+                label = (kind, m, value)
+                assert (bs.measure_kind, bs.measure_value) == (kind, value)
+                assert (bs.lower, bs.upper) == pytest.approx((lo, hi), rel=1e-12, abs=1e-300), label
+                assert bs.cond_number_bound == pytest.approx(cond, rel=1e-12), label
+                assert (bs.isometry_nu, bs.rescale_factor) == pytest.approx((nu, rescale), rel=1e-12), label
+                assert (bs.lin_indep_condition_holds, bs.sound) == (indep, is_sound), label
+                assert bs.vacuous_lower is not indep
+
+    def test_underflowing_approximation_value(self):
+        # delta = 1e-170 > 0 while delta^2 rounds to 0
+        for sound in (False, True):
+            bs = window("approximation", 1e-170, 3, UNIT, sound)
+            assert bs.lower == 0.0
+            assert bs.cond_number_bound == math.inf
+            assert not bs.lin_indep_condition_holds
+
+    def test_zero_norm_range_has_no_isometry_constant(self):
+        with pytest.raises(NumericalError, match="vacuous"):
+            window("babel", 0.0, 3, NormRange(0.0, 0.0))
+
+
 class TestEigenBounds:
     def test_coherence_unit_norm(self):
-        assert eigen_bounds("coherence", 0.5, 2, UNIT) == (0.5, 1.5)
+        assert bounds("coherence", 0.5, 2, UNIT) == (0.5, 1.5)
 
     def test_approximation_orthonormal_limit(self):
-        assert eigen_bounds("approximation", 1.0, 5, UNIT) == (1.0, 1.0)
+        assert bounds("approximation", 1.0, 5, UNIT) == (1.0, 1.0)
 
     def test_babel_unit_norm(self):
-        lo, hi = eigen_bounds("babel", 0.3, 7, UNIT)
+        lo, hi = bounds("babel", 0.3, 7, UNIT)
         assert (lo, hi) == pytest.approx((0.7, 1.3), abs=1e-15)
 
     def test_distance_unit_norm(self):
         # oracle: 1 -+ (m-1) sqrt(1-delta^2)
-        lo, hi = eigen_bounds("distance", 0.8, 3, UNIT)
+        lo, hi = bounds("distance", 0.8, 3, UNIT)
         root = math.sqrt(1.0 - 0.64)
         assert lo == pytest.approx(1.0 - 2 * root, abs=1e-15)
         assert hi == pytest.approx(1.0 + 2 * root, abs=1e-15)
 
     def test_distance_delta_exceeding_R_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
-            eigen_bounds("distance", 1.5, 2, UNIT)
+            bounds("distance", 1.5, 2, UNIT)
 
     def test_approximation_delta_exceeding_R_rejected(self):
         # no dictionary has delta^2 > R^2; the window would come out inverted
-        for bounds in (eigen_bounds, sound_eigen_bounds):
+        for sound in (False, True):
             with pytest.raises(ValueError, match="exceeds"):
-                bounds("approximation", 1.5, 3, UNIT)
+                window("approximation", 1.5, 3, UNIT, sound)
 
     def test_general_norm_range(self):
         nr = NormRange(0.8, 1.2)
-        lo, hi = eigen_bounds("coherence", 0.1, 3, nr)
+        lo, hi = bounds("coherence", 0.1, 3, nr)
         assert lo == pytest.approx(0.8 - 2 * 0.1 * 1.2, abs=1e-15)
         assert hi == pytest.approx(1.2 + 2 * 0.1 * 1.2, abs=1e-15)
 
     def test_negative_lower_reported_as_is(self):
-        lo, _ = eigen_bounds("coherence", 0.9, 10, UNIT)
+        lo, _ = bounds("coherence", 0.9, 10, UNIT)
         assert lo < 0.0  # vacuous, not clamped
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            eigen_bounds("coherence", 1.2, 2, UNIT)
+            bounds("coherence", 1.2, 2, UNIT)
         with pytest.raises(ValueError):
-            eigen_bounds("spark", 0.5, 2, UNIT)
+            bounds("spark", 0.5, 2, UNIT)
         with pytest.raises(ValueError):
-            eigen_bounds("babel", 0.5, 0, UNIT)
+            bounds("babel", 0.5, 0, UNIT)
 
 
 class TestLinIndepCondition:
     def test_coherence_example(self):
-        assert lin_indep_condition("coherence", 0.4, 3, UNIT)  # 0.8 < 1
-        assert not lin_indep_condition("coherence", 0.5, 3, UNIT)  # 1.0 < 1 fails
+        assert window("coherence", 0.4, 3, UNIT).lin_indep_condition_holds  # 0.8 < 1
+        assert not window("coherence", 0.5, 3, UNIT).lin_indep_condition_holds  # 1.0 < 1 fails
 
     def test_approximation_boundary(self):
-        assert not lin_indep_condition("approximation", 0.0, 4, UNIT)
-        assert lin_indep_condition("approximation", 1e-6, 4, UNIT)
+        assert not window("approximation", 0.0, 4, UNIT).lin_indep_condition_holds
+        assert window("approximation", 1e-6, 4, UNIT).lin_indep_condition_holds
 
     def test_babel_unit_boundary(self):
-        assert not lin_indep_condition("babel", 1.0, 4, UNIT)
-        assert lin_indep_condition("babel", 0.99, 4, UNIT)
+        assert not window("babel", 1.0, 4, UNIT).lin_indep_condition_holds
+        assert window("babel", 0.99, 4, UNIT).lin_indep_condition_holds
 
     def test_distance(self):
         # (m-1) R sqrt(R^2 - delta^2) < r^2
-        assert lin_indep_condition("distance", math.sqrt(1 - 0.2**2), 3, UNIT)
-        assert not lin_indep_condition("distance", 0.1, 30, UNIT)
+        assert window("distance", math.sqrt(1 - 0.2**2), 3, UNIT).lin_indep_condition_holds
+        assert not window("distance", 0.1, 30, UNIT).lin_indep_condition_holds
 
     def test_true_implies_positive_lower_bound(self):
         nr = NormRange(0.7, 1.5)
         for kind, theta, m in (
             ("distance", 1.2, 3), ("coherence", 0.2, 2), ("babel", 0.5, 6),
         ):
-            if lin_indep_condition(kind, theta, m, nr):
-                assert eigen_bounds(kind, theta, m, nr)[0] > 0.0
+            if window(kind, theta, m, nr).lin_indep_condition_holds:
+                assert bounds(kind, theta, m, nr)[0] > 0.0
 
 
 class TestConditionNumberBound:
     def test_coherence_m2(self):
-        assert condition_number_bound("coherence", 0.5, 2, UNIT) == pytest.approx(3.0, abs=1e-15)
+        assert window("coherence", 0.5, 2, UNIT).cond_number_bound == pytest.approx(3.0, abs=1e-15)
 
     def test_approximation_orthonormal(self):
-        assert condition_number_bound("approximation", 1.0, 4, UNIT) == pytest.approx(1.0, abs=1e-15)
+        assert window("approximation", 1.0, 4, UNIT).cond_number_bound == pytest.approx(1.0, abs=1e-15)
 
     def test_babel(self):
-        assert condition_number_bound("babel", 0.3, 5, UNIT) == pytest.approx(13.0 / 7.0, rel=1e-14)
+        assert window("babel", 0.3, 5, UNIT).cond_number_bound == pytest.approx(13.0 / 7.0, rel=1e-14)
 
     def test_vacuous_denominator_gives_inf(self):
-        assert condition_number_bound("coherence", 0.9, 10, UNIT) == math.inf
-        assert condition_number_bound("approximation", 0.0, 3, UNIT) == math.inf
+        assert window("coherence", 0.9, 10, UNIT).cond_number_bound == math.inf
+        assert window("approximation", 0.0, 3, UNIT).cond_number_bound == math.inf
 
     def test_equals_upper_over_lower(self):
         nr = NormRange(0.9, 1.3)
         for kind, theta in (("distance", 1.0), ("approximation", 0.6), ("coherence", 0.15), ("babel", 0.4)):
-            lo, hi = eigen_bounds(kind, theta, 4, nr)
+            lo, hi = bounds(kind, theta, 4, nr)
             if lo > 0:
-                assert condition_number_bound(kind, theta, 4, nr) == pytest.approx(hi / lo, rel=1e-12)
+                assert window(kind, theta, 4, nr).cond_number_bound == pytest.approx(hi / lo, rel=1e-12)
 
 
 class TestIsometryConstant:
     def test_unit_norm_closed_forms(self):
         # oracle: nu = (m-1)sqrt(1-d^2), 1-d^2, (m-1)g, g
-        nu, s = isometry_constant("coherence", 0.2, 4, UNIT)
+        nu, s = isometry("coherence", 0.2, 4, UNIT)
         assert nu == pytest.approx(0.6, abs=1e-15)
         assert s == 1.0
-        nu, s = isometry_constant("approximation", 1.0, 3, UNIT)
+        nu, s = isometry("approximation", 1.0, 3, UNIT)
         assert nu == 0.0 and s == 1.0
-        nu, _ = isometry_constant("distance", 0.6, 3, UNIT)
+        nu, _ = isometry("distance", 0.6, 3, UNIT)
         assert nu == pytest.approx(2 * math.sqrt(1 - 0.36), rel=1e-14)
-        nu, _ = isometry_constant("babel", 0.35, 9, UNIT)
+        nu, _ = isometry("babel", 0.35, 9, UNIT)
         assert nu == pytest.approx(0.35, abs=1e-15)
 
     def test_general_babel_formula(self):
         # oracle: (R^2 - r^2 + 2 gamma) / (R^2 + r^2)
-        nu, s = isometry_constant("babel", 0.1, 5, NormRange(0.8, 1.2))
+        nu, s = isometry("babel", 0.1, 5, NormRange(0.8, 1.2))
         assert nu == pytest.approx(0.3, abs=1e-14)
         assert s == pytest.approx(1.0, abs=1e-15)  # bounds already symmetric about 1
 
@@ -234,21 +302,21 @@ class TestIsometryConstant:
         m = 4
         # distance: (R^2-r^2+2(m-1)R sqrt(R^2-delta^2))/(R^2+r^2)
         delta = 1.1
-        nu, s = isometry_constant("distance", delta, m, nr)
+        nu, s = isometry("distance", delta, m, nr)
         expect = (2.0 - 1.0 + 2 * (m - 1) * math.sqrt(2.0) * math.sqrt(2.0 - delta**2)) / 3.0
         assert nu == pytest.approx(expect, rel=1e-13)
         # coherence: (R^2-r^2+2(m-1) g R^2)/(R^2+r^2)
-        nu, _ = isometry_constant("coherence", 0.15, m, nr)
+        nu, _ = isometry("coherence", 0.15, m, nr)
         assert nu == pytest.approx((1.0 + 2 * 3 * 0.15 * 2.0) / 3.0, rel=1e-13)
         # approximation: 1 - delta^2/R^2
-        nu, s = isometry_constant("approximation", 0.9, m, nr)
+        nu, s = isometry("approximation", 0.9, m, nr)
         assert nu == pytest.approx(1.0 - 0.81 / 2.0, rel=1e-13)
         assert s == pytest.approx(math.sqrt(2.0), rel=1e-15)  # sqrt((u+l)/2) = R
 
     def test_rescale_factor_centers_bounds(self):
         nr = NormRange(1.0, 2.0)
-        lo, hi = eigen_bounds("babel", 0.5, 5, nr)
-        nu, s = isometry_constant("babel", 0.5, 5, nr)
+        lo, hi = bounds("babel", 0.5, 5, nr)
+        nu, s = isometry("babel", 0.5, 5, nr)
         assert lo / s**2 == pytest.approx(1.0 - nu, rel=1e-13)
         assert hi / s**2 == pytest.approx(1.0 + nu, rel=1e-13)
 
@@ -260,24 +328,24 @@ class TestSoundWindow:
         atoms = [[1.0, 0.0], [c, math.sqrt(1 - c * c)]]
         d = Dictionary.from_atoms(Kernel.linear(), CriterionConfig("approximation", 0.1), atoms)
         value = d.measure("approximation")
-        lo, hi = sound_eigen_bounds("approximation", value, 2, UNIT)
+        lo, hi = bounds("approximation", value, 2, UNIT, sound=True)
         assert lo == pytest.approx((1 - c * c) / 2, rel=1e-12)
         spec = eigensolve(d.gram)
         assert spec.values[-1] >= lo - 1e-12
         assert spec.values[0] <= hi + 1e-12
         # sharpness: lambda_min / lower = 2/(1+c), within 1% of 1 at c = 0.99
         assert spec.values[-1] / lo == pytest.approx(2 / (1 + c), rel=1e-9)
-        nu, s = sound_isometry_constant("approximation", value, 2, UNIT)
+        nu, s = isometry("approximation", value, 2, UNIT, sound=True)
         assert s == pytest.approx(1.0, abs=1e-15)  # m = 2: window symmetric about 1
         assert 1 - nu == pytest.approx(lo, rel=1e-12)
 
     def test_general_norm_range(self):
         # oracle: [delta^2/m, m R^2 - (m-1) delta^2/m] and nu, s from its ends
         nr = NormRange(0.5, 2.0)
-        lo, hi = sound_eigen_bounds("approximation", 0.6, 3, nr)
+        lo, hi = bounds("approximation", 0.6, 3, nr, sound=True)
         assert lo == pytest.approx(0.12, rel=1e-14)
         assert hi == pytest.approx(6.0 - 0.24, rel=1e-14)
-        nu, s = sound_isometry_constant("approximation", 0.6, 3, nr)
+        nu, s = isometry("approximation", 0.6, 3, nr, sound=True)
         assert nu == pytest.approx((hi - lo) / (hi + lo), rel=1e-14)
         assert s == pytest.approx(math.sqrt((hi + lo) / 2), rel=1e-14)
 
@@ -285,16 +353,14 @@ class TestSoundWindow:
     def test_sound_kinds_equal_paper_window(self, nr):
         for kind in SOUND_KINDS:
             for value, m in ((0.2, 2), (0.5, 5), (0.9, 9)):
-                assert sound_eigen_bounds(kind, value, m, nr) == eigen_bounds(kind, value, m, nr)
-                assert sound_isometry_constant(kind, value, m, nr) == isometry_constant(
-                    kind, value, m, nr
-                )
+                assert bounds(kind, value, m, nr, sound=True) == bounds(kind, value, m, nr)
+                assert isometry(kind, value, m, nr, sound=True) == isometry(kind, value, m, nr)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            sound_eigen_bounds("approximation", -0.1, 2, UNIT)
+            bounds("approximation", -0.1, 2, UNIT, sound=True)
         with pytest.raises(ValueError):
-            sound_eigen_bounds("approximation", 0.5, 0, UNIT)
+            bounds("approximation", 0.5, 0, UNIT, sound=True)
 
 
 class TestVerifyIsometry:
@@ -366,12 +432,12 @@ class TestContainmentProperties:
         nr = NormRange(1.0, 1.0, source="analytic")
         for check_kind in KINDS:
             value = d.measure(check_kind)
-            lo, hi = sound_eigen_bounds(check_kind, value, d.m, nr)
-            assert spec.values[-1] >= lo - 1e-9, check_kind
-            assert spec.values[0] <= hi + 1e-9, check_kind
-            if check_kind not in SOUND_KINDS:
-                continue  # condition_number_bound keeps the paper's approximation formula
-            bound = condition_number_bound(check_kind, value, d.m, nr)
+            bs = window(check_kind, value, d.m, nr, sound=True)
+            assert bs.sound
+            assert spec.values[-1] >= bs.lower - 1e-9, check_kind
+            assert spec.values[0] <= bs.upper + 1e-9, check_kind
+            # the sound approximation window's bound is u/l, not the paper's 2R^2/delta^2 - 1
+            bound = bs.cond_number_bound
             if math.isfinite(bound) and spec.values[-1] > 0:
                 assert spec.values[0] / spec.values[-1] <= bound * (1 + 1e-9), check_kind
 
@@ -383,15 +449,16 @@ class TestContainmentProperties:
         d = Dictionary.from_atoms(Kernel.linear(), CriterionConfig("approximation", 0.1), atoms)
         value = d.measure("approximation")
         assert value == pytest.approx(math.sqrt(1 - c * c), abs=1e-12)
-        lo, hi = eigen_bounds("approximation", value, 2, UNIT)
+        lo, hi = bounds("approximation", value, 2, UNIT)
         spec = eigensolve(d.gram)
         assert spec.values[-1] < lo - 1e-3  # escapes by a wide margin
         assert spec.values[0] > hi + 1e-3
         report = spectral_report(d)
-        names = {name for name, _ in report.violations}
+        names = {v.name for v in report.violations}
         assert "approximation:eigen_lower" in names
         assert "approximation:eigen_upper" in names
         assert not any(n.startswith(("distance", "coherence", "babel", "gersgorin")) for n in names)
+        assert not any(v.hard for v in report.violations)
         assert verification_exit_code(report) == 0  # informational, not a failure
 
     @pytest.mark.parametrize("seed", range(3))
@@ -413,7 +480,7 @@ class TestContainmentProperties:
         nr = NormRange(1.0, 1.0, source="analytic")
         value = d.measure(kind)
         spec = eigensolve(d.gram)
-        if lin_indep_condition(kind, value, d.m, nr):
+        if window(kind, value, d.m, nr).lin_indep_condition_holds:
             assert spec.values[-1] > 1e-12
             rng = np.random.default_rng(seed)
             for _ in range(20):
@@ -432,7 +499,7 @@ class TestContainmentProperties:
         nr = NormRange(1.0, 1.0, source="analytic")
         for kind in SOUND_KINDS:
             value = d.measure(kind)
-            nu, s = isometry_constant(kind, value, d.m, nr)
+            nu, s = isometry(kind, value, d.m, nr)
             lo, hi, dev = verify_isometry(d, trials=2000, rng_seed=seed, rescale_factor=s)
             assert lo >= 1 - nu - 1e-9
             assert hi <= 1 + nu + 1e-9
@@ -445,7 +512,7 @@ class TestSpectralReport:
         report = spectral_report(d)
         assert [bs.measure_kind for bs in report.per_measure] == list(KINDS)
         assert verification_exit_code(report) == 0
-        sound = {n for n, _ in report.violations if n.split(":")[0] in SOUND_KINDS}
+        sound = {v.name for v in report.violations if v.name.split(":")[0] in SOUND_KINDS}
         assert not sound
         coh = report.per_measure[2]
         assert coh.measure_value <= 0.5 + 1e-12
@@ -472,7 +539,7 @@ class TestSpectralReport:
             d.admit(x)
         report = spectral_report(d)
         if d.measure("babel") > 0.8 + 1e-9:
-            assert ("babel:admission_threshold" in {n for n, _ in report.violations})
+            assert Violation("babel:admission_threshold", d.measure("babel") - 0.8, False) in report.violations
         assert verification_exit_code(report) == 0
 
     def test_duplicate_direction_dictionary_vacuous_not_violated(self):
