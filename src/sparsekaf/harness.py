@@ -189,22 +189,26 @@ def run_online(cfg: ExperimentConfig) -> RunRecord:
     dictionary = Dictionary(cfg.kernel, cfg.criterion)
     state = ModelState.empty()
     record = RunRecord()
-    for t in range(xs.shape[0]):
-        try:
-            state, outcome = step(state, dictionary, xs[t], float(ys[t]), cfg.learner)
-        except NumericalError as exc:
-            raise NumericalError(f"step {t + 1}: {exc}") from None
-        alpha_sq = float(state.alpha @ state.alpha)
-        # ||w||^2 = alpha^T K alpha with w = L^T alpha, which a functional state
-        # holds and any other costs one packed triangular product
-        w = state.coordinates(dictionary)
-        psi_sq = float(w @ w)
-        if not (math.isfinite(alpha_sq) and math.isfinite(psi_sq)):
-            raise NumericalError(
-                f"step {t + 1}: {cfg.learner.algorithm} with eta {cfg.learner.eta} diverged:"
-                f" alpha_sq_norm {alpha_sq!r}, psi_sq_norm {psi_sq!r}"
-            )
-        record.rows.append((t + 1, *outcome, alpha_sq, psi_sq))
+    # every figure the loop keeps is checked with isfinite, so numpy's
+    # overflow warnings from a diverging model would only repeat the error;
+    # one errstate for the whole loop, since entering it costs microseconds
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(xs.shape[0]):
+            try:
+                state, outcome = step(state, dictionary, xs[t], float(ys[t]), cfg.learner)
+            except NumericalError as exc:
+                raise NumericalError(f"step {t + 1}: {exc}") from None
+            alpha_sq = float(state.alpha @ state.alpha)
+            # ||w||^2 = alpha^T K alpha with w = L^T alpha, which a functional state
+            # holds and any other costs one packed triangular product
+            w = state.coordinates(dictionary)
+            psi_sq = float(w @ w)
+            if not (math.isfinite(alpha_sq) and math.isfinite(psi_sq)):
+                raise NumericalError(
+                    f"step {t + 1}: {cfg.learner.algorithm} with eta {cfg.learner.eta} diverged:"
+                    f" alpha_sq_norm {alpha_sq!r}, psi_sq_norm {psi_sq!r}"
+                )
+            record.rows.append((t + 1, *outcome, alpha_sq, psi_sq))
     record.dictionary = dictionary
     record.state = state
     record.report = spectral_report(dictionary)

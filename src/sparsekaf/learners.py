@@ -38,7 +38,8 @@ class LearnerConfig:
     """Which update rule to run, with step size ``eta`` and stabilizer ``eps``.
 
     ``eps`` is the regularization weight for the gradient rules and the
-    denominator stabilizer for ``nlms``.
+    denominator stabilizer for ``nlms``, whose normalized rule is stable
+    only for 0 < eta < 2.
     """
 
     algorithm: str
@@ -51,6 +52,8 @@ class LearnerConfig:
         # NaN fails these comparisons too
         if not 0 < self.eta < math.inf:
             raise ValueError("step size eta must be finite and > 0")
+        if self.algorithm == "nlms" and not self.eta < 2:
+            raise ValueError(f"nlms step size eta must be < 2, got {self.eta!r}")
         if not 0 <= self.eps < math.inf:
             raise ValueError("eps must be finite and >= 0")
 

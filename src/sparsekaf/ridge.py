@@ -7,11 +7,14 @@ solved through their normal equations with a Cholesky factorization; the
 popular shortcut (K + eps I)^{-1} y is deliberately not used because it is
 only equivalent when K is nonsingular.
 
-:func:`solve` builds only the lower triangle of the normal matrix, with one
-symmetric rank-k update (BLAS ``dsyrk``, half the flops of ``K @ K``), and
-factors it in place, so it works in two n x n arrays: K and A. The
-refinement step and :func:`normal_residual` apply A through K, as
-K(K alpha) plus the regularizer's term, and never form it.
+:func:`solve` keeps the normal matrix A in rectangular full packed (RFP)
+storage: its lower triangle in one array of n(n+1)/2 entries, which LAPACK
+still builds and factors with level-3 BLAS (Gustavson, Wasniewski, Dongarra
+& Langou, ACM TOMS 2010). One symmetric rank-k update (``dsfrk``, half the
+flops of ``K @ K``) builds it and ``dpftrf`` factors it in place, so the
+solve works in K and one RFP triangle. The refinement step and
+:func:`normal_residual` apply A through K, as K(K alpha) plus the
+regularizer's term, and never form it.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dpftrf, dpftrs, dsfrk, dtrttf
 
 from .errors import NumericalError
 from .kernels import Kernel, _as_matrix
@@ -75,10 +77,11 @@ class RidgeProblem:
 def solve(prob: RidgeProblem) -> np.ndarray:
     """Coefficient vector solving the variant's normal equations.
 
-    Builds the lower triangle of A = K^2 + eps K (``rkhs_norm``) or
-    K^2 + eps I (``param_norm``) with one ``dsyrk``, factors it in place by
-    Cholesky and makes one step of iterative refinement, whose residual
-    applies A through K. Besides the Gram matrix it holds one n x n array.
+    Builds A = K^2 + eps K (``rkhs_norm``) or K^2 + eps I (``param_norm``)
+    as an RFP lower triangle with one ``dsfrk``, factors it in place by
+    Cholesky (``dpftrf``) and makes one step of iterative refinement, whose
+    residual applies A through K. Besides the Gram matrix it holds one
+    array of n(n+1)/2 entries.
     The ``rkhs_norm`` system is singular whenever the Gram matrix is
     (linearly dependent samples). Whether the factorization sees that
     depends on rounding: it may raise a NumericalError suggesting the
@@ -86,23 +89,46 @@ def solve(prob: RidgeProblem) -> np.ndarray:
     return one of the minimizers, which all share the same K alpha.
     """
     K = prob.gram
-    # K.T is K's buffer read in Fortran order, which dsyrk takes without a
+    n = K.shape[0]
+    # K.T is K's buffer read in Fortran order, which LAPACK takes without a
     # copy; with K symmetric, (K.T)^T K.T = K^2
     if prob.variant == "rkhs_norm":
-        A = dsyrk(1.0, K.T, beta=prob.eps, c=np.array(K, order="F"), trans=1, lower=1, overwrite_c=1)
+        a = dtrttf(K.T, transr="N", uplo="L")[0]
+        a *= prob.eps
+        beta = 1.0
     else:
-        A = dsyrk(1.0, K.T, trans=1, lower=1)
-        A[np.diag_indices_from(A)] += prob.eps
-    try:
-        factor = scipy.linalg.cho_factor(A, lower=True, overwrite_a=True, check_finite=False)
-    except (np.linalg.LinAlgError, ValueError) as exc:
+        a = np.zeros(n * (n + 1) // 2)
+        beta = 0.0
+    a = dsfrk(n, n, 1.0, K.T, beta, a, transr="N", uplo="L", trans="T", overwrite_c=1)
+    if prob.variant == "param_norm":
+        a[_rfp_diagonal(n)] += prob.eps
+    a, info = dpftrf(n, a, transr="N", uplo="L", overwrite_a=1)
+    if info > 0:
         hint = " (singular Gram matrix; the param_norm variant stays solvable)" \
             if prob.variant == "rkhs_norm" else ""
-        raise NumericalError(f"normal equations not positive definite{hint}: {exc}") from None
+        raise NumericalError(f"normal equations not positive definite{hint}:"
+                             f" leading minor of order {info} is not positive")
     b = K @ prob.targets
-    alpha = scipy.linalg.cho_solve(factor, b, check_finite=False)
-    alpha += scipy.linalg.cho_solve(factor, b - _normal_product(prob, alpha), check_finite=False)
+    alpha = _factor_solve(a, b)
+    alpha += _factor_solve(a, b - _normal_product(prob, alpha))
     return alpha
+
+
+def _rfp_diagonal(n: int) -> np.ndarray:
+    """Positions of an n x n matrix's diagonal in its RFP array (``transr="N"``, ``uplo="L"``).
+
+    The array is a column-major (n+1) x n/2 block for even n and n x (n+1)/2
+    for odd n; both diagonal halves step by one column plus one row.
+    """
+    size = n * (n + 1) // 2
+    step, second = (n + 2, 1) if n % 2 == 0 else (n + 1, n)
+    return np.sort(np.concatenate((np.arange(0, size, step), np.arange(second, size, step))))
+
+
+def _factor_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with L L^T x = rhs, for the RFP Cholesky factor L from ``dpftrf``."""
+    x, _ = dpftrs(rhs.shape[0], factor, rhs[:, None], transr="N", uplo="L")
+    return x[:, 0]
 
 
 def _normal_product(prob: RidgeProblem, alpha: np.ndarray) -> np.ndarray:

@@ -405,8 +405,7 @@ class TestCli:
                  "--criterion", "babel", "--threshold", "3.0", "--max-atoms", "4", "--eta", "0.1",
                  "--eps", "0.01", "--seed", "2"]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "algo, name, length, t",
         # at length 148 the first non-finite row is the last one
@@ -418,6 +417,23 @@ class TestCli:
         argv = [*self.DIVERGENT, "--algo", algo, "--length", str(length), "--out", str(out)]
         assert main(argv) == 2
         assert f"numerical failure: step {t}: {name} with eta 0.1 diverged: alpha_sq_norm inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_divergent_learner_exits_two_under_warnings_as_errors(self, tmp_path):
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "sparsekaf.cli", *self.DIVERGENT, "--algo", "lms",
+             "--length", "1000", "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("numerical failure: step")
+        assert not out.exists()
+
+    def test_nlms_eta_of_two_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["run", "--algo", "nlms", "--eta", "2", "--length", "50", "--out", str(out)]) == 1
+        assert "nlms step size eta must be < 2" in capsys.readouterr().err
         assert not out.exists()
 
     def test_finite_series_pass_the_divergence_check_unchanged(self):

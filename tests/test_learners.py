@@ -40,6 +40,11 @@ class TestLearnerConfig:
             LearnerConfig("nlms", 0.0)
         with pytest.raises(ValueError):
             LearnerConfig("nlms", 0.5, eps=-1.0)
+        # the normalized rule is stable only for 0 < eta < 2
+        for eta in (2.0, 3.0):
+            with pytest.raises(ValueError, match="nlms step size eta must be < 2"):
+                LearnerConfig("nlms", eta)
+        assert LearnerConfig("lms_identity", 2.0).eta == 2.0
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_eta_and_eps_name_the_field(self, value):

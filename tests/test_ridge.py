@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dtrttf
 
 from sparsekaf import (
     Kernel,
@@ -13,6 +14,7 @@ from sparsekaf import (
     objective,
     solve,
 )
+from sparsekaf.ridge import _rfp_diagonal
 
 
 def random_problem(seed, n=5, variant="param_norm", eps=0.5):
@@ -78,6 +80,9 @@ KERNEL_PROBLEMS = [
     (Kernel.gaussian(0.7), (40, 2)),
     (Kernel.polynomial(3, 0.5), (30, 4)),
     (Kernel.linear(), (30, 30)),
+    # the packed normal matrix splits its triangle one way for even n and
+    # another for odd n; in 8 dimensions the Gaussian keeps full rank
+    *((Kernel.gaussian(0.7), (n, 8)) for n in (1, 2, 3, 80, 81, 401)),
 ]
 
 
@@ -163,15 +168,23 @@ class TestSolveMemory:
             tracemalloc.stop()
 
     @pytest.mark.parametrize("variant", ["rkhs_norm", "param_norm"])
-    def test_solve_holds_one_n_by_n_array(self, variant):
+    def test_solve_holds_one_packed_triangle(self, variant):
+        # n(n+1)/2 doubles for the RFP normal matrix, and vectors
         peak = self.traced_peak(solve, self.problem(variant))
-        assert peak <= 1.1 * self.N**2 * 8 + 16 * self.N * 8
+        assert peak <= 0.55 * self.N**2 * 8 + 16 * self.N * 8
 
     @pytest.mark.parametrize("variant", ["rkhs_norm", "param_norm"])
     def test_residual_holds_vectors_only(self, variant):
         prob = self.problem(variant)
         alpha = solve(prob)
         assert self.traced_peak(normal_residual, prob, alpha) <= 16 * self.N * 8
+
+
+class TestRfpDiagonal:
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_matches_the_packed_identity(self, n):
+        want = np.flatnonzero(dtrttf(np.eye(n), transr="N", uplo="L")[0])
+        np.testing.assert_array_equal(_rfp_diagonal(n), want)
 
 
 class TestNormalSystem:
