@@ -108,7 +108,7 @@ def _cmd_verify(args) -> int:
     dictionary, cfg = _load_dictionary(args)
     code, report = verify_dictionary(dictionary, out=cfg.out)
     for bs in report.per_measure:
-        note = " (vacuous lower bound)" if bs.vacuous_lower else ""
+        note = "" if bs.lin_indep_condition_holds else " (vacuous lower bound)"
         print(
             f"{bs.measure_kind}: measure={bs.measure_value!r} bounds=({bs.lower!r}, {bs.upper!r})"
             f" nu={bs.isometry_nu!r}{note}"

@@ -4,10 +4,10 @@ A :class:`Dictionary` holds an ordered set of atom vectors together with
 their self-similarities kappa(x, x) and the lower Cholesky factor of their
 Gram matrix, which grows by one row per admission. All three live in
 buffers whose capacity doubles when full, so an admission writes O(m)
-entries and copies the dictionary only when the buffers double. The dense
-Gram matrix, which only the Gram-weighted update and the offline analysis
-read, is built on its first read and from then on extended in place at
-each admission. A dictionary built from given atoms (a loaded file)
+entries and copies the dictionary only when the buffers double. The factor
+is the only stored form of the Gram matrix: the dense matrix, which only
+the offline analysis reads, is built from the atoms on read and cached
+until the next admission. A dictionary built from given atoms (a loaded file)
 replays the admissions' arithmetic to build its factor on first use, so
 it holds the same factor, bit for bit, as the dictionary that grew them.
 Candidates are admitted online under one of four criteria (distance,
@@ -82,7 +82,7 @@ class ProjectionResult:
 
 
 class Dictionary:
-    """Ordered atom set with its Cholesky factor, a Gram matrix built on first read, and admission rule."""
+    """Ordered atom set with its Cholesky factor, a Gram matrix built on read, and admission rule."""
 
     def __init__(self, kernel: Kernel, criterion: CriterionConfig):
         self.kernel = kernel
@@ -93,15 +93,15 @@ class Dictionary:
         # BLAS upper packed storage), row i from i(i+1)/2: dtpsv(m, _packed, b)
         # solves L^T y = b, dtpsv(m, _packed, b, 1, 0, 0, 1) (trans=1 after
         # incx, offx, lower: f2py parses a keyword in ~1 us) L y = b, and
-        # dtpmv(m, _packed, b) is L^T b. All three hold as many atoms as
-        # _atoms_buf has rows. _gram_buf is None until gram is first read;
-        # from then on gram is its leading m x m block and it has as many rows
-        # as the others. Admissions write only past the filled entries, so the
-        # first m(m+1)/2 entries of a packed buffer hold L while it lives.
+        # dtpmv(m, _packed, b) is L^T b and dtpmv(m, _packed, b, 1, 0, 0, 1)
+        # L b. All three hold as many atoms as _atoms_buf has rows.
+        # Admissions write only past the filled entries, so the first
+        # m(m+1)/2 entries of a packed buffer hold L while it lives. _gram
+        # caches the dense Gram matrix between a read and the next admission.
         self._atoms_buf = np.zeros((0, 0))
         self._diag_buf = np.zeros(0)
-        self._gram_buf: np.ndarray | None = None
         self._packed: np.ndarray | None = np.zeros(0)
+        self._gram: np.ndarray | None = None
 
     @classmethod
     def from_atoms(cls, kernel: Kernel, criterion: CriterionConfig, atoms) -> "Dictionary":
@@ -118,8 +118,8 @@ class Dictionary:
         d = cls(kernel, criterion)
         if atoms.shape[0]:
             d._atoms_buf = atoms.copy()
-            d._gram_buf = kernel.gram(atoms)
-            d._diag_buf = np.diagonal(d._gram_buf).copy()
+            d._gram = kernel.gram(atoms)
+            d._diag_buf = np.diagonal(d._gram).copy()
             d._packed = None
             d._m = atoms.shape[0]
         return d
@@ -142,17 +142,14 @@ class Dictionary:
 
     @property
     def gram(self) -> np.ndarray:
-        """Gram matrix of the atoms: a view that later admissions leave unchanged. Do not mutate.
+        """Gram matrix of the atoms: an array that later admissions leave unchanged. Do not mutate.
 
-        The first read builds it with :meth:`Kernel.gram`, which replays the
-        admissions' arithmetic bit for bit; later admissions extend it in place.
+        Built by :meth:`Kernel.gram`, which replays the admissions' arithmetic
+        bit for bit, and cached until the next admission.
         """
-        m = self._m
-        if self._gram_buf is None:
-            cap = self._atoms_buf.shape[0]
-            self._gram_buf = np.empty((cap, cap))
-            self._gram_buf[:m, :m] = self.kernel.gram(self.atoms)
-        return self._gram_buf[:m, :m]
+        if self._gram is None:
+            self._gram = self.kernel.gram(self.atoms)
+        return self._gram
 
     def _factor(self) -> np.ndarray:
         """Packed buffer of the lower Cholesky factor L; replayed here only for from_atoms dictionaries.
@@ -237,19 +234,13 @@ class Dictionary:
             atoms, diag, packed = np.empty((cap, x.shape[0])), np.empty(cap), np.empty(cap * (cap + 1) // 2)
             if m:
                 atoms[:m], diag[:m], packed[:start] = self.atoms, self._diag_buf[:m], self._packed[:start]
-            if self._gram_buf is not None:
-                gram = np.empty((cap, cap))
-                gram[:m, :m] = self._gram_buf[:m, :m]
-                self._gram_buf = gram
             self._atoms_buf, self._diag_buf, self._packed = atoms, diag, packed
         self._atoms_buf[m] = x
         self._diag_buf[m] = kxx
-        if self._gram_buf is not None:
-            self._gram_buf[m, m] = kxx
-            self._gram_buf[m, :m] = self._gram_buf[:m, m] = kvec
         self._packed[start : start + m] = z
         self._packed[start + m] = root
         self._m = m + 1
+        self._gram = None
         return root
 
     def _contains(self, x: np.ndarray) -> bool:
@@ -386,6 +377,12 @@ class Dictionary:
     def _coordinates(self, alpha) -> np.ndarray:
         """w = L^T alpha: the model sum_j alpha_j kappa(atom_j, .) in the factor's orthonormal coordinates."""
         return dtpmv(self.m, self._factor(), alpha) if self.m else np.zeros(0)
+
+    def _gram_product(self, alpha: np.ndarray) -> np.ndarray:
+        """K alpha = L (L^T alpha), two packed triangular products, for a non-empty dictionary."""
+        m, packed = self._m, self._factor()
+        # the second product (trans=1) overwrites L^T alpha, a new array
+        return dtpmv(m, packed, dtpmv(m, packed, alpha), 1, 0, 0, 1, 0, 1)
 
     # -- serialization --------------------------------------------------------
 

@@ -40,13 +40,10 @@ class ExperimentConfig:
     length: int = 1000
     noise: float | None = None
     out: str | None = None
-    probe_grid: np.ndarray | None = None  # final model is evaluated here
 
     def __post_init__(self):
         if self.length < 1:
             raise ConfigError("length must be >= 1")
-        if self.probe_grid is not None:
-            self.probe_grid = np.atleast_2d(np.asarray(self.probe_grid, dtype=np.float64))
 
 
 def synthesize(name: str, seed: int, length: int, noise: float | None = None):
@@ -157,7 +154,6 @@ class RunRecord:
     report: SpectralReport | None = None
     dictionary: Dictionary | None = None
     state: ModelState | None = None
-    probes: list[tuple] = field(default_factory=list)  # (point, final prediction)
 
     RUN_COLUMNS = ("t", "prediction", "error", "admitted", "m", "alpha_sq_norm", "psi_sq_norm")
 
@@ -167,13 +163,6 @@ class RunRecord:
             lines.append(
                 f"{t},{pred!r},{err!r},{int(admitted)},{m},{a_sq!r},{psi_sq!r}"
             )
-        return "\n".join(lines) + "\n"
-
-    def probes_csv(self) -> str:
-        dim = len(self.probes[0][0]) if self.probes else 0
-        lines = [",".join([f"x{i}" for i in range(dim)] + ["prediction"])]
-        for point, value in self.probes:
-            lines.append(",".join(repr(float(v)) for v in point) + f",{value!r}")
         return "\n".join(lines) + "\n"
 
 
@@ -212,8 +201,6 @@ def run_online(cfg: ExperimentConfig) -> RunRecord:
     record.dictionary = dictionary
     record.state = state
     record.report = spectral_report(dictionary)
-    if cfg.probe_grid is not None:
-        record.probes = [(z, state.predict(dictionary, z)) for z in cfg.probe_grid]
     if cfg.out is not None:
         os.makedirs(cfg.out, exist_ok=True)
         with open(os.path.join(cfg.out, RUN_CSV), "w", encoding="ascii") as fh:
@@ -221,9 +208,6 @@ def run_online(cfg: ExperimentConfig) -> RunRecord:
         with open(os.path.join(cfg.out, SPECTRAL_CSV), "w", encoding="ascii") as fh:
             fh.write(record.report.to_csv())
         dictionary.save(os.path.join(cfg.out, DICTIONARY_FILE))
-        if record.probes:
-            with open(os.path.join(cfg.out, "probes.csv"), "w", encoding="ascii") as fh:
-                fh.write(record.probes_csv())
     return record
 
 

@@ -18,15 +18,8 @@ FAMILIES = ("linear", "polynomial", "gaussian")
 
 
 def _all_finite(a: np.ndarray) -> bool:
-    """Whether every entry of float64 ``a`` is finite, in one reduction when it is.
-
-    A NaN or infinite entry makes every partial sum that includes it NaN or
-    infinite, so a finite sum proves every entry finite. A sum that is not
-    finite (a non-finite entry, or finite entries whose sum overflows) is
-    settled entry by entry; numpy warns about a sum that overflows or meets
-    both infinities (RuntimeWarning) before that check runs.
-    """
-    return math.isfinite(np.add.reduce(a, axis=None)) or bool(np.isfinite(a).all())
+    """Whether every entry of float64 ``a`` is finite; it makes no arithmetic, so it never warns."""
+    return bool(np.isfinite(a).all())
 
 
 def _sq_distances(atoms: np.ndarray, x: np.ndarray) -> np.ndarray:

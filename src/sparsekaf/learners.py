@@ -3,7 +3,8 @@
 Each step predicts with the previous model, offers the sample to the
 dictionary, and applies one of four update rules over the post-admission
 dictionary: two dual-space stochastic gradient variants (plain and
-Gram-weighted regularization), a normalized LMS, and the
+Gram-weighted regularization, whose K alpha is read through the Cholesky
+factor as L (L^T alpha)), a normalized LMS, and the
 functional-framework rule that replaces the incoming kernel function by
 its projection onto the dictionary span.
 
@@ -149,18 +150,20 @@ def update_lms_identity(alpha, kvec, error: float, eta: float, eps: float) -> np
     return alpha + eta * (error * kvec - eps * alpha)
 
 
-def update_lms_gram(alpha, kvec, gram, error: float, eta: float, eps: float) -> np.ndarray:
+def update_lms_gram(alpha, kvec, gram_alpha, error: float, eta: float, eps: float) -> np.ndarray:
     """Stochastic gradient rule with Gram-weighted regularization.
 
-    alpha' = alpha + eta * (error * kvec - eps * gram @ alpha); with
-    gram = I this coincides with :func:`update_lms_identity`.
+    alpha' = alpha + eta * (error * kvec - eps * gram_alpha), where
+    ``gram_alpha`` is K alpha over the dictionary the update acts on; with
+    gram_alpha = alpha this coincides with :func:`update_lms_identity`.
+    :func:`step` forms K alpha from the Cholesky factor, as L (L^T alpha).
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     kvec = np.asarray(kvec, dtype=np.float64)
-    gram = np.asarray(gram, dtype=np.float64)
-    if gram.shape != (len(alpha), len(alpha)):
-        raise ValueError(f"gram shape {gram.shape} does not match alpha length {len(alpha)}")
-    return alpha + eta * (error * kvec - eps * (gram @ alpha))
+    gram_alpha = np.asarray(gram_alpha, dtype=np.float64)
+    if gram_alpha.shape != alpha.shape:
+        raise ValueError(f"length mismatch: alpha {alpha.shape} vs gram_alpha {gram_alpha.shape}")
+    return alpha + eta * (error * kvec - eps * gram_alpha)
 
 
 def update_nlms(alpha, kvec, error: float, eta: float, eps: float) -> np.ndarray:
@@ -211,6 +214,8 @@ def step(
     entry kappa(x_t, x_t), the number the Gram matrix holds, and the
     coefficient vector by a zero (which leaves the model function
     unchanged), so that the update rule acts on the just-admitted atom.
+    The Gram-weighted rule reads K alpha over that dictionary as
+    L (L^T alpha), so no step reads the dense Gram matrix.
 
     The functional rule runs in the factor's coordinates: one forward solve
     z = L^-1 kvec serves the prediction w @ z, the approximation test, the
@@ -258,7 +263,7 @@ def step(
         if cfg.algorithm == "lms_identity":
             alpha = update_lms_identity(alpha, kvec, error, cfg.eta, cfg.eps)
         elif cfg.algorithm == "lms_gram":
-            alpha = update_lms_gram(alpha, kvec, dictionary.gram, error, cfg.eta, cfg.eps)
+            alpha = update_lms_gram(alpha, kvec, dictionary._gram_product(alpha), error, cfg.eta, cfg.eps)
         else:
             alpha = update_nlms(alpha, kvec, error, cfg.eta, cfg.eps)
         state = ModelState(alpha=alpha)

@@ -162,11 +162,6 @@ class BoundSet:
         """Sufficient condition for linearly independent atoms: a positive lower bound."""
         return self.lower > 0.0
 
-    @property
-    def vacuous_lower(self) -> bool:
-        """Theoretical lower bound tells us nothing when it is <= 0."""
-        return not self.lower > 0.0
-
 
 def window(kind: str, value: float, m: int, nr: NormRange, sound: bool = False) -> BoundSet:
     """Every guarantee of an m-atom dictionary whose ``kind`` measure is ``value``.
@@ -289,13 +284,6 @@ class SpectralReport:
         return "\n".join(lines) + "\n"
 
 
-def dictionary_norm_range(dictionary: Dictionary) -> NormRange:
-    """Analytic range for Gaussian kernels, else empirical over the atoms."""
-    if dictionary.kernel.family == "gaussian":
-        return norm_range(dictionary.kernel)
-    return norm_range(dictionary.kernel, dictionary.atoms)
-
-
 def spectral_report(dictionary: Dictionary, nr: NormRange | None = None) -> SpectralReport:
     """Measure the dictionary all four ways and check every guarantee.
 
@@ -304,12 +292,14 @@ def spectral_report(dictionary: Dictionary, nr: NormRange | None = None) -> Spec
     Gram matrix too close to singular for the approximation measure) yield
     NaN rows with no checks. The isometry extremes are the exact suprema
     over all coefficient vectors, read off the spectrum; nothing is sampled.
-    The spectrum is solved for eigenvalues only.
+    The spectrum is solved for eigenvalues only. ``nr`` defaults to
+    :func:`norm_range` over the atoms: analytic for the Gaussian kernel,
+    empirical otherwise.
     """
     if dictionary.m == 0:
         raise ValueError("spectral_report requires a non-empty dictionary")
     if nr is None:
-        nr = dictionary_norm_range(dictionary)
+        nr = norm_range(dictionary.kernel, dictionary.atoms)
     spectrum = eigensolve(dictionary.gram, vectors=False)
     report = SpectralReport(spectrum=spectrum, norm=nr)
 

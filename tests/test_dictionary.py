@@ -466,9 +466,9 @@ class TestCholeskyFactor:
 
     def test_admissions_fill_spare_capacity(self):
         # the atom, diagonal and factor buffers double together when full
-        # instead of being reallocated per admission, admission allocates no
-        # Gram buffer, and atoms views and factor rows handed out earlier keep
-        # their values while later atoms are written past them
+        # instead of being reallocated per admission, and atoms views and
+        # factor rows handed out earlier keep their values while later atoms
+        # are written past them
         rng = np.random.default_rng(1)
         d = Dictionary(Kernel.gaussian(0.4), CriterionConfig("coherence", 0.95))
         points = iter(rng.uniform(-1, 1, size=(2000, 4)))
@@ -480,7 +480,6 @@ class TestCholeskyFactor:
             assert all(grown) or not any(grown)
             if grown[0]:
                 bufs, reallocations = current, reallocations + 1
-            assert d._gram_buf is None
             assert d._diag_buf.shape[0] == d._atoms_buf.shape[0]
             assert d._packed.shape[0] == d._atoms_buf.shape[0] * (d._atoms_buf.shape[0] + 1) // 2
             if d.m == 10 and early is None:
@@ -492,10 +491,10 @@ class TestCholeskyFactor:
         assert np.array_equal(d._diag_buf[: d.m], np.ones(d.m))
 
     def test_gram_read_mid_stream_is_extended_bit_for_bit(self):
-        # gram is built from the atoms on first read, once before a doubling
-        # (m = 10, capacity 16) and once just after one (m = 17, capacity
-        # 32), and every later admission extends it in place: it stays
-        # bit-identical to Kernel.gram replaying the admissions from scratch
+        # gram is read first once before a doubling (m = 10, capacity 16) and
+        # once just after one (m = 17, capacity 32); after every later
+        # admission it stays bit-identical to Kernel.gram replaying the
+        # admissions from scratch, and the array read first keeps its values
         for dim in (1, 4, 9):
             for first_read in (10, 17):
                 rng = np.random.default_rng(dim)
@@ -509,11 +508,11 @@ class TestCholeskyFactor:
                 while d.m < 40:
                     if d.admit(next(points)):
                         assert d.gram.tobytes() == d.kernel.gram(d.atoms).tobytes()
-                assert d._gram_buf.shape == (64, 64)
                 assert view.tobytes() == frozen.tobytes()
 
-    def test_streams_that_never_read_gram_allocate_no_dense_buffer(self):
-        # nlms never reads gram: growing past 512 atoms doubles the buffers to
+    @pytest.mark.parametrize("algo", ["lms_identity", "lms_gram", "nlms", "functional_sgd"])
+    def test_streams_that_never_read_gram_allocate_no_dense_buffer(self, algo):
+        # no step reads gram: growing past 512 atoms doubles the buffers to
         # 1024 rows, and nothing the size of a 1024 x 1024 Gram matrix may be
         # allocated on the way (the packed factor is about half of it)
         cap = 1024
@@ -521,7 +520,7 @@ class TestCholeskyFactor:
         xs = rng.uniform(-1, 1, size=(3000, 4))
         ys = np.sin(np.pi * xs[:, 0]) * xs[:, 1]
         d = Dictionary(Kernel.gaussian(0.4), CriterionConfig("coherence", 0.95, max_atoms=520))
-        cfg = LearnerConfig("nlms", eta=0.5, eps=1e-6)
+        cfg = LearnerConfig(algo, eta=0.5, eps=1e-6)
         state = ModelState.empty()
         tracemalloc.start()
         try:
@@ -536,7 +535,6 @@ class TestCholeskyFactor:
         assert d.m == 520 and d._atoms_buf.shape[0] == cap
         assert largest < cap * cap * 8
         assert peak < cap * cap * 8
-        assert d._gram_buf is None
 
 
 class TestCriterionSoundness:

@@ -215,18 +215,6 @@ class TestRunOnline:
             w = record.state.coordinates(record.dictionary)
             assert final[6] == float(w @ w)
 
-    def test_probe_grid_written_and_matches_final_model(self, tmp_path):
-        grid = np.linspace(-3, 3, 7).reshape(-1, 1)
-        out = str(tmp_path / "probes")
-        record = run_online(make_config(length=100, probe_grid=grid, out=out))
-        assert len(record.probes) == 7
-        for (point, value), z in zip(record.probes, grid):
-            np.testing.assert_array_equal(point, z)
-            assert value == pytest.approx(record.state.predict(record.dictionary, z), abs=1e-15)
-        probe_lines = open(os.path.join(out, "probes.csv")).read().strip().split("\n")
-        assert probe_lines[0] == "x0,prediction"
-        assert len(probe_lines) == 8
-
     def test_csv_data_source(self, tmp_path):
         data = tmp_path / "in.csv"
         xs, ys = synthesize("sinc1d", seed=2, length=40, noise=0.0)
@@ -262,7 +250,7 @@ class TestVerify:
         assert code == 0
         coh = [bs for bs in report.per_measure if bs.measure_kind == "coherence"][0]
         assert coh.measure_value == pytest.approx(1.0, abs=1e-12)
-        assert coh.vacuous_lower
+        assert not coh.lin_indep_condition_holds
 
     def test_exit_policy_reads_hard(self, monkeypatch):
         # two Gaussian atoms with correlation exp(-0.08) = 0.92, admitted under Babel 0.5

@@ -75,13 +75,12 @@ def overflowing_atoms():
 NON_FINITE = {"NaN": [np.nan, 0.5], "+inf": [np.inf, 0.5], "-inf": [-np.inf, 0.5], "+inf and -inf": [np.inf, -np.inf]}
 
 
-# numpy warns when a sum of these inputs overflows or meets both infinities
+# numpy warns when arithmetic on these inputs overflows or meets both infinities
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 class TestFiniteCheck:
-    """The input checks sum an array once and look entry by entry only when
-    the sum is not finite, so they accept and reject exactly what an
-    entry-wise check does."""
+    """The input checks test every entry, so they accept finite inputs whose
+    sums overflow and reject any NaN or infinite entry."""
 
     KERNEL = Kernel.gaussian(1.0)
     BIG = ([1e308, 1e308], [-1e308, -1e308])  # their sums overflow to +inf and -inf
@@ -119,6 +118,15 @@ class TestFiniteCheck:
                 call()
         with pytest.raises(ValueError, match="^atoms contain non-finite entries$"):
             Dictionary.from_atoms(k, CriterionConfig("coherence", 0.9), atoms)
+
+
+@pytest.mark.filterwarnings("error")
+def test_finite_check_raises_no_warning():
+    # as under python -W error: the check makes no arithmetic that could warn
+    k = Kernel.gaussian(1.0)
+    assert k([1e308, 1e308], [1e308, 1e308]) == 1.0
+    with pytest.raises(ValueError, match="^x contains non-finite entries$"):
+        k([np.inf, -np.inf], [0.5, 0.5])
 
 
 ROW_FAULTS = {

@@ -79,21 +79,21 @@ class TestUpdateLmsGram:
         alpha, kvec = np.array([0.5, 0.1]), np.array([0.9, 0.2])
         gram = np.array([[1.0, 0.4], [0.4, 1.0]])
         np.testing.assert_array_equal(
-            update_lms_gram(alpha, kvec, gram, 1.5, 0.2, 0.0),
+            update_lms_gram(alpha, kvec, gram @ alpha, 1.5, 0.2, 0.0),
             update_lms_identity(alpha, kvec, 1.5, 0.2, 0.0),
         )
 
     def test_identity_gram_matches_identity_rule(self):
         alpha, kvec = np.array([0.5, 0.1]), np.array([0.9, 0.2])
         np.testing.assert_allclose(
-            update_lms_gram(alpha, kvec, np.eye(2), 1.5, 0.2, 0.7),
+            update_lms_gram(alpha, kvec, np.eye(2) @ alpha, 1.5, 0.2, 0.7),
             update_lms_identity(alpha, kvec, 1.5, 0.2, 0.7),
             atol=1e-15,
         )
 
     def test_hand_example(self):
         # oracle: (1,0) + 0.1*(0 - [[1,.5],[.5,1]] @ (1,0)) = (0.9, -0.05)
-        out = update_lms_gram([1.0, 0.0], [1.0, 0.5], [[1.0, 0.5], [0.5, 1.0]], 0.0, 0.1, 1.0)
+        out = update_lms_gram([1.0, 0.0], [1.0, 0.5], np.array([[1.0, 0.5], [0.5, 1.0]]) @ [1.0, 0.0], 0.0, 0.1, 1.0)
         np.testing.assert_allclose(out, [0.9, -0.05], atol=1e-15)
 
 
@@ -205,7 +205,8 @@ def reference_step(state, d, x, y, cfg):
     The functional rule runs on the coordinates w over the factor L and on
     the projection's z = L^-1 kvec; an admission appends the new diagonal
     entry of L, the square root of the Schur pivot, to z. The admitted
-    atom's own row entry is kappa(x, x) as the Gram matrix holds it.
+    atom's own row entry is kappa(x, x) as the Gram matrix holds it. The
+    Gram-weighted rule applies the dense Gram matrix, K alpha.
     """
     if cfg.algorithm == "functional_sgd":
         w = state.coordinates(d)
@@ -227,10 +228,17 @@ def reference_step(state, d, x, y, cfg):
     if cfg.algorithm == "lms_identity":
         alpha = update_lms_identity(alpha, kvec, error, cfg.eta, cfg.eps)
     elif cfg.algorithm == "lms_gram":
-        alpha = update_lms_gram(alpha, kvec, d.gram, error, cfg.eta, cfg.eps)
+        alpha = update_lms_gram(alpha, kvec, d.gram @ alpha, error, cfg.eta, cfg.eps)
     else:
         alpha = update_nlms(alpha, kvec, error, cfg.eta, cfg.eps)
     return ModelState(alpha=alpha), StepOutcome(prediction, error, admitted, d.m)
+
+
+# lms_gram's step forms K alpha as L (L^T alpha), the reference as K @ alpha:
+# the two round differently, so its states and outcomes agree within this
+# relative tolerance (over the cases below the worst deviation is 2.0e-13 in
+# alpha and 4.7e-13 in a prediction), and its admissions exactly
+GRAM_PRODUCT_RTOL = 1e-11
 
 
 # (kernel, inputs, dimension, max_atoms, threshold per criterion). On the
@@ -258,11 +266,19 @@ def data_flow_stream(inputs, dim, n=80):
     return xs, np.sin(xs).sum(axis=1)
 
 
+def assert_close(got, expected, rtol):
+    """Largest entry-wise deviation within ``rtol`` of the largest entry, or of 1 if that is smaller."""
+    got, expected = np.atleast_1d(got), np.atleast_1d(expected)
+    assert np.abs(got - expected).max() <= rtol * max(np.abs(expected).max(), 1.0)
+
+
 class TestStepDataFlow:
     @pytest.mark.parametrize("algo", ALGORITHMS)
     @pytest.mark.parametrize("kind", CRITERION_KINDS)
     @pytest.mark.parametrize("case", sorted(DATA_FLOW_CASES))
     def test_matches_reference_bit_for_bit(self, case, kind, algo):
+        # bit for bit for every rule but lms_gram, which agrees within
+        # GRAM_PRODUCT_RTOL
         kernel, inputs, dim, cap, thresholds = DATA_FLOW_CASES[case]
         xs, ys = data_flow_stream(inputs, dim)
         crit = CriterionConfig(kind, thresholds[kind], max_atoms=cap)
@@ -274,9 +290,15 @@ class TestStepDataFlow:
             m = d.m
             state, out = step(state, d, x, y, cfg)
             state_ref, out_ref = reference_step(state_ref, d_ref, x, y, cfg)
-            assert out == out_ref
-            assert state.alpha.tobytes() == state_ref.alpha.tobytes()
-            assert state.coordinates(d).tobytes() == state_ref.coordinates(d_ref).tobytes()
+            if algo == "lms_gram":
+                assert out[2:] == out_ref[2:]
+                assert_close(out[:2], out_ref[:2], GRAM_PRODUCT_RTOL)
+                assert_close(state.alpha, state_ref.alpha, GRAM_PRODUCT_RTOL)
+                assert_close(state.coordinates(d), state_ref.coordinates(d_ref), GRAM_PRODUCT_RTOL)
+            else:
+                assert out == out_ref
+                assert state.alpha.tobytes() == state_ref.alpha.tobytes()
+                assert state.coordinates(d).tobytes() == state_ref.coordinates(d_ref).tobytes()
             seen.add("first" if m == 0 else "cap" if m == cap else "admit" if out.admitted else "reject")
         assert seen == {"first", "admit", "reject", "cap"}
         for got, expected in ((d.atoms, d_ref.atoms), (d.gram, d_ref.gram), (gram_inverse(d), gram_inverse(d_ref))):
@@ -508,8 +530,7 @@ class TestStepChecks:
     def test_input_is_validated_once_per_step(self, monkeypatch):
         # exactly one finiteness check covers x: _as_vector's with no atoms,
         # the kernel row's check of its own squared distances with atoms; no
-        # check re-reads the atoms. The Gram matrix, whose first read checks
-        # the atoms once, is built before the stream (lms_gram reads it)
+        # check re-reads the atoms, and no step reads the Gram matrix
         calls = []
 
         def counting(name, check):

@@ -13,6 +13,7 @@ from sparsekaf import (
     normal_residual,
     objective,
     solve,
+    synthesize,
 )
 from sparsekaf.ridge import _rfp_diagonal
 
@@ -54,6 +55,15 @@ class TestSolve:
             alpha = solve(prob)
             scale = max(np.linalg.norm(prob.targets), 1.0)
             assert np.linalg.norm(gradient(prob, alpha)) <= 1e-8 * scale
+
+    @pytest.mark.parametrize("seed", [0, 2, 4])
+    def test_refinement_step_earns_its_cost(self, seed):
+        # K^2 + 1e-10 I from a wide Gaussian on the line is ill-conditioned
+        # enough that one Cholesky solve leaves a residual of 5.6e-11 to
+        # 8.4e-11 on these seeds, and the refinement step 1.3e-12 to 4.3e-12
+        xs, ys = synthesize("sinc1d", seed, 200)
+        prob = RidgeProblem(xs, ys, Kernel.gaussian(2.0), eps=1e-10, variant="param_norm")
+        assert normal_residual(prob, solve(prob)) <= 2e-11
 
     def test_rkhs_norm_singular_suggests_param_norm(self):
         # duplicate samples make the Gram matrix exactly singular

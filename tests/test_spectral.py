@@ -167,7 +167,6 @@ class TestWindowTable:
                 assert bs.cond_number_bound == pytest.approx(cond, rel=1e-12), label
                 assert (bs.isometry_nu, bs.rescale_factor) == pytest.approx((nu, rescale), rel=1e-12), label
                 assert (bs.lin_indep_condition_holds, bs.sound) == (indep, is_sound), label
-                assert bs.vacuous_lower is not indep
 
     def test_underflowing_approximation_value(self):
         # delta = 1e-170 > 0 while delta^2 rounds to 0
@@ -516,7 +515,7 @@ class TestSpectralReport:
         assert not sound
         coh = report.per_measure[2]
         assert coh.measure_value <= 0.5 + 1e-12
-        assert not coh.vacuous_lower or d.m * 0.5 >= 1  # vacuous only for large m
+        assert coh.lin_indep_condition_holds or d.m * 0.5 >= 1  # vacuous only for large m
 
     def test_spectrum_is_eigenvalues_only(self):
         d = build_gaussian_dict("coherence", 0.9, seed=5, n=300, spread=2.0)
@@ -549,7 +548,7 @@ class TestSpectralReport:
         report = spectral_report(d)
         coh = report.per_measure[2]
         assert coh.measure_value == pytest.approx(1.0, abs=1e-12)
-        assert coh.vacuous_lower
+        assert not coh.lin_indep_condition_holds
         assert coh.cond_number_bound == math.inf
         assert report.spectrum.cond == math.inf
         assert verification_exit_code(report) == 0
