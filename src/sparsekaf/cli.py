@@ -23,7 +23,10 @@ from .harness import (
     _ALGO_ALIASES,
     CONFIG_KEYS,
     ConfigError,
+    DICTIONARY_FILE,
     GENERATORS,
+    RUN_CSV,
+    SPECTRAL_CSV,
     build_config,
     parse_config_file,
     run_online,
@@ -79,7 +82,7 @@ def _cmd_run(args) -> int:
         cfg.out = "."
     record = run_online(cfg)
     print(f"processed {len(record.rows)} samples, dictionary size {record.dictionary.m}")
-    print(f"wrote {os.path.join(cfg.out, 'run.csv')} and {os.path.join(cfg.out, 'spectral.csv')}")
+    print(f"wrote {os.path.join(cfg.out, RUN_CSV)} and {os.path.join(cfg.out, SPECTRAL_CSV)}")
     _print_violations(record.report)
     return EXIT_OK
 
@@ -91,14 +94,14 @@ def _print_violations(report) -> None:
 
 
 def _load_dictionary(args):
-    """(dictionary, config): ``--dict``, or else ``dictionary.txt`` in the configured ``out``.
+    """(dictionary, config): ``--dict``, or else ``DICTIONARY_FILE`` in the configured ``out``.
 
     The config is built either way, so a bad ``--config`` fails loudly.
     """
     cfg = _config_from_args(args)
     if args.dict:
         return Dictionary.load(args.dict), cfg
-    candidate = os.path.join(cfg.out or ".", "dictionary.txt")
+    candidate = os.path.join(cfg.out or ".", DICTIONARY_FILE)
     if not os.path.exists(candidate):
         raise ConfigError(f"no dictionary file: pass --dict PATH or --out DIR containing {candidate}")
     return Dictionary.load(candidate), cfg

@@ -8,8 +8,9 @@ entries and copies the dictionary only when the buffers double. The factor
 is the only stored form of the Gram matrix: the dense matrix, which only
 the offline analysis reads, is built from the atoms on read and cached
 until the next admission. A dictionary built from given atoms (a loaded file)
-replays the admissions' arithmetic to build its factor on first use, so
-it holds the same factor, bit for bit, as the dictionary that grew them.
+factors its Gram matrix on first use with LAPACK's packed Cholesky, which
+runs the admissions' arithmetic, so it holds the same factor, bit for bit,
+as the dictionary that grew them.
 Candidates are admitted online under one of four criteria (distance,
 approximation, coherence, Babel); the exact sparsity measure of a finished
 dictionary can be recomputed offline with :meth:`Dictionary.measure`.
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dtpmv, dtpsv
-from scipy.linalg.lapack import dpptri
+from scipy.linalg.lapack import dpptrf, dpptri, dtrttp
 
 from .errors import NumericalError
 from .kernels import Kernel, _as_vector
@@ -152,22 +153,24 @@ class Dictionary:
         return self._gram
 
     def _factor(self) -> np.ndarray:
-        """Packed buffer of the lower Cholesky factor L; replayed here only for from_atoms dictionaries.
+        """Packed buffer of the lower Cholesky factor L; built here only for from_atoms dictionaries.
 
-        The replay builds row i as admission does, from the forward solve of
-        the Gram row against the rows before it and the same pivot rule, so a
-        reloaded dictionary's factor is bit-identical to the grown one. A
-        pivot below ``PIVOT_FLOOR`` raises :class:`NumericalError`.
+        LAPACK's dpptrf factors K = U^T U with U = L^T, the upper packed layout
+        admission writes. Its column j is admission's row j: the forward solve
+        of the Gram row against the columns before it (``dtpsv``), the pivot
+        K_jj - ||z||^2 and its square root, so a reloaded dictionary's factor
+        is bit-identical to the grown one. A pivot that is not positive, or
+        whose root is below sqrt(``PIVOT_FLOOR``), raises :class:`NumericalError`.
         """
         if self._packed is None:
-            gram, cap = self.gram, self._atoms_buf.shape[0]
-            packed = np.empty(cap * (cap + 1) // 2)
-            for i in range(self._m):
-                row = gram[i, :i]
-                z = dtpsv(i, packed, row, 1, 0, 0, 1) if i else row
-                start = i * (i + 1) // 2
-                packed[start : start + i] = z
-                packed[start + i] = _pivot_root(gram[i, i], z, "gram matrix")
+            m = self._m
+            # gram is exactly symmetric; its transpose is packed without a copy
+            packed, info = dpptrf(m, dtrttp(self.gram.T)[0], overwrite_ap=1)
+            roots = packed[_packed_diagonal(m)]
+            if info > 0 or roots.min() < math.sqrt(PIVOT_FLOOR):
+                # on failure, dpptrf leaves the failing pivot on the diagonal
+                pivot = roots[info - 1] if info > 0 else roots.min() ** 2
+                raise NumericalError(f"near-singular gram matrix: Schur pivot {pivot:.3e} below {PIVOT_FLOOR:.0e}")
             self._packed = packed
         return self._packed
 
@@ -350,14 +353,12 @@ class Dictionary:
         # approximation: atom i's residual against the others is 1/(K^-1)_ii
         # (the last pivot of K with atom i ordered last). dpptri inverts
         # K = U^T U from U = L^T, which _packed holds in upper packed
-        # storage; the inverse comes back in the same storage, diagonal
-        # entry j at j(j+3)/2.
+        # storage; the inverse comes back in the same storage.
         m = self.m
         inv, info = dpptri(m, self._factor()[: m * (m + 1) // 2])
         if info:
             raise NumericalError(f"packed Cholesky inverse failed (LAPACK dpptri info={info})")
-        j = np.arange(m)
-        return math.sqrt(max(float(np.min(1.0 / inv[j * (j + 3) // 2])), 0.0))
+        return math.sqrt(max(float(np.min(1.0 / inv[_packed_diagonal(m)])), 0.0))
 
     def project(self, x) -> ProjectionResult:
         """Least-squares projection of kappa(x, .) onto the dictionary span."""
@@ -455,6 +456,12 @@ def _pivot_root(kxx: float, z: np.ndarray, what: str) -> float:
     if pivot < PIVOT_FLOOR:
         raise NumericalError(f"near-singular {what}: Schur pivot {pivot:.3e} below {PIVOT_FLOOR:.0e}")
     return math.sqrt(pivot)
+
+
+def _packed_diagonal(m: int) -> np.ndarray:
+    """Positions j(j+3)/2 of the diagonal entries of an m x m triangle in upper packed storage."""
+    j = np.arange(m)
+    return j * (j + 3) // 2
 
 
 def _coefficients(packed: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -161,8 +161,9 @@ def update_lms_gram(alpha, kvec, gram_alpha, error: float, eta: float, eps: floa
     alpha = np.asarray(alpha, dtype=np.float64)
     kvec = np.asarray(kvec, dtype=np.float64)
     gram_alpha = np.asarray(gram_alpha, dtype=np.float64)
-    if gram_alpha.shape != alpha.shape:
-        raise ValueError(f"length mismatch: alpha {alpha.shape} vs gram_alpha {gram_alpha.shape}")
+    for name, v in (("kvec", kvec), ("gram_alpha", gram_alpha)):
+        if v.shape != alpha.shape:
+            raise ValueError(f"length mismatch: alpha {alpha.shape} vs {name} {v.shape}")
     return alpha + eta * (error * kvec - eps * gram_alpha)
 
 

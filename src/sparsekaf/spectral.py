@@ -1,12 +1,11 @@
 """Spectral analysis of dictionary Gram matrices.
 
-Exact eigendecomposition (:func:`eigensolve`: LAPACK ``eigh``, or
-``eigvalsh`` where only the values are read) plus the theoretical
-guarantees a sparse dictionary earns from its sparsity measure, built by
-:func:`window`: Gersgorin-derived eigenvalue bounds, a sufficient
-linear-independence condition, a condition number bound, and the
-quasi-isometry constant between the coefficient (dual) space R^m and the
-span of the dictionary atoms.
+The exact spectrum (:func:`eigensolve`: LAPACK ``eigvalsh``) plus the
+theoretical guarantees a sparse dictionary earns from its sparsity
+measure, built by :func:`window`: Gersgorin-derived eigenvalue bounds, a
+sufficient linear-independence condition, a condition number bound, and
+the quasi-isometry constant between the coefficient (dual) space R^m and
+the span of the dictionary atoms.
 
 :func:`spectral_report` checks the quasi-isometry exactly: with K the Gram
 matrix divided by the squared rescale factor, the Rayleigh quotient ranges
@@ -53,14 +52,9 @@ CONTAINMENT_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class EigenSpectrum:
-    """Eigenvalues (non-increasing) and orthonormal eigenvectors (columns).
-
-    ``vectors`` is None for a values-only solve (``eigensolve(gram,
-    vectors=False)``), such as a :class:`SpectralReport`'s spectrum.
-    """
+    """Eigenvalues of a symmetric matrix, non-increasing."""
 
     values: np.ndarray
-    vectors: np.ndarray | None
 
     @property
     def lambda_max(self) -> float:
@@ -78,19 +72,9 @@ class EigenSpectrum:
         return self.lambda_max / self.lambda_min
 
 
-def eigensolve(gram: np.ndarray, vectors: bool = True) -> EigenSpectrum:
-    """Eigendecomposition of a symmetric matrix by LAPACK: ``eigh``, or
-    ``eigvalsh`` with ``vectors=False``, whose spectrum has no vectors.
-
-    Deterministic up to eigenvector sign. ``eigvalsh`` and ``eigh`` run
-    different LAPACK drivers, so the values of the two modes can differ in
-    the last digits.
-    """
-    a = _symmetric(gram)
-    if not vectors:
-        return EigenSpectrum(values=np.linalg.eigvalsh(a)[::-1], vectors=None)
-    values, vecs = np.linalg.eigh(a)
-    return EigenSpectrum(values=values[::-1], vectors=vecs[:, ::-1])
+def eigensolve(gram: np.ndarray) -> EigenSpectrum:
+    """Eigenvalues of a symmetric matrix by LAPACK (``eigvalsh``); deterministic."""
+    return EigenSpectrum(values=np.linalg.eigvalsh(_symmetric(gram))[::-1])
 
 
 def _symmetric(gram) -> np.ndarray:
@@ -245,7 +229,6 @@ class SpectralReport:
     spectrum: EigenSpectrum
     norm: NormRange
     per_measure: list[BoundSet] = field(default_factory=list)
-    isometry_extremes: dict[str, tuple[float, float, float]] = field(default_factory=dict)
     violations: list[Violation] = field(default_factory=list)
 
     CSV_COLUMNS = (
@@ -253,6 +236,21 @@ class SpectralReport:
         "cond", "cond_bound", "nu", "worst_ratio_low", "worst_ratio_high",
         "worst_ip_dev", "violated",
     )
+
+    def isometry_extremes(self, bs: BoundSet) -> tuple[float, float, float]:
+        """(ratio low, ratio high, inner-product deviation) over all coefficients for ``bs``'s row.
+
+        The atoms are divided by ``bs.rescale_factor``; an unavailable
+        measure's factor is NaN, and so are its extremes. With K the Gram
+        matrix divided by the squared rescale factor, the Rayleigh quotient
+        alpha^T K alpha / ||alpha||^2 ranges over [lambda_min, lambda_max]
+        of K, and the largest |alpha'^T (K - I) alpha''| over unit alpha',
+        alpha'' is ||K - I||_2 = max_i |lambda_i - 1|, reached at an end of
+        the spectrum.
+        """
+        s_sq = bs.rescale_factor**2
+        low, high = self.spectrum.lambda_min / s_sq, self.spectrum.lambda_max / s_sq
+        return low, high, max(high - 1.0, 1.0 - low)
 
     def violated_kinds(self) -> set[str]:
         return {v.name.split(":", 1)[0] for v in self.violations}
@@ -262,9 +260,7 @@ class SpectralReport:
         lines = [",".join(self.CSV_COLUMNS)]
         violated = self.violated_kinds()
         for bs in self.per_measure:
-            lo, hi, ipdev = self.isometry_extremes.get(
-                bs.measure_kind, (math.nan, math.nan, math.nan)
-            )
+            lo, hi, ipdev = self.isometry_extremes(bs)
             row = [
                 bs.measure_kind,
                 repr(bs.measure_value),
@@ -292,15 +288,14 @@ def spectral_report(dictionary: Dictionary, nr: NormRange | None = None) -> Spec
     Gram matrix too close to singular for the approximation measure) yield
     NaN rows with no checks. The isometry extremes are the exact suprema
     over all coefficient vectors, read off the spectrum; nothing is sampled.
-    The spectrum is solved for eigenvalues only. ``nr`` defaults to
-    :func:`norm_range` over the atoms: analytic for the Gaussian kernel,
-    empirical otherwise.
+    ``nr`` defaults to :func:`norm_range` over the atoms: analytic for the
+    Gaussian kernel, empirical otherwise.
     """
     if dictionary.m == 0:
         raise ValueError("spectral_report requires a non-empty dictionary")
     if nr is None:
         nr = norm_range(dictionary.kernel, dictionary.atoms)
-    spectrum = eigensolve(dictionary.gram, vectors=False)
+    spectrum = eigensolve(dictionary.gram)
     report = SpectralReport(spectrum=spectrum, norm=nr)
 
     worst_gersgorin = gersgorin_margin(dictionary.gram, spectrum.values)
@@ -316,35 +311,14 @@ def spectral_report(dictionary: Dictionary, nr: NormRange | None = None) -> Spec
             continue
         bs = window(kind, value, dictionary.m, nr)
         report.per_measure.append(bs)
-        extremes = _exact_extremes(spectrum, bs.rescale_factor)
-        report.isometry_extremes[kind] = extremes
-        _append_violations(report, bs, extremes, dictionary)
+        _append_violations(report, bs, dictionary)
     return report
 
 
-def _exact_extremes(spectrum: EigenSpectrum, rescale_factor: float) -> tuple[float, float, float]:
-    """(ratio low, ratio high, inner-product deviation) over all coefficients.
-
-    With K the Gram matrix divided by ``rescale_factor**2``, the Rayleigh
-    quotient alpha^T K alpha / ||alpha||^2 ranges over [lambda_min, lambda_max]
-    of K, and the largest |alpha'^T (K - I) alpha''| over unit alpha',
-    alpha'' is ||K - I||_2 = max_i |lambda_i - 1|, reached at an end of the
-    spectrum.
-    """
-    s_sq = rescale_factor**2
-    low, high = spectrum.lambda_min / s_sq, spectrum.lambda_max / s_sq
-    return low, high, max(high - 1.0, 1.0 - low)
-
-
-def _append_violations(
-    report: SpectralReport,
-    bs: BoundSet,
-    extremes: tuple[float, float, float],
-    dictionary: Dictionary,
-) -> None:
+def _append_violations(report: SpectralReport, bs: BoundSet, dictionary: Dictionary) -> None:
     kind, nu, slack = bs.measure_kind, bs.isometry_nu, CONTAINMENT_SLACK
     lam_min, lam_max, cond = report.spectrum.lambda_min, report.spectrum.lambda_max, report.spectrum.cond
-    lo, hi, ipdev = extremes
+    lo, hi, ipdev = report.isometry_extremes(bs)
     cond_excess = 0.0
     if math.isfinite(bs.cond_number_bound) and math.isfinite(cond):
         cond_excess = cond - bs.cond_number_bound * (1.0 + slack)

@@ -618,8 +618,10 @@ class TestSerialization:
     def test_round_trip_polynomial_multidimensional_bit_identical(self):
         # Kernel.gram replays admission: row i over the first i atoms only
         # (BLAS rounds a product over more rows differently) and the
-        # diagonal as the scalar power admission stores
-        x, _ = harness.synthesize("narma2", 3, 500)
+        # diagonal as the scalar power admission stores. The Gram matrix is
+        # ill-conditioned (a pivot near 3e-10), and dpptrf still rebuilds
+        # the grown factor bit for bit.
+        x, _ = harness.synthesize("narma2", 3, 1000)
         d = Dictionary(Kernel.polynomial(3, 0.5), CriterionConfig("babel", 3.0))
         for p in x:
             d.admit(p)
@@ -627,6 +629,9 @@ class TestSerialization:
         assert d.m == 16 and x.shape[1] == 3
         assert np.array_equal(d.atoms, d2.atoms)
         assert np.array_equal(d.gram, d2.gram)
+        assert d.measure("approximation") < 1e-4
+        size = d.m * (d.m + 1) // 2
+        assert d2._factor()[:size].tobytes() == d._factor()[:size].tobytes()
 
     # every generator, kernel and criterion; linear and polynomial
     # dictionaries are capped at their feature-space dimension, where more

@@ -238,7 +238,7 @@ class TestVerify:
         by_kind = {bs.measure_kind: bs for bs in report.per_measure}
         assert by_kind["approximation"].measure_value == pytest.approx(1.0, abs=1e-12)
         assert by_kind["approximation"].isometry_nu == pytest.approx(0.0, abs=1e-12)
-        assert report.isometry_extremes["approximation"] == pytest.approx((1.0, 1.0, 0.0), abs=1e-12)
+        assert report.isometry_extremes(by_kind["approximation"]) == pytest.approx((1.0, 1.0, 0.0), abs=1e-12)
 
     def test_duplicate_direction_file_flag_only(self, tmp_path):
         path = tmp_path / "dict.txt"

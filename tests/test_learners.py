@@ -96,6 +96,13 @@ class TestUpdateLmsGram:
         out = update_lms_gram([1.0, 0.0], [1.0, 0.5], np.array([[1.0, 0.5], [0.5, 1.0]]) @ [1.0, 0.0], 0.0, 0.1, 1.0)
         np.testing.assert_allclose(out, [0.9, -0.05], atol=1e-15)
 
+    def test_length_mismatch_rejected(self):
+        # a kvec of the wrong length must not broadcast, as in update_lms_identity
+        with pytest.raises(ValueError, match="kvec"):
+            update_lms_gram([1.0, 2.0, 3.0], [1.0], [1.0, 2.0, 3.0], 0.5, 0.1, 0.01)
+        with pytest.raises(ValueError, match="gram_alpha"):
+            update_lms_gram([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0], 0.5, 0.1, 0.01)
+
 
 class TestUpdateNlms:
     def test_zero_error_is_identity(self):
