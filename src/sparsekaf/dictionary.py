@@ -32,9 +32,10 @@ from scipy.linalg.blas import dtpmv, dtpsv
 from scipy.linalg.lapack import dpptrf, dpptri, dtrttp
 
 from .errors import NumericalError
-from .kernels import Kernel, _as_vector
+from .kernels import Kernel, _as_vector, parse_fields, positive_integer
 
 CRITERION_KINDS = ("distance", "approximation", "coherence", "babel")
+CRITERION_FIELDS = {"threshold": float, "max_atoms": int}
 
 # Schur pivots below this are treated as a singular admission.
 PIVOT_FLOOR = 1e-12
@@ -46,7 +47,8 @@ class CriterionConfig:
 
     ``threshold`` is delta for the distance/approximation kinds (the tests
     compare against delta**2) and gamma for coherence/Babel. ``max_atoms``
-    is an optional hard cap; once reached every candidate is rejected.
+    is an optional hard cap (an integral float is stored as an int); once
+    reached every candidate is rejected.
     """
 
     kind: str
@@ -62,8 +64,17 @@ class CriterionConfig:
             raise ValueError("coherence threshold gamma must lie in (0, 1]")
         if self.kind == "babel" and not self.threshold > 0:
             raise ValueError("babel threshold gamma must be > 0")
-        if self.max_atoms is not None and self.max_atoms < 1:
-            raise ValueError("max_atoms must be a positive integer")
+        if self.max_atoms is not None:
+            object.__setattr__(self, "max_atoms", positive_integer(self.max_atoms, "max_atoms"))
+
+    def fields(self) -> list[str]:
+        """The ``key=value`` words of the threshold and, when set, the cap, as ``from_fields`` reads them."""
+        return [f"{key}={conv(v)!r}" for key, conv in CRITERION_FIELDS.items() if (v := getattr(self, key)) is not None]
+
+    @classmethod
+    def from_fields(cls, kind: str, fields) -> "CriterionConfig":
+        """The ``kind`` criterion the ``key=value`` words ``fields`` give; each must parse, and threshold= be given."""
+        return cls(kind, **parse_fields(fields, CRITERION_FIELDS, ("threshold",)))
 
 
 @dataclass(frozen=True)
@@ -230,7 +241,7 @@ class Dictionary:
         m = self._m
         if z is None:
             z = self._forward(kvec)
-        root = _pivot_root(kxx, z, "admission (criterion threshold too loose for numeric safety)")
+        root = _pivot_root(kxx, z)
         start = m * (m + 1) // 2
         if m == self._atoms_buf.shape[0]:
             cap = max(2 * m, 16)
@@ -389,18 +400,11 @@ class Dictionary:
 
     def to_text(self) -> str:
         """Serialize to the documented text format (full-precision decimals)."""
-        lines = ["# sparsekaf dictionary format 1"]
-        k = self.kernel
-        if k.family == "linear":
-            lines.append("kernel linear")
-        elif k.family == "polynomial":
-            lines.append(f"kernel polynomial degree={k.degree} offset={k.offset!r}")
-        else:
-            lines.append(f"kernel gaussian sigma={k.sigma!r}")
-        crit = f"criterion {self.criterion.kind} threshold={self.criterion.threshold!r}"
-        if self.criterion.max_atoms is not None:
-            crit += f" max_atoms={self.criterion.max_atoms}"
-        lines.append(crit)
+        lines = [
+            "# sparsekaf dictionary format 1",
+            " ".join(["kernel", self.kernel.family, *self.kernel.fields()]),
+            " ".join(["criterion", self.criterion.kind, *self.criterion.fields()]),
+        ]
         for atom in self.atoms:
             lines.append("atom " + " ".join(repr(float(v)) for v in atom))
         return "\n".join(lines) + "\n"
@@ -412,33 +416,32 @@ class Dictionary:
         Atom coordinates are shortest round-trip decimals, so atoms
         round-trip exactly, and :meth:`Kernel.gram` replays the admission
         arithmetic: the rebuilt Gram matrix is bit-identical to the grown
-        one, for every kernel.
+        one, for every kernel. The kernel and criterion records appear once each.
         """
-        kernel = None
-        criterion = None
+        parsers = {"kernel": Kernel.from_fields, "criterion": CriterionConfig.from_fields}
+        headers = {}
         atoms = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            fields = line.split()
-            tag, args = fields[0], fields[1:]
+            tag, *args = line.split()
             try:
-                if tag == "kernel":
-                    kernel = _parse_kernel(args)
-                elif tag == "criterion":
-                    criterion = _parse_criterion(args)
-                elif tag == "atom":
+                if tag == "atom":
                     atoms.append([float(v) for v in args])
-                else:
+                elif tag not in parsers:
                     raise ValueError(f"unknown record {tag!r}")
+                elif tag in headers:
+                    raise ValueError(f"second {tag} record")
+                else:
+                    headers[tag] = parsers[tag](args[0] if args else "", args[1:])
             except ValueError as exc:
                 raise ValueError(f"dictionary file line {lineno}: {exc}") from None
-        if kernel is None or criterion is None:
+        if len(headers) < len(parsers):
             raise ValueError("dictionary file must contain 'kernel' and 'criterion' headers")
         if atoms and len({len(a) for a in atoms}) != 1:
             raise ValueError("dictionary file atoms have inconsistent dimensions")
-        return cls.from_atoms(kernel, criterion, np.array(atoms) if atoms else np.zeros((0, 0)))
+        return cls.from_atoms(headers["kernel"], headers["criterion"], np.array(atoms) if atoms else np.zeros((0, 0)))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="ascii") as fh:
@@ -450,11 +453,12 @@ class Dictionary:
             return cls.from_text(fh.read())
 
 
-def _pivot_root(kxx: float, z: np.ndarray, what: str) -> float:
+def _pivot_root(kxx: float, z: np.ndarray) -> float:
     """sqrt(kxx - ||z||^2), the new diagonal entry of L; a Schur pivot below ``PIVOT_FLOOR`` raises."""
     pivot = kxx - float(z.dot(z))
     if pivot < PIVOT_FLOOR:
-        raise NumericalError(f"near-singular {what}: Schur pivot {pivot:.3e} below {PIVOT_FLOOR:.0e}")
+        raise NumericalError("near-singular admission (criterion threshold too loose for numeric safety):"
+                             f" Schur pivot {pivot:.3e} below {PIVOT_FLOOR:.0e}")
     return math.sqrt(pivot)
 
 
@@ -468,39 +472,3 @@ def _coefficients(packed: np.ndarray, w: np.ndarray) -> np.ndarray:
     """alpha = L^-T w, with L the leading len(w) rows of a packed factor buffer."""
     return dtpsv(len(w), packed, w) if len(w) else w
 
-
-def _parse_kv(args, allowed):
-    out = {}
-    for item in args:
-        if "=" not in item:
-            raise ValueError(f"expected key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        if key not in allowed:
-            raise ValueError(f"unknown field {key!r}")
-        out[key] = value
-    return out
-
-def _parse_kernel(args) -> Kernel:
-    if not args:
-        raise ValueError("kernel record needs a family")
-    family = args[0]
-    kv = _parse_kv(args[1:], {"degree", "offset", "sigma"})
-    if family == "linear":
-        return Kernel.linear()
-    if family == "polynomial":
-        return Kernel.polynomial(int(kv.get("degree", 2)), float(kv.get("offset", 1.0)))
-    if family == "gaussian":
-        if "sigma" not in kv:
-            raise ValueError("gaussian kernel record needs sigma=")
-        return Kernel.gaussian(float(kv["sigma"]))
-    raise ValueError(f"unknown kernel family {family!r}")
-
-def _parse_criterion(args) -> CriterionConfig:
-    if not args:
-        raise ValueError("criterion record needs a kind")
-    kind = args[0]
-    kv = _parse_kv(args[1:], {"threshold", "max_atoms"})
-    if "threshold" not in kv:
-        raise ValueError("criterion record needs threshold=")
-    max_atoms = int(kv["max_atoms"]) if "max_atoms" in kv else None
-    return CriterionConfig(kind, float(kv["threshold"]), max_atoms=max_atoms)

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dictionary import CriterionConfig, Dictionary
+from .dictionary import CRITERION_FIELDS, CriterionConfig, Dictionary
 from .errors import NumericalError
-from .kernels import Kernel
+from .kernels import KERNEL_FIELDS, Kernel, parse_fields
 from .learners import LearnerConfig, ModelState, step
 from .spectral import SpectralReport, spectral_report
 
@@ -243,6 +243,9 @@ CONFIG_KEYS = (
     "max_atoms", "algo", "eta", "eps", "seed", "length", "noise", "out",
 )
 
+# the learner's and the data's numeric keys, read as a dictionary file's fields
+_NUMBER_FIELDS = {"eta": float, "eps": float, "seed": int, "length": int, "noise": float}
+
 DEFAULTS = {
     "data": "sinc1d",
     "kernel": "gaussian",
@@ -280,48 +283,32 @@ def parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _get(mapping: dict[str, str], key: str, conv):
-    raw = mapping[key]
-    try:
-        return conv(raw)
-    except ValueError as exc:
-        raise ConfigError(f"field {key}={raw!r}: {exc}") from None
-
-
 def build_config(mapping: dict[str, str]) -> ExperimentConfig:
     """Materialize an :class:`ExperimentConfig` from string key=value pairs."""
     merged = dict(DEFAULTS)
     merged.update({k: v for k, v in mapping.items() if v is not None})
 
-    family = merged["kernel"]
-    # each kernel parameter must parse, whichever family reads it
-    sigma, degree, offset = _get(merged, "sigma", float), _get(merged, "degree", int), _get(merged, "offset", float)
+    def words(keys):
+        return [f"{key}={merged[key]}" for key in keys if key in merged]
+
     try:
-        if family == "linear":
-            kernel = Kernel.linear()
-        elif family == "polynomial":
-            kernel = Kernel.polynomial(degree, offset)
-        elif family == "gaussian":
-            kernel = Kernel.gaussian(sigma)
-        else:
-            raise ConfigError(f"field kernel={family!r}: unknown family")
-        max_atoms = _get(merged, "max_atoms", int) if "max_atoms" in merged else None
-        criterion = CriterionConfig(merged["criterion"], _get(merged, "threshold", float), max_atoms=max_atoms)
+        # each kernel parameter must parse, whichever family reads it
+        kernel = Kernel.from_fields(merged["kernel"], words(KERNEL_FIELDS))
+        criterion = CriterionConfig.from_fields(merged["criterion"], words(CRITERION_FIELDS))
         algo = merged["algo"]
         if algo not in _ALGO_ALIASES:
             raise ConfigError(f"field algo={algo!r}: expected one of {sorted(set(_ALGO_ALIASES))}")
-        learner = LearnerConfig(_ALGO_ALIASES[algo], _get(merged, "eta", float), _get(merged, "eps", float))
+        numbers = parse_fields(words(_NUMBER_FIELDS), _NUMBER_FIELDS)
+        learner = LearnerConfig(_ALGO_ALIASES[algo], numbers["eta"], numbers["eps"])
         return ExperimentConfig(
             kernel=kernel,
             criterion=criterion,
             learner=learner,
             data=merged["data"],
-            seed=_get(merged, "seed", int),
-            length=_get(merged, "length", int),
-            noise=_get(merged, "noise", float) if "noise" in merged else None,
+            seed=numbers["seed"],
+            length=numbers["length"],
+            noise=numbers.get("noise"),
             out=merged.get("out"),
         )
-    except ConfigError:
-        raise
-    except ValueError as exc:
+    except ValueError as exc:  # a ConfigError too, with its message kept
         raise ConfigError(str(exc)) from None

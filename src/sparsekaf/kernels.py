@@ -16,6 +16,38 @@ import numpy as np
 
 FAMILIES = ("linear", "polynomial", "gaussian")
 
+# the parameters each family reads, in the order its fields name them, and their types
+PARAMETERS = {"linear": (), "polynomial": ("degree", "offset"), "gaussian": ("sigma",)}
+KERNEL_FIELDS = {"degree": int, "offset": float, "sigma": float}
+
+
+def positive_integer(value, name: str) -> int:
+    """``value`` as an int: it must be integral and >= 1, so 3.0 gives 3 and 2.5, inf or NaN raise."""
+    if not 1 <= value < math.inf or int(value) != value:  # NaN fails too
+        raise ValueError(f"{name} must be a positive integer")
+    return int(value)
+
+
+def parse_fields(words, converters: dict, required=()) -> dict:
+    """{key: converters[key](value)} of ``key=value`` words, each key known and given once, ``required`` all given."""
+    values = {}
+    for word in words:
+        key, sep, raw = word.partition("=")
+        if not sep:
+            raise ValueError(f"expected key=value, got {word!r}")
+        if key not in converters:
+            raise ValueError(f"unknown field {key!r}")
+        if key in values:
+            raise ValueError(f"field {key!r} given twice")
+        try:
+            values[key] = converters[key](raw)
+        except ValueError as exc:
+            raise ValueError(f"field {key}={raw!r}: {exc}") from None
+    for key in required:
+        if key not in values:
+            raise ValueError(f"missing field {key}=")
+    return values
+
 
 def _all_finite(a: np.ndarray) -> bool:
     """Whether every entry of float64 ``a`` is finite; it makes no arithmetic, so it never warns."""
@@ -76,7 +108,7 @@ class Kernel:
     family : str
         One of ``"linear"``, ``"polynomial"``, ``"gaussian"``.
     degree : int
-        Polynomial degree (polynomial family only), >= 1.
+        Polynomial degree (polynomial family only), >= 1; an integral float is stored as an int.
     offset : float
         Additive constant of the polynomial kernel, finite and >= 0.
     sigma : float
@@ -92,12 +124,22 @@ class Kernel:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}, expected one of {FAMILIES}")
         if self.family == "polynomial":
-            if int(self.degree) != self.degree or self.degree < 1:
-                raise ValueError("polynomial degree must be a positive integer")
+            object.__setattr__(self, "degree", positive_integer(self.degree, "polynomial degree"))
             if not 0 <= self.offset < math.inf:  # NaN fails too
                 raise ValueError("polynomial offset must be finite and >= 0")
         if self.family == "gaussian" and not 0 < self.sigma < math.inf:  # NaN fails too
             raise ValueError("gaussian bandwidth sigma must be finite and > 0")
+
+    def fields(self) -> list[str]:
+        """The ``key=value`` words of the parameters this kernel's family reads, as ``from_fields`` reads them."""
+        return [f"{key}={KERNEL_FIELDS[key](getattr(self, key))!r}" for key in PARAMETERS[self.family]]
+
+    @classmethod
+    def from_fields(cls, family: str, fields) -> "Kernel":
+        """The ``family`` kernel with the parameters ``fields`` gives; each must parse, read or not, and none be missing."""
+        params = PARAMETERS.get(family, ())
+        values = parse_fields(fields, KERNEL_FIELDS, params)
+        return cls(family, **{key: values[key] for key in params})
 
     @classmethod
     def linear(cls) -> "Kernel":

@@ -3,15 +3,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cholesky_views import gram_inverse, lower
 from sparsekaf import (
+    CRITERION_KINDS,
+    ConfigError,
     CriterionConfig,
     Dictionary,
     Kernel,
     LearnerConfig,
     ModelState,
     NumericalError,
+    build_config,
     harness,
     kernel_vector,
     spectral_report,
@@ -31,6 +36,23 @@ def linear_dict(atoms, kind="coherence", threshold=0.5):
     return Dictionary.from_atoms(Kernel.linear(), CriterionConfig(kind, threshold), atoms)
 
 
+def kernels():
+    """Kernels of all three families; polynomial degrees drawn as ints and as integral floats."""
+    degrees = st.integers(1, 5).flatmap(lambda n: st.sampled_from([n, float(n)]))
+    return st.one_of(
+        st.just(Kernel.linear()),
+        st.builds(Kernel.polynomial, degrees, st.floats(0.0, 10.0)),
+        st.builds(Kernel.gaussian, st.floats(1e-3, 1e3)),
+    )
+
+
+def criteria():
+    """Criteria of every kind, without a cap or with one drawn as an int or an integral float."""
+    caps = st.one_of(st.none(), st.integers(1, 50), st.integers(1, 50).map(float))
+    return st.sampled_from(CRITERION_KINDS).flatmap(lambda kind: st.builds(
+        CriterionConfig, st.just(kind), st.floats(1e-3, 1.0 if kind == "coherence" else 10.0), max_atoms=caps))
+
+
 class TestCriterionConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -46,6 +68,19 @@ class TestCriterionConfig:
         with pytest.raises(ValueError):
             CriterionConfig("babel", 0.5, max_atoms=0)
         assert CriterionConfig("coherence", 1.0).threshold == 1.0
+
+    def test_integral_cap_is_stored_as_int(self):
+        # dictionary.txt must say max_atoms=5: int() refuses "5.0" on load
+        crit = CriterionConfig("coherence", 0.9, max_atoms=5.0)
+        assert type(crit.max_atoms) is int and crit.max_atoms == 5
+        text = Dictionary.from_atoms(Kernel.gaussian(1.0), crit, [[0.0], [3.0]]).to_text()
+        assert "criterion coherence threshold=0.9 max_atoms=5\n" in text
+        assert Dictionary.from_text(text).criterion == crit
+
+    @pytest.mark.parametrize("cap", [2.5, math.inf, math.nan])
+    def test_non_integral_cap_refused(self, cap):
+        with pytest.raises(ValueError, match="max_atoms must be a positive integer"):
+            CriterionConfig("coherence", 0.9, max_atoms=cap)
 
 
 class TestAdmit:
@@ -669,6 +704,50 @@ class TestSerialization:
             Dictionary.from_text(
                 "kernel gaussian sigma=1.0\ncriterion coherence threshold=0.5\nkernel gaussian\n"
             )
+
+    @pytest.mark.parametrize("text, lineno, match", [
+        ("kernel linear sigma=abc\ncriterion coherence threshold=0.5\n", 1, "field sigma='abc': could not convert"),
+        ("kernel linear\ncriterion coherence threshold=0.5\nkernel linear\n", 3, "second kernel record"),
+        ("kernel linear\ncriterion babel threshold=0.5\ncriterion babel threshold=0.5\n", 3, "second criterion record"),
+        ("kernel polynomial\ncriterion coherence threshold=0.5\n", 1, "missing field degree="),
+        ("kernel polynomial degree=2\ncriterion coherence threshold=0.5\n", 1, "missing field offset="),
+        ("kernel gaussian\ncriterion coherence threshold=0.5\n", 1, "missing field sigma="),
+        ("kernel gaussian sigma=0.5 sigma=0.5\ncriterion coherence threshold=0.5\n", 1, "field 'sigma' given twice"),
+        ("kernel linear\ncriterion coherence threshold=0.5 max_atoms=2.5\n", 2, "field max_atoms='2.5'"),
+    ])
+    def test_records_checked_field_by_field(self, text, lineno, match):
+        # each record appears once, names every parameter its family reads,
+        # and every field must parse, also one the family does not read
+        with pytest.raises(ValueError, match=f"^dictionary file line {lineno}: {match}"):
+            Dictionary.from_text(text)
+
+    def test_numpy_scalar_fields_print_as_floats(self):
+        # repr(np.float64(0.3)) is "np.float64(0.3)", which float() cannot read back
+        d = Dictionary.from_atoms(Kernel.gaussian(np.float64(0.3)), CriterionConfig("coherence", np.float64(0.5)), [[1.0]])
+        assert d.to_text().splitlines()[1:3] == ["kernel gaussian sigma=0.3", "criterion coherence threshold=0.5"]
+        assert Dictionary.from_text(d.to_text()).kernel == d.kernel
+
+    def test_file_and_config_refuse_a_field_alike(self):
+        with pytest.raises(ValueError) as from_file:
+            Dictionary.from_text("kernel linear sigma=abc\ncriterion coherence threshold=0.5\n")
+        with pytest.raises(ConfigError) as from_config:
+            build_config({"kernel": "linear", "sigma": "abc"})
+        assert str(from_file.value) == f"dictionary file line 1: {from_config.value}"
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel=kernels(), criterion=criteria())
+    def test_fields_round_trip(self, kernel, criterion):
+        assert Kernel.from_fields(kernel.family, kernel.fields()) == kernel
+        assert CriterionConfig.from_fields(criterion.kind, criterion.fields()) == criterion
+        d = Dictionary(kernel, criterion)
+        for x in np.random.default_rng(4).uniform(-2, 2, size=(12, 2)):
+            try:
+                d.admit(x)
+            except NumericalError:  # a linear or polynomial kernel runs out of dimensions
+                pass
+        loaded = Dictionary.from_text(d.to_text())
+        assert (loaded.kernel, loaded.criterion) == (kernel, criterion)
+        assert loaded.atoms.tobytes() == d.atoms.tobytes()
 
     def test_singular_hand_built_file_loads(self):
         # duplicate-direction atoms: measures that read only the Gram matrix

@@ -57,6 +57,19 @@ class TestEval:
         with pytest.raises(ValueError):
             Kernel("sigmoid")
 
+    def test_integral_degree_is_stored_as_int(self):
+        # dictionary.txt must say degree=3: int() refuses "3.0" on load
+        kernel = Kernel.polynomial(3.0)
+        assert type(kernel.degree) is int and kernel.degree == 3
+        text = Dictionary.from_atoms(kernel, CriterionConfig("babel", 3.0), [[0.5]]).to_text()
+        assert "kernel polynomial degree=3 offset=1.0\n" in text
+        assert Dictionary.from_text(text).kernel == kernel
+
+    @pytest.mark.parametrize("degree", [2.5, math.inf, math.nan])
+    def test_non_integral_degree_refused(self, degree):
+        with pytest.raises(ValueError, match="polynomial degree must be a positive integer"):
+            Kernel.polynomial(degree)
+
     @pytest.mark.parametrize("sigma", [math.inf, math.nan, -math.inf])
     def test_gaussian_bandwidth_must_be_finite(self, sigma):
         with pytest.raises(ValueError, match="sigma must be finite and > 0"):
