@@ -28,14 +28,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dtpmv, dtpsv
-from scipy.linalg.lapack import dpptrf, dpptri, dtrttp
 
+from ._lapack import dpptrf, dpptri, dtpmv, dtpsv, dtrttp
 from .errors import NumericalError
-from .kernels import Kernel, _as_vector, parse_fields, positive_integer
+from .kernels import Kernel, _as_vector, integral, parse_fields, positive_integer
 
 CRITERION_KINDS = ("distance", "approximation", "coherence", "babel")
-CRITERION_FIELDS = {"threshold": float, "max_atoms": int}
+CRITERION_FIELDS = {"threshold": float, "max_atoms": integral}
 
 # Schur pivots below this are treated as a singular admission.
 PIVOT_FLOOR = 1e-12

@@ -16,9 +16,21 @@ import numpy as np
 
 FAMILIES = ("linear", "polynomial", "gaussian")
 
+
+def integral(raw) -> int:
+    """Text ``raw`` as an int: ``"3"`` and ``"3.0"`` give 3, while ``"2.5"``, ``"inf"`` and ``"nan"`` raise."""
+    try:
+        return int(raw)
+    except ValueError:
+        value = float(raw)
+    if not value.is_integer():  # inf and NaN are not either
+        raise ValueError("not an integer")
+    return int(value)
+
+
 # the parameters each family reads, in the order its fields name them, and their types
 PARAMETERS = {"linear": (), "polynomial": ("degree", "offset"), "gaussian": ("sigma",)}
-KERNEL_FIELDS = {"degree": int, "offset": float, "sigma": float}
+KERNEL_FIELDS = {"degree": integral, "offset": float, "sigma": float}
 
 
 def positive_integer(value, name: str) -> int:
@@ -113,6 +125,9 @@ class Kernel:
         Additive constant of the polynomial kernel, finite and >= 0.
     sigma : float
         Bandwidth of the Gaussian kernel, finite and > 0.
+
+    A parameter the family does not read is reset to its default (degree 2,
+    offset 1.0, sigma 1.0), so ``Kernel("linear", sigma=-5.0) == Kernel.linear()``.
     """
 
     family: str
@@ -123,6 +138,8 @@ class Kernel:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}, expected one of {FAMILIES}")
+        for key in KERNEL_FIELDS.keys() - PARAMETERS[self.family]:
+            object.__setattr__(self, key, getattr(Kernel, key))
         if self.family == "polynomial":
             object.__setattr__(self, "degree", positive_integer(self.degree, "polynomial degree"))
             if not 0 <= self.offset < math.inf:  # NaN fails too

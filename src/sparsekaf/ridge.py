@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpftrf, dpftrs, dsfrk, dtrttf
 
+from ._lapack import dpftrf, dpftrs, dsfrk, dtrttf
 from .errors import NumericalError
 from .kernels import Kernel, _as_matrix
 

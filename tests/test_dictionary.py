@@ -70,7 +70,7 @@ class TestCriterionConfig:
         assert CriterionConfig("coherence", 1.0).threshold == 1.0
 
     def test_integral_cap_is_stored_as_int(self):
-        # dictionary.txt must say max_atoms=5: int() refuses "5.0" on load
+        # dictionary.txt says max_atoms=5, as for an int cap
         crit = CriterionConfig("coherence", 0.9, max_atoms=5.0)
         assert type(crit.max_atoms) is int and crit.max_atoms == 5
         text = Dictionary.from_atoms(Kernel.gaussian(1.0), crit, [[0.0], [3.0]]).to_text()
@@ -720,6 +720,28 @@ class TestSerialization:
         # and every field must parse, also one the family does not read
         with pytest.raises(ValueError, match=f"^dictionary file line {lineno}: {match}"):
             Dictionary.from_text(text)
+
+    @pytest.mark.parametrize("kernel, plain", [
+        (Kernel("linear", degree=7, offset=-1.0, sigma=-5.0), Kernel.linear()),
+        (Kernel("polynomial", degree=3, offset=0.5, sigma=-5.0), Kernel.polynomial(3, 0.5)),
+        (Kernel("gaussian", degree=7, offset=-1.0, sigma=0.5), Kernel.gaussian(0.5)),
+    ], ids=["linear", "polynomial", "gaussian"])
+    def test_unread_kernel_parameters_take_their_defaults(self, kernel, plain):
+        # the file names only the parameters the family reads, so a kernel
+        # must not differ from its loaded copy in the others
+        assert kernel == plain and hash(kernel) == hash(plain)
+        d = Dictionary.from_atoms(kernel, CriterionConfig("coherence", 0.9), [[0.5]])
+        assert Dictionary.from_text(d.to_text()).kernel == kernel
+
+    def test_integral_float_fields_load_as_ints(self):
+        d = Dictionary.from_text("kernel polynomial degree=3.0 offset=0.5\ncriterion babel threshold=3.0 max_atoms=5.0\natom 0.5\n")
+        assert (d.kernel, d.criterion) == (Kernel.polynomial(3, 0.5), CriterionConfig("babel", 3.0, max_atoms=5))
+        assert type(d.kernel.degree) is int and type(d.criterion.max_atoms) is int
+
+    @pytest.mark.parametrize("raw", ["2.5", "inf", "nan"])
+    def test_non_integral_degree_refused_on_load(self, raw):
+        with pytest.raises(ValueError, match=f"^dictionary file line 1: field degree='{raw}': not an integer"):
+            Dictionary.from_text(f"kernel polynomial degree={raw} offset=1.0\ncriterion babel threshold=3.0\n")
 
     def test_numpy_scalar_fields_print_as_floats(self):
         # repr(np.float64(0.3)) is "np.float64(0.3)", which float() cannot read back

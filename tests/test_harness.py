@@ -360,6 +360,27 @@ class TestCli:
         assert main([name, flag, "1"]) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    INTEGRAL = {"kernel": "polynomial", "degree": "3.0", "criterion": "babel", "threshold": "3.0", "max_atoms": "5.0"}
+
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_integral_float_degree_and_cap_are_stored_as_ints(self, tmp_path, source):
+        argv = ["run", "--data", "narma2", "--length", "50", "--out", str(tmp_path / "o")]
+        if source == "flags":
+            argv += [word for key, value in self.INTEGRAL.items() for word in (f"--{key.replace('_', '-')}", value)]
+        else:
+            (tmp_path / "exp.cfg").write_text("".join(f"{key} = {value}\n" for key, value in self.INTEGRAL.items()))
+            argv += ["--config", str(tmp_path / "exp.cfg")]
+        assert main(argv) == 0
+        text = (tmp_path / "o" / "dictionary.txt").read_text()
+        assert "kernel polynomial degree=3 offset=1.0\ncriterion babel threshold=3.0 max_atoms=5\n" in text
+
+    @pytest.mark.parametrize("flag", ["--degree", "--max-atoms"])
+    def test_non_integral_degree_or_cap_exits_one(self, tmp_path, capsys, flag):
+        out = tmp_path / "o"
+        assert main(["run", "--kernel", "polynomial", flag, "2.5", "--length", "50", "--out", str(out)]) == 1
+        assert f"field {flag[2:].replace('-', '_')}='2.5': not an integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_synthesize_honours_config(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("data = narma2\nlength = 7\nseed = 3\n")

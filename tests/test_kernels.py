@@ -58,7 +58,7 @@ class TestEval:
             Kernel("sigmoid")
 
     def test_integral_degree_is_stored_as_int(self):
-        # dictionary.txt must say degree=3: int() refuses "3.0" on load
+        # dictionary.txt says degree=3, as for Kernel.polynomial(3)
         kernel = Kernel.polynomial(3.0)
         assert type(kernel.degree) is int and kernel.degree == 3
         text = Dictionary.from_atoms(kernel, CriterionConfig("babel", 3.0), [[0.5]]).to_text()
