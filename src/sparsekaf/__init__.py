@@ -9,7 +9,7 @@ space and the dictionary's induced feature space.
 """
 
 from .errors import NumericalError
-from .kernels import Kernel, NormRange, kernel_vector, norm_range
+from .kernels import Kernel, NormRange, kernel_vector
 from .dictionary import CRITERION_KINDS, CriterionConfig, Dictionary, ProjectionResult
 from .spectral import (
     BoundSet,
@@ -68,7 +68,6 @@ __all__ = [
     "eigensolve",
     "gradient",
     "kernel_vector",
-    "norm_range",
     "normal_residual",
     "objective",
     "run_online",

@@ -286,7 +286,7 @@ class Dictionary:
         The approximation test reads z = L^-1 kvec, solved here unless given.
         """
         if kind == "distance":
-            return float((kxx - kvec**2 / self._atom_norms("distance")).min()) >= threshold**2
+            return float((kxx - kvec**2 / self._atom_norms("distance test")).min()) >= threshold**2
         if kind == "approximation":
             if z is None:
                 z = self._forward(kvec)
@@ -297,14 +297,17 @@ class Dictionary:
             if self.kernel.family == "gaussian":
                 # kxx * kappa(atom, atom) is exactly 1 and kvec = exp(.) >= 0: the cosines are kvec
                 return float(np.maximum.reduce(kvec)) <= threshold
-            return float((np.abs(kvec) / np.sqrt(kxx * self._atom_norms("coherence"))).max()) <= threshold
+            return float((np.abs(kvec) / np.sqrt(kxx * self._atom_norms("coherence test"))).max()) <= threshold
         return float(np.abs(kvec).sum()) <= threshold
 
-    def _atom_norms(self, kind: str) -> np.ndarray:
-        """kappa(atom_j, atom_j) for every atom, as admission stored it (no Gram matrix read); all must be positive."""
+    def _atom_norms(self, use: str) -> np.ndarray:
+        """kappa(atom_j, atom_j) for every atom as stored, the Gram diagonal read without the Gram matrix.
+
+        All must be positive, else the ``use`` that divides by them (a test or a measure) raises.
+        """
         diag = self._diag_buf[: self._m]
         if (diag <= 0).any():
-            raise NumericalError(f"atom with zero self-similarity; {kind} test undefined")
+            raise NumericalError(f"atom with zero self-similarity; {use} undefined")
         return diag
 
     def test_distance(self, x, threshold: float | None = None) -> bool:
@@ -343,11 +346,9 @@ class Dictionary:
         if self.m < 2:
             raise ValueError(f"{kind} measure requires at least two atoms")
         gram = self.gram
-        diag = np.diag(gram)
         off = ~np.eye(self.m, dtype=bool)
         if kind == "distance":
-            if np.any(diag <= 0):
-                raise NumericalError("atom with zero self-similarity; distance measure undefined")
+            diag = self._atom_norms("distance measure")
             stats = diag[:, None] - gram**2 / diag[None, :]
             worst = float(np.min(stats[off]))
             # round one ulp down: tiny correlations can vanish entirely in the
@@ -356,8 +357,7 @@ class Dictionary:
             # the implied radius at least as large as anything rounded away
             return math.sqrt(max(math.nextafter(worst, -math.inf), 0.0))
         if kind == "coherence":
-            if np.any(diag <= 0):
-                raise NumericalError("atom with zero self-similarity; coherence measure undefined")
+            diag = self._atom_norms("coherence measure")
             cos = np.abs(gram) / np.sqrt(np.outer(diag, diag))
             return float(np.max(cos[off]))
         # approximation: atom i's residual against the others is 1/(K^-1)_ii

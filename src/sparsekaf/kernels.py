@@ -1,10 +1,10 @@
-"""Positive-definite kernels and their norm-range bookkeeping.
+"""Positive-definite kernels and the range of their self-similarity.
 
 A :class:`Kernel` evaluates one of the three standard families (linear,
 polynomial, Gaussian) on pairs of input vectors, either one pair at a
-time or vectorized against a stack of atoms. :class:`NormRange` records
-the extremes of the self-similarity kappa(x, x) over the input domain,
-which the spectral bounds need as ``r_sq`` and ``R_sq``.
+time or vectorized against a stack of atoms. :class:`NormRange` holds the
+extremes of the self-similarity kappa(x, x), which the spectral bounds
+need as ``r_sq`` and ``R_sq``.
 """
 
 from __future__ import annotations
@@ -261,48 +261,25 @@ class Kernel:
 
 @dataclass(frozen=True)
 class NormRange:
-    """Range of kappa(x, x) over the domain: r_sq = inf, R_sq = sup.
+    """Range of kappa(x, x): r_sq = inf, R_sq = sup.
 
-    ``source`` records how the range was obtained: ``"analytic"`` (exact,
-    Gaussian family), ``"empirical"`` (extremes over observed samples only,
-    a lower/upper *estimate* of the true range) or ``"user_supplied"``.
+    :func:`~sparsekaf.spectral.spectral_report` takes it by default from the
+    dictionary it reports on: the extremes of the kappa(x, x) the dictionary
+    stores, its Gram matrix's diagonal, so the range is exact for that
+    matrix. A caller who knows the range over a whole input domain can pass
+    it instead.
     """
 
     r_sq: float
     R_sq: float
-    source: str = "user_supplied"
 
     def __post_init__(self):
         if not (0.0 <= self.r_sq <= self.R_sq):
             raise ValueError(f"need 0 <= r_sq <= R_sq, got ({self.r_sq}, {self.R_sq})")
-        if self.source not in ("analytic", "empirical", "user_supplied"):
-            raise ValueError(f"unknown norm-range source {self.source!r}")
 
     @property
     def is_unit(self) -> bool:
         return self.r_sq == 1.0 and self.R_sq == 1.0
-
-
-def norm_range(kernel: Kernel, samples=None) -> NormRange:
-    """Determine the kappa(x, x) range for ``kernel``.
-
-    The Gaussian kernel has kappa(x, x) = 1 identically, so its range is
-    analytic. For the other families the range is estimated empirically
-    from ``samples`` (rows are sample vectors); callers with analytic
-    knowledge can construct a ``user_supplied`` :class:`NormRange` directly.
-    """
-    if kernel.family == "gaussian":
-        return NormRange(1.0, 1.0, source="analytic")
-    if samples is None:
-        raise ValueError(
-            f"the {kernel.family} kernel has no analytic norm range; "
-            "provide samples or a user-supplied NormRange"
-        )
-    samples = _as_matrix(samples, "samples")
-    if samples.shape[0] == 0:
-        raise ValueError("samples must be non-empty")
-    diag = np.array([kernel.self_similarity(row) for row in samples])
-    return NormRange(float(diag.min()), float(diag.max()), source="empirical")
 
 
 def kernel_vector(kernel: Kernel, atoms: np.ndarray, x) -> np.ndarray:

@@ -44,7 +44,7 @@ import numpy as np
 
 from .dictionary import CRITERION_KINDS, Dictionary
 from .errors import NumericalError
-from .kernels import NormRange, norm_range
+from .kernels import NormRange
 
 # Slack applied to every containment check, per the bound-verification contract.
 CONTAINMENT_SLACK = 1e-9
@@ -288,13 +288,15 @@ def spectral_report(dictionary: Dictionary, nr: NormRange | None = None) -> Spec
     Gram matrix too close to singular for the approximation measure) yield
     NaN rows with no checks. The isometry extremes are the exact suprema
     over all coefficient vectors, read off the spectrum; nothing is sampled.
-    ``nr`` defaults to :func:`norm_range` over the atoms: analytic for the
-    Gaussian kernel, empirical otherwise.
+    ``nr`` defaults to the extremes of the kappa(x, x) the dictionary stores
+    for its atoms, the diagonal of the Gram matrix reported on, so r^2 and
+    R^2 are exact for it whatever the kernel family.
     """
     if dictionary.m == 0:
         raise ValueError("spectral_report requires a non-empty dictionary")
     if nr is None:
-        nr = norm_range(dictionary.kernel, dictionary.atoms)
+        diag = dictionary._diag_buf[: dictionary.m]
+        nr = NormRange(float(diag.min()), float(diag.max()))
     spectrum = eigensolve(dictionary.gram)
     report = SpectralReport(spectrum=spectrum, norm=nr)
 

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from cholesky_views import gram_inverse
+from cross_measure import relation_failures
 from sampled_isometry import verify_isometry
 from sparsekaf import (
     CriterionConfig,
@@ -42,7 +43,7 @@ from sparsekaf.harness import ExperimentConfig
 from sparsekaf.spectral import gersgorin_margin
 
 KINDS = ("distance", "approximation", "coherence", "babel")
-UNIT = NormRange(1.0, 1.0, source="analytic")
+UNIT = NormRange(1.0, 1.0)
 SLACK = 1e-9
 
 _timings: dict = {}
@@ -431,38 +432,6 @@ def test_acceptance_9_determinism(tmp_path):
 # -- criterion 10: the paper's cross-measure relations -------------------------------------
 
 
-def _relation_failures(label, d):
-    """The relations between the four measures and the spectrum that hold for every dictionary.
-
-    With r^2 and R^2 the smallest and largest kappa(x, x) over the atoms:
-    delta_approx <= delta_dist (the whole span is at least as close as one
-    atom); delta_approx^2/m <= lambda_min <= delta_approx^2; r^2 - gamma_Babel
-    <= lambda_min (Gersgorin); max |K_ij| <= gamma_Babel <= (m-1) max |K_ij|
-    over i != j; and r^2 (1 - gamma_coh^2) <= delta_dist^2 <= R^2 (1 -
-    gamma_coh^2), an equality for unit-norm kernels. The slack, scaled by
-    R^2, absorbs rounding, the distance measure's one-ulp downward rounding
-    among it.
-    """
-    gram, m = d.gram, d.m
-    dist, approx, coh, babel = (d.measure(kind) for kind in KINDS)
-    lam_min = eigensolve(gram).lambda_min
-    diag = np.diag(gram)
-    r_sq, R_sq = float(diag.min()), float(diag.max())
-    max_off = float(np.max(np.abs(gram[~np.eye(m, dtype=bool)])))
-    slack = SLACK * max(1.0, R_sq)
-    checks = (
-        ("delta_approx <= delta_dist", approx**2 <= dist**2 + slack),
-        ("delta_approx^2/m <= lambda_min", approx**2 / m <= lam_min + slack),
-        ("lambda_min <= delta_approx^2", lam_min <= approx**2 + slack),
-        ("r^2 - gamma_babel <= lambda_min", r_sq - babel <= lam_min + slack),
-        ("max |K_ij| <= gamma_babel", max_off <= babel + slack),
-        ("gamma_babel <= (m-1) max |K_ij|", babel <= (m - 1) * max_off + slack),
-        ("r^2 (1 - gamma_coh^2) <= delta_dist^2", r_sq * (1.0 - coh**2) <= dist**2 + slack),
-        ("delta_dist^2 <= R^2 (1 - gamma_coh^2)", dist**2 <= R_sq * (1.0 - coh**2) + slack),
-    )
-    return [f"{label} (m={m}): {name} fails" for name, holds in checks if not holds]
-
-
 def test_acceptance_10_cross_measure_relations(built_dictionaries):
     # every Gaussian atom has unit norm, so one polynomial dictionary (m = 16,
     # an approximation measure of 1.8e-5) checks the relations where r < R
@@ -474,6 +443,6 @@ def test_acceptance_10_cross_measure_relations(built_dictionaries):
     failures = []
     for label, d in dictionaries + [("narma2 polynomial babel@3.0", poly)]:
         # the reloaded dictionary's approximation measure reads the factor built from the file
-        failures += _relation_failures(f"{label} grown", d)
-        failures += _relation_failures(f"{label} loaded", Dictionary.from_text(d.to_text()))
+        failures += relation_failures(f"{label} grown", d)
+        failures += relation_failures(f"{label} loaded", Dictionary.from_text(d.to_text()))
     _report(10, f"cross-measure relations on {2 * len(dictionaries) + 2} dictionaries", failures)

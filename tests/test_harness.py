@@ -252,6 +252,25 @@ class TestVerify:
         assert coh.measure_value == pytest.approx(1.0, abs=1e-12)
         assert not coh.lin_indep_condition_holds
 
+    def test_zero_atom(self, tmp_path, capsys):
+        # kappa(0, 0) = 0: distance and coherence divide by it, approximation meets a zero pivot
+        atoms = [[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]
+        d = Dictionary.from_atoms(Kernel.linear(), CriterionConfig("coherence", 0.5), atoms)
+        for kind in ("distance", "coherence"):
+            with pytest.raises(NumericalError, match=f"zero self-similarity; {kind} measure undefined"):
+                d.measure(kind)
+        report = spectral_report(d)
+        assert (report.norm.r_sq, report.norm.R_sq) == (0.0, 4.0)
+        rows = {line.split(",")[0]: line.split(",") for line in report.to_csv().splitlines()[1:]}
+        for kind in ("distance", "approximation", "coherence"):
+            assert rows[kind][1:4] == ["nan"] * 3 and rows[kind][-1] == "0"
+        assert rows["babel"][1:4] == ["0.0", "0.0", "4.0"]
+        code, again = verify_dictionary(d)
+        assert code == 0 and again.to_csv() == report.to_csv()
+        d.save(tmp_path / "zero.txt")
+        assert main(["verify", "--dict", str(tmp_path / "zero.txt")]) == 0
+        assert "verification passed" in capsys.readouterr().out
+
     def test_exit_policy_reads_hard(self, monkeypatch):
         # two Gaussian atoms with correlation exp(-0.08) = 0.92, admitted under Babel 0.5
         d = Dictionary.from_atoms(Kernel.gaussian(1.0), CriterionConfig("babel", 0.5), [[0.0], [0.4]])
@@ -455,6 +474,19 @@ class TestCli:
     )
     def test_run_algo_takes_every_config_spelling(self, tmp_path, algo):
         assert main(["run", "--algo", algo, "--length", "30", "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("kind, threshold", [("distance", "0.05"), ("approximation", "0.05"),
+                                                  ("coherence", "0.95"), ("babel", "3.0")])
+    @pytest.mark.parametrize("family, cap", [("linear", "2"), ("polynomial", "9"), ("gaussian", "30")])
+    def test_verify_rewrites_the_run_spectral_csv(self, tmp_path, family, cap, kind, threshold):
+        # narma2 has 3-d inputs, so a linear kernel's feature space has rank 3 and
+        # the default polynomial kernel's (degree 2) rank 10; a cap at or above the
+        # rank lets distance and Babel runs reach a near-singular admission (exit 2)
+        out = tmp_path / "run"
+        assert main(["run", "--data", "narma2", "--kernel", family, "--criterion", kind, "--threshold", threshold,
+                     "--max-atoms", cap, "--length", "300", "--seed", "1", "--out", str(out)]) == 0
+        assert main(["verify", "--dict", str(out / "dictionary.txt"), "--out", str(tmp_path / "verify")]) == 0
+        assert (tmp_path / "verify" / "spectral.csv").read_bytes() == (out / "spectral.csv").read_bytes()
 
     def test_benchmark_verify_invocation(self, tmp_path):
         # perfbench/workloads.py runs verify with --seed, which verify ignores

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import sparsekaf.kernels as kernels_module
-from sparsekaf import CriterionConfig, Dictionary, Kernel, NormRange, kernel_vector, norm_range
+from sparsekaf import CriterionConfig, Dictionary, Kernel, NormRange, kernel_vector
 
 
 def vectors(dim=3):
@@ -343,27 +343,9 @@ class TestKernelVector:
 
 
 class TestNormRange:
-    def test_gaussian_analytic(self):
-        nr = norm_range(Kernel.gaussian(2.0))
-        assert (nr.r_sq, nr.R_sq, nr.source) == (1.0, 1.0, "analytic")
-        assert nr.is_unit
-
-    def test_linear_empirical(self):
-        nr = norm_range(Kernel.linear(), [[1.0, 0.0], [0.0, 2.0]])
-        assert (nr.r_sq, nr.R_sq, nr.source) == (1.0, 4.0, "empirical")
-
-    def test_polynomial_at_origin(self):
-        # oracle: (0 + 1)^2
-        nr = norm_range(Kernel.polynomial(2, offset=1.0), [[0.0, 0.0]])
-        assert (nr.r_sq, nr.R_sq) == (1.0, 1.0)
-
-    def test_non_gaussian_requires_samples(self):
-        with pytest.raises(ValueError, match="samples"):
-            norm_range(Kernel.linear())
-
     def test_user_supplied(self):
         nr = NormRange(0.5, 2.0)
-        assert nr.source == "user_supplied"
+        assert (nr.r_sq, nr.R_sq) == (0.5, 2.0)
         with pytest.raises(ValueError):
             NormRange(2.0, 0.5)
         with pytest.raises(ValueError):

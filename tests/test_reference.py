@@ -8,7 +8,9 @@ predictions agree within 1e-8 of sum_j |alpha_j kvec_j|, the scale of a
 prediction's rounding error: the one ``step`` makes, and the one the
 state's alpha gives, which a functional step does not read. At the end
 every measure agrees within 1e-10, relative or absolute; the approximation
-measure, read from K^-1, within 1e-14 cond(K) if that is larger.
+measure, read from K^-1, within 1e-14 cond(K) if that is larger. With two
+atoms or more, the dictionary and its reload from ``to_text`` satisfy the
+paper's cross-measure relations (``cross_measure.py``).
 
 A step where the reference's statistic lies within a relative 1e-9 of the
 threshold ends the example (a tie). So does an admission whose reference
@@ -25,6 +27,7 @@ import math
 import numpy as np
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+from cross_measure import relation_failures
 from reference import PIVOT_FLOOR, Reference, kernel_value
 
 from sparsekaf import (
@@ -133,6 +136,9 @@ def compare(case) -> str:
             expected = ref.measure(measure)
             tol = MEASURE_TOL if measure != "approximation" else max(MEASURE_TOL, 1e-14 * np.linalg.cond(ref.gram))
             assert math.isclose(d.measure(measure), expected, rel_tol=tol, abs_tol=MEASURE_TOL), measure
+    if d.m >= 2:
+        failures = relation_failures("grown", d) + relation_failures("loaded", Dictionary.from_text(d.to_text()))
+        assert not failures, failures
     return "end"
 
 

@@ -18,7 +18,7 @@ from sparsekaf import (
 from sparsekaf.harness import verification_exit_code
 from sparsekaf.spectral import gersgorin_margin
 
-UNIT = NormRange(1.0, 1.0, source="analytic")
+UNIT = NormRange(1.0, 1.0)
 KINDS = ("distance", "approximation", "coherence", "babel")
 SOUND_KINDS = ("distance", "coherence", "babel")
 
@@ -423,7 +423,7 @@ class TestContainmentProperties:
         d = build_gaussian_dict(kind, threshold, seed, sigma=0.8, max_atoms=50)
         assert d.m >= 2
         spec = eigensolve(d.gram)
-        nr = NormRange(1.0, 1.0, source="analytic")
+        nr = NormRange(1.0, 1.0)
         for check_kind in KINDS:
             value = d.measure(check_kind)
             bs = window(check_kind, value, d.m, nr, sound=True)
@@ -471,7 +471,7 @@ class TestContainmentProperties:
     def test_lin_indep_certificate(self, kind, threshold, seed):
         d = build_gaussian_dict(kind, threshold, seed + 40, max_atoms=4)
         assert d.m >= 2
-        nr = NormRange(1.0, 1.0, source="analytic")
+        nr = NormRange(1.0, 1.0)
         value = d.measure(kind)
         spec = eigensolve(d.gram)
         if window(kind, value, d.m, nr).lin_indep_condition_holds:
@@ -490,7 +490,7 @@ class TestContainmentProperties:
     @pytest.mark.parametrize("seed", range(2))
     def test_quasi_isometry_containment_sound_kinds(self, seed):
         d = build_gaussian_dict("coherence", 0.5, seed=seed + 60, n=100)
-        nr = NormRange(1.0, 1.0, source="analytic")
+        nr = NormRange(1.0, 1.0)
         for kind in SOUND_KINDS:
             value = d.measure(kind)
             nu, s = isometry(kind, value, d.m, nr)
@@ -568,6 +568,19 @@ class TestSpectralReport:
             for value in fields[1:-1]:
                 float(value)  # parses (nan/inf included)
             assert fields[-1] in ("0", "1")
+
+    @pytest.mark.parametrize("kernel, atoms, expected", [
+        (Kernel.gaussian(2.0), [[0.0, 0.0], [1.0, 3.0]], (1.0, 1.0)),
+        (Kernel.linear(), [[1.0, 0.0], [0.0, 2.0]], (1.0, 4.0)),
+        (Kernel.polynomial(2, 1.0), [[0.0, 0.0], [1.0, 1.0]], (1.0, 9.0)),  # (0 + 1)^2, (2 + 1)^2
+    ], ids=["gaussian", "linear", "polynomial"])
+    def test_default_norm_range_is_the_gram_diagonal_extremes(self, kernel, atoms, expected):
+        grown = Dictionary(kernel, CriterionConfig("babel", 100.0))
+        for x in atoms:
+            assert grown.admit(x)
+        for d in (grown, Dictionary.from_text(grown.to_text())):
+            nr = spectral_report(d).norm
+            assert (nr.r_sq, nr.R_sq) == expected == (np.diag(d.gram).min(), np.diag(d.gram).max())
 
     def test_empty_dictionary_rejected(self):
         d = Dictionary(Kernel.gaussian(1.0), CriterionConfig("coherence", 0.5))
