@@ -20,11 +20,9 @@ import sys
 from .dictionary import CRITERION_KINDS, Dictionary
 from .errors import NumericalError
 from .harness import (
-    _ALGO_ALIASES,
-    CONFIG_KEYS,
+    CONFIG_TABLE,
     ConfigError,
     DICTIONARY_FILE,
-    GENERATORS,
     RUN_CSV,
     SPECTRAL_CSV,
     build_config,
@@ -33,31 +31,15 @@ from .harness import (
     synthesize_finite,
     verify_dictionary,
 )
-from .kernels import FAMILIES
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
-EXIT_VIOLATION = 3
 
+# the CLI-only options; each config key's help text is in harness.CONFIG_TABLE
 _HELP = {
     "config": "key=value config file; flags override it",
     "dict": "serialized dictionary file",
-    "data": f"data source: {', '.join(GENERATORS)} or csv:PATH",
-    "kernel": f"kernel family: {', '.join(FAMILIES)}",
-    "sigma": "gaussian bandwidth",
-    "degree": "polynomial degree",
-    "offset": "polynomial offset",
-    "criterion": f"sparsity criterion: {', '.join(CRITERION_KINDS)}",
-    "threshold": "criterion threshold (delta or gamma)",
-    "max_atoms": "dictionary size cap",
-    "algo": f"update rule: {', '.join(_ALGO_ALIASES)}",
-    "eta": "step size",
-    "eps": "regularization / stabilizer",
-    "seed": "random seed",
-    "length": "number of samples",
-    "noise": "generator noise level",
-    "out": "output directory",
 }
 
 
@@ -72,7 +54,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _config_from_args(args):
     mapping = parse_config_file(args.config) if args.config else {}
-    mapping.update({key: value for key, value in vars(args).items() if key in CONFIG_KEYS and value is not None})
+    mapping.update({key: value for key, value in vars(args).items() if key in CONFIG_TABLE and value is not None})
     return build_config(mapping)
 
 
@@ -152,7 +134,7 @@ def make_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn, summary, keys in (
-        ("run", _cmd_run, "run an online learning experiment", ("config", *CONFIG_KEYS)),
+        ("run", _cmd_run, "run an online learning experiment", ("config", *CONFIG_TABLE)),
         ("verify", _cmd_verify, "check the spectral guarantees of a dictionary", ("config", "dict", "out")),
         ("synthesize", _cmd_synthesize, "write a synthetic dataset to data.csv",
          ("config", "data", "seed", "length", "noise", "out")),
@@ -160,7 +142,7 @@ def make_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=summary)
         for key in keys:
-            p.add_argument("--" + key.replace("_", "-"), dest=key, help=_HELP[key])
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=_HELP.get(key) or CONFIG_TABLE[key][1])
         if name == "verify":
             # perfbench/workloads.py passes --seed to verify; drop it once the
             # benchmark stops (ROADMAP item 1)

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dictionary import CRITERION_FIELDS, CriterionConfig, Dictionary
+from .dictionary import CRITERION_FIELDS, CRITERION_KINDS, CriterionConfig, Dictionary
 from .errors import NumericalError
-from .kernels import KERNEL_FIELDS, Kernel, parse_fields
+from .kernels import FAMILIES, KERNEL_FIELDS, Kernel, integral, parse_fields
 from .learners import LearnerConfig, ModelState, step
 from .spectral import SpectralReport, spectral_report
 
@@ -238,27 +238,26 @@ _ALGO_ALIASES = {
     "functional_sgd": "functional_sgd",
 }
 
-CONFIG_KEYS = (
-    "data", "kernel", "sigma", "degree", "offset", "criterion", "threshold",
-    "max_atoms", "algo", "eta", "eps", "seed", "length", "noise", "out",
-)
-
 # the learner's and the data's numeric keys, read as a dictionary file's fields
-_NUMBER_FIELDS = {"eta": float, "eps": float, "seed": int, "length": int, "noise": float}
+_NUMBER_FIELDS = {"eta": float, "eps": float, "seed": integral, "length": integral, "noise": float}
 
-DEFAULTS = {
-    "data": "sinc1d",
-    "kernel": "gaussian",
-    "sigma": "1.0",
-    "degree": "2",
-    "offset": "1.0",
-    "criterion": "coherence",
-    "threshold": "0.5",
-    "algo": "nlms",
-    "eta": "0.5",
-    "eps": "1e-6",
-    "seed": "0",
-    "length": "1000",
+# every config key, in the order `run` lists its flags: its default (None: unset) and its help text
+CONFIG_TABLE = {
+    "data": ("sinc1d", f"data source: {', '.join(GENERATORS)} or csv:PATH"),
+    "kernel": ("gaussian", f"kernel family: {', '.join(FAMILIES)}"),
+    "sigma": ("1.0", "gaussian bandwidth"),
+    "degree": ("2", "polynomial degree"),
+    "offset": ("1.0", "polynomial offset"),
+    "criterion": ("coherence", f"sparsity criterion: {', '.join(CRITERION_KINDS)}"),
+    "threshold": ("0.5", "criterion threshold (delta or gamma)"),
+    "max_atoms": (None, "dictionary size cap"),
+    "algo": ("nlms", f"update rule: {', '.join(_ALGO_ALIASES)}"),
+    "eta": ("0.5", "step size"),
+    "eps": ("1e-6", "regularization / stabilizer"),
+    "seed": ("0", "random seed"),
+    "length": ("1000", "number of samples"),
+    "noise": (None, "generator noise level"),
+    "out": (None, "output directory"),
 }
 
 
@@ -277,7 +276,7 @@ def parse_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path} line {lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in CONFIG_KEYS:
+        if key not in CONFIG_TABLE:
             raise ConfigError(f"{path} line {lineno}: unknown key {key!r}")
         out[key] = value
     return out
@@ -285,11 +284,11 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 def build_config(mapping: dict[str, str]) -> ExperimentConfig:
     """Materialize an :class:`ExperimentConfig` from string key=value pairs."""
-    merged = dict(DEFAULTS)
+    merged = {key: default for key, (default, _) in CONFIG_TABLE.items()}
     merged.update({k: v for k, v in mapping.items() if v is not None})
 
     def words(keys):
-        return [f"{key}={merged[key]}" for key in keys if key in merged]
+        return [f"{key}={merged[key]}" for key in keys if merged[key] is not None]
 
     try:
         # each kernel parameter must parse, whichever family reads it
@@ -308,7 +307,7 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
             seed=numbers["seed"],
             length=numbers["length"],
             noise=numbers.get("noise"),
-            out=merged.get("out"),
+            out=merged["out"],
         )
     except ValueError as exc:  # a ConfigError too, with its message kept
         raise ConfigError(str(exc)) from None

@@ -40,7 +40,8 @@ class LearnerConfig:
 
     ``eps`` is the regularization weight for the gradient rules and the
     denominator stabilizer for ``nlms``, whose normalized rule is stable
-    only for 0 < eta < 2.
+    only for 0 < eta < 2. The functional rule scales the model by the decay
+    factor 1 - eta*eps each step, so it needs eta*eps < 1.
     """
 
     algorithm: str
@@ -57,6 +58,8 @@ class LearnerConfig:
             raise ValueError(f"nlms step size eta must be < 2, got {self.eta!r}")
         if not 0 <= self.eps < math.inf:
             raise ValueError("eps must be finite and >= 0")
+        if self.algorithm == "functional_sgd" and not self.eta * self.eps < 1.0:
+            raise ValueError(f"functional_sgd needs eta*eps < 1, got eta {self.eta!r} and eps {self.eps!r}")
 
 
 class ModelState:
@@ -232,8 +235,6 @@ def step(
     if not math.isfinite(y):
         raise ValueError(f"y must be finite, got {y!r}")
     functional = cfg.algorithm == "functional_sgd"
-    if functional and 1.0 - cfg.eta * cfg.eps <= 0.0:
-        raise NumericalError(f"functional update decay factor 1 - eta*eps = {1.0 - cfg.eta * cfg.eps} is <= 0")
     x, kvec, kxx = dictionary._row(x_t)
     # ndarray.dot is the BLAS ddot that @ reaches for two vectors, with less dispatch
     if functional:

@@ -286,8 +286,10 @@ def spectral_report(dictionary: Dictionary, nr: NormRange | None = None) -> Spec
     Bounds use the measured sparsity values and the paper's windows. Measures
     that are undefined (fewer than two atoms) or numerically unavailable (a
     Gram matrix too close to singular for the approximation measure) yield
-    NaN rows with no checks. The isometry extremes are the exact suprema
-    over all coefficient vectors, read off the spectrum; nothing is sampled.
+    NaN rows with no checks, and so do windows that give no isometry
+    constant (bounds (0, 0), when every atom has kappa(x, x) = 0). The
+    isometry extremes are the exact suprema over all coefficient vectors,
+    read off the spectrum; nothing is sampled.
     ``nr`` defaults to the extremes of the kappa(x, x) the dictionary stores
     for its atoms, the diagonal of the Gram matrix reported on, so r^2 and
     R^2 are exact for it whatever the kernel family.
@@ -305,13 +307,17 @@ def spectral_report(dictionary: Dictionary, nr: NormRange | None = None) -> Spec
         report.violations.append(Violation("gersgorin", worst_gersgorin, True))
 
     for kind in CRITERION_KINDS:
+        unavailable = BoundSet(kind, *(math.nan,) * 6, kind != "approximation")
         try:
             value = dictionary.measure(kind)
         except (ValueError, NumericalError):
-            nan = math.nan
-            report.per_measure.append(BoundSet(kind, nan, nan, nan, nan, nan, nan, kind != "approximation"))
+            report.per_measure.append(unavailable)
             continue
-        bs = window(kind, value, dictionary.m, nr)
+        try:
+            bs = window(kind, value, dictionary.m, nr)
+        except NumericalError:  # bounds (0, 0): every atom has kappa(x, x) = 0
+            report.per_measure.append(unavailable)
+            continue
         report.per_measure.append(bs)
         _append_violations(report, bs, dictionary)
     return report

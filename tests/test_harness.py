@@ -252,19 +252,26 @@ class TestVerify:
         assert coh.measure_value == pytest.approx(1.0, abs=1e-12)
         assert not coh.lin_indep_condition_holds
 
-    def test_zero_atom(self, tmp_path, capsys):
+    @pytest.mark.parametrize("kernel, atoms, R_sq, babel", [
+        (Kernel.linear(), [[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]], 4.0, ["0.0", "0.0", "4.0"]),
+        # every atom zero: Babel's window is (0, 0), which gives no isometry constant
+        (Kernel.linear(), [[0.0, 0.0]], 0.0, ["nan"] * 3),
+        (Kernel.polynomial(2, 0.0), [[0.0, 0.0]] * 2, 0.0, ["nan"] * 3),
+    ], ids=["one-zero-atom", "linear-all-zero", "polynomial-all-zero"])
+    def test_zero_atom(self, tmp_path, capsys, kernel, atoms, R_sq, babel):
         # kappa(0, 0) = 0: distance and coherence divide by it, approximation meets a zero pivot
-        atoms = [[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]
-        d = Dictionary.from_atoms(Kernel.linear(), CriterionConfig("coherence", 0.5), atoms)
-        for kind in ("distance", "coherence"):
-            with pytest.raises(NumericalError, match=f"zero self-similarity; {kind} measure undefined"):
-                d.measure(kind)
+        d = Dictionary.from_atoms(kernel, CriterionConfig("coherence", 0.5), atoms)
+        if d.m > 1:
+            for kind in ("distance", "coherence"):
+                with pytest.raises(NumericalError, match=f"zero self-similarity; {kind} measure undefined"):
+                    d.measure(kind)
+        assert d.measure("babel") == 0.0
         report = spectral_report(d)
-        assert (report.norm.r_sq, report.norm.R_sq) == (0.0, 4.0)
+        assert (report.norm.r_sq, report.norm.R_sq) == (0.0, R_sq)
         rows = {line.split(",")[0]: line.split(",") for line in report.to_csv().splitlines()[1:]}
         for kind in ("distance", "approximation", "coherence"):
             assert rows[kind][1:4] == ["nan"] * 3 and rows[kind][-1] == "0"
-        assert rows["babel"][1:4] == ["0.0", "0.0", "4.0"]
+        assert rows["babel"][1:4] == babel and rows["babel"][-1] == "0"
         code, again = verify_dictionary(d)
         assert code == 0 and again.to_csv() == report.to_csv()
         d.save(tmp_path / "zero.txt")
@@ -336,10 +343,16 @@ class TestConfig:
 
     def test_defaults(self):
         cfg = build_config({})
-        assert cfg.kernel.family == "gaussian"
-        assert cfg.criterion.kind == "coherence"
-        assert cfg.learner.algorithm == "nlms"
-        assert cfg.length == 1000
+        assert cfg.data == "sinc1d"
+        assert cfg.kernel == Kernel.gaussian(1.0)
+        assert cfg.criterion == CriterionConfig("coherence", 0.5)
+        assert cfg.learner == LearnerConfig("nlms", 0.5, 1e-6)
+        assert (cfg.seed, cfg.length) == (0, 1000)
+        assert type(cfg.seed) is int and type(cfg.length) is int
+        assert cfg.criterion.max_atoms is None and cfg.noise is None and cfg.out is None
+        # a Gaussian kernel resets degree and offset to the class defaults, so read them from a polynomial one
+        poly = build_config({"kernel": "polynomial"}).kernel
+        assert (poly.degree, poly.offset) == (2, 1.0) and type(poly.degree) is int
 
 
 RUN_OPTIONS = {
@@ -379,24 +392,35 @@ class TestCli:
         assert main([name, flag, "1"]) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    INTEGRAL = {"kernel": "polynomial", "degree": "3.0", "criterion": "babel", "threshold": "3.0", "max_atoms": "5.0"}
+    INTEGRAL = {"kernel": "polynomial", "degree": "3.0", "criterion": "babel", "threshold": "3.0", "max_atoms": "5.0",
+                "seed": "2.0", "length": "50.0"}
+
+    @staticmethod
+    def flags(values):
+        return [word for key, value in values.items() for word in (f"--{key.replace('_', '-')}", value)]
 
     @pytest.mark.parametrize("source", ["flags", "config"])
     def test_integral_float_degree_and_cap_are_stored_as_ints(self, tmp_path, source):
-        argv = ["run", "--data", "narma2", "--length", "50", "--out", str(tmp_path / "o")]
+        argv = ["run", "--data", "narma2", "--out", str(tmp_path / "o")]
         if source == "flags":
-            argv += [word for key, value in self.INTEGRAL.items() for word in (f"--{key.replace('_', '-')}", value)]
+            argv += self.flags(self.INTEGRAL)
         else:
             (tmp_path / "exp.cfg").write_text("".join(f"{key} = {value}\n" for key, value in self.INTEGRAL.items()))
             argv += ["--config", str(tmp_path / "exp.cfg")]
         assert main(argv) == 0
         text = (tmp_path / "o" / "dictionary.txt").read_text()
         assert "kernel polynomial degree=3 offset=1.0\ncriterion babel threshold=3.0 max_atoms=5\n" in text
+        # seed 2.0 and length 50.0 run as seed 2 and length 50
+        ints = self.flags({key: value.removesuffix(".0") for key, value in self.INTEGRAL.items()})
+        assert main(["run", "--data", "narma2", *ints, "--out", str(tmp_path / "i")]) == 0
+        for name in ("run.csv", "spectral.csv", "dictionary.txt"):
+            assert (tmp_path / "o" / name).read_bytes() == (tmp_path / "i" / name).read_bytes()
+        assert len((tmp_path / "o" / "run.csv").read_text().splitlines()) == 51
 
-    @pytest.mark.parametrize("flag", ["--degree", "--max-atoms"])
+    @pytest.mark.parametrize("flag", ["--degree", "--max-atoms", "--seed", "--length"])
     def test_non_integral_degree_or_cap_exits_one(self, tmp_path, capsys, flag):
         out = tmp_path / "o"
-        assert main(["run", "--kernel", "polynomial", flag, "2.5", "--length", "50", "--out", str(out)]) == 1
+        assert main(["run", "--kernel", "polynomial", "--length", "50", flag, "2.5", "--out", str(out)]) == 1
         assert f"field {flag[2:].replace('-', '_')}='2.5': not an integer" in capsys.readouterr().err
         assert not out.exists()
 
@@ -458,10 +482,14 @@ class TestCli:
         assert proc.stderr.startswith("numerical failure: step")
         assert not out.exists()
 
-    def test_nlms_eta_of_two_exits_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flags, message", [
+        (["--algo", "nlms", "--eta", "2"], "nlms step size eta must be < 2"),
+        (["--algo", "functional", "--eta", "2", "--eps", "0.6"], "functional_sgd needs eta*eps < 1"),
+    ], ids=["nlms", "functional"])
+    def test_unstable_step_size_exits_one(self, tmp_path, capsys, flags, message):
         out = tmp_path / "o"
-        assert main(["run", "--algo", "nlms", "--eta", "2", "--length", "50", "--out", str(out)]) == 1
-        assert "nlms step size eta must be < 2" in capsys.readouterr().err
+        assert main(["run", *flags, "--length", "50", "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_finite_series_pass_the_divergence_check_unchanged(self):

@@ -199,11 +199,14 @@ class TestStep:
             step(ModelState.empty(), d, [1.0, 0.0], 1.0, LearnerConfig("nlms", 0.5))
 
     def test_functional_divergence_checked_before_mutation(self):
-        d = fresh()
-        cfg = LearnerConfig("functional_sgd", eta=2.0, eps=1.0)
-        with pytest.raises(NumericalError):
-            step(ModelState.empty(), d, [0.0, 0.0], 1.0, cfg)
-        assert d.m == 0
+        # a decay factor 1 - eta*eps <= 0 is refused when the config is built, before any step
+        with pytest.raises(ValueError, match=r"functional_sgd needs eta\*eps < 1, got eta 2.0 and eps 1.0"):
+            LearnerConfig("functional_sgd", eta=2.0, eps=1.0)
+        for eta, eps in ((2.0, 0.5), (2.0, 0.6)):
+            with pytest.raises(ValueError, match=r"eta\*eps < 1"):
+                LearnerConfig("functional_sgd", eta, eps)
+        LearnerConfig("functional_sgd", 1.9, 0.5)  # eta*eps = 0.95
+        LearnerConfig("lms_gram", 2.0, 1.0)  # the other rules have no decay factor
 
 
 def reference_step(state, d, x, y, cfg):
