@@ -93,7 +93,7 @@ def _cmd_verify(args) -> int:
     dictionary, cfg = _load_dictionary(args)
     code, report = verify_dictionary(dictionary, out=cfg.out)
     for bs in report.per_measure:
-        note = "" if bs.lin_indep_condition_holds else " (vacuous lower bound)"
+        note = " (vacuous lower bound)" if bs.lower <= 0.0 else ""  # not for a NaN row
         print(
             f"{bs.measure_kind}: measure={bs.measure_value!r} bounds=({bs.lower!r}, {bs.upper!r})"
             f" nu={bs.isometry_nu!r}{note}"

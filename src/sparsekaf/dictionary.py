@@ -346,11 +346,13 @@ class Dictionary:
         if self.m < 2:
             raise ValueError(f"{kind} measure requires at least two atoms")
         gram = self.gram
-        off = ~np.eye(self.m, dtype=bool)
         if kind == "distance":
             diag = self._atom_norms("distance measure")
-            stats = diag[:, None] - gram**2 / diag[None, :]
-            worst = float(np.min(stats[off]))
+            # diag_i - K_ij^2 / diag_j, computed in one m x m buffer
+            stats = gram**2
+            np.subtract(diag[:, None], np.divide(stats, diag, out=stats), out=stats)
+            np.fill_diagonal(stats, math.inf)
+            worst = float(np.min(stats))
             # round one ulp down: tiny correlations can vanish entirely in the
             # subtraction (1 - eps^2 rounds to 1), which would make bounds
             # derived from this value miss them; the directed rounding keeps
@@ -358,8 +360,10 @@ class Dictionary:
             return math.sqrt(max(math.nextafter(worst, -math.inf), 0.0))
         if kind == "coherence":
             diag = self._atom_norms("coherence measure")
-            cos = np.abs(gram) / np.sqrt(np.outer(diag, diag))
-            return float(np.max(cos[off]))
+            cos = np.sqrt(np.outer(diag, diag))
+            np.divide(np.abs(gram), cos, out=cos)
+            np.fill_diagonal(cos, 0.0)  # every entry is >= 0
+            return float(np.max(cos))
         # approximation: atom i's residual against the others is 1/(K^-1)_ii
         # (the last pivot of K with atom i ordered last). dpptri inverts
         # K = U^T U from U = L^T, which _packed holds in upper packed

@@ -283,7 +283,9 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 
 def build_config(mapping: dict[str, str]) -> ExperimentConfig:
-    """Materialize an :class:`ExperimentConfig` from string key=value pairs."""
+    """Materialize an :class:`ExperimentConfig` from string key=value pairs, keys from ``CONFIG_TABLE``."""
+    if unknown := [key for key in mapping if key not in CONFIG_TABLE]:
+        raise ConfigError(f"unknown config key(s) {', '.join(map(repr, unknown))}")
     merged = {key: default for key, (default, _) in CONFIG_TABLE.items()}
     merged.update({k: v for k, v in mapping.items() if v is not None})
 

@@ -7,10 +7,15 @@ sufficient linear-independence condition, a condition number bound, and
 the quasi-isometry constant between the coefficient (dual) space R^m and
 the span of the dictionary atoms.
 
-:func:`spectral_report` checks the quasi-isometry exactly: with K the Gram
-matrix divided by the squared rescale factor, the Rayleigh quotient ranges
-over [lambda_min, lambda_max] of K and the worst inner-product deviation
-is ||K - I||_2 = max_i |lambda_i - 1|.
+:func:`spectral_report` checks that each window [l, u] contains the exact
+spectrum, to a slack of 1e-9 R^2 that scales with the kernel, and reports
+the condition-number bound and nu without checking them again, because
+both follow from the window. With s^2 = (u + l)/2 the squared rescale
+factor, 1 - nu = l/s^2 and 1 + nu = u/s^2, while with K the Gram matrix
+divided by s^2 the Rayleigh quotient ranges over [lambda_min, lambda_max]
+of K and the worst inner-product deviation is ||K - I||_2 =
+max_i |lambda_i - 1|. So the quasi-isometry holds with constant nu exactly
+when the window contains the spectrum, and then cond <= u/l too.
 
 Every window takes the *measured* sparsity value of a finished
 dictionary, not the admission threshold: the measured value is at least as
@@ -46,7 +51,11 @@ from .dictionary import CRITERION_KINDS, Dictionary
 from .errors import NumericalError
 from .kernels import NormRange
 
-# Slack applied to every containment check, per the bound-verification contract.
+# Slack of the report's checks. An eigenvalue may leave its window by
+# CONTAINMENT_SLACK * R^2, R^2 the largest kappa(x, x) of the atoms: the
+# eigensolver's error scales with ||K||_2 <= m R^2, so a containment
+# verdict does not depend on the scale of the inputs. The Gersgorin and
+# admission-drift checks use it as an absolute slack.
 CONTAINMENT_SLACK = 1e-9
 
 
@@ -223,7 +232,10 @@ class SpectralReport:
     containment escapes (the paper's window is not a sound bound, see the
     module docstring) and ``<kind>:admission_threshold`` (Babel admission
     does not control the post-hoc measure). Gersgorin and the containment
-    checks of a sound window are hard.
+    checks of a sound window are hard. Each row's ``nu`` and
+    ``cond_bound`` are reported, not checked: ``nu`` holds exactly when the
+    row's window contains the spectrum, and ``cond_bound`` whenever it does
+    (see the module docstring).
     """
 
     spectrum: EigenSpectrum
@@ -296,9 +308,10 @@ def spectral_report(dictionary: Dictionary, nr: NormRange | None = None) -> Spec
     """
     if dictionary.m == 0:
         raise ValueError("spectral_report requires a non-empty dictionary")
+    diag = dictionary._diag_buf[: dictionary.m]
     if nr is None:
-        diag = dictionary._diag_buf[: dictionary.m]
         nr = NormRange(float(diag.min()), float(diag.max()))
+    eigen_slack = CONTAINMENT_SLACK * float(diag.max())
     spectrum = eigensolve(dictionary.gram)
     report = SpectralReport(spectrum=spectrum, norm=nr)
 
@@ -319,24 +332,16 @@ def spectral_report(dictionary: Dictionary, nr: NormRange | None = None) -> Spec
             report.per_measure.append(unavailable)
             continue
         report.per_measure.append(bs)
-        _append_violations(report, bs, dictionary)
+        _append_violations(report, bs, dictionary, eigen_slack)
     return report
 
 
-def _append_violations(report: SpectralReport, bs: BoundSet, dictionary: Dictionary) -> None:
-    kind, nu, slack = bs.measure_kind, bs.isometry_nu, CONTAINMENT_SLACK
-    lam_min, lam_max, cond = report.spectrum.lambda_min, report.spectrum.lambda_max, report.spectrum.cond
-    lo, hi, ipdev = report.isometry_extremes(bs)
-    cond_excess = 0.0
-    if math.isfinite(bs.cond_number_bound) and math.isfinite(cond):
-        cond_excess = cond - bs.cond_number_bound * (1.0 + slack)
+def _append_violations(report: SpectralReport, bs: BoundSet, dictionary: Dictionary, eigen_slack: float) -> None:
+    kind, slack = bs.measure_kind, CONTAINMENT_SLACK
+    lam_min, lam_max = report.spectrum.lambda_min, report.spectrum.lambda_max
     for check, failed, margin in (
-        ("eigen_lower", lam_min < bs.lower - slack, bs.lower - lam_min),
-        ("eigen_upper", lam_max > bs.upper + slack, lam_max - bs.upper),
-        ("cond", cond_excess > 0.0, cond_excess),
-        ("isometry_low", lo < 1.0 - nu - slack, (1.0 - nu) - lo),
-        ("isometry_high", hi > 1.0 + nu + slack, hi - (1.0 + nu)),
-        ("isometry_ip", ipdev > nu + slack, ipdev - nu),
+        ("eigen_lower", lam_min < bs.lower - eigen_slack, bs.lower - lam_min),
+        ("eigen_upper", lam_max > bs.upper + eigen_slack, lam_max - bs.upper),
     ):
         if failed:
             report.violations.append(Violation(f"{kind}:{check}", margin, bs.sound))

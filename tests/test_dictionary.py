@@ -361,6 +361,32 @@ class TestMeasure:
         for built in (d, Dictionary.from_text(d.to_text())):
             assert built.measure("approximation") == pytest.approx(expected, rel=1e-10)
 
+    @pytest.mark.parametrize("kernel, dim", [
+        (Kernel.gaussian(0.3), 4), (Kernel.polynomial(3, 0.5), 40), (Kernel.linear(), 1200),
+    ], ids=["gaussian", "polynomial", "linear"])
+    def test_distance_and_coherence_in_place(self, kernel, dim):
+        # bit-identical to the masked off-diagonal reductions, in at most one
+        # (distance) or two (coherence) m x m temporaries beyond the Gram matrix
+        m = 1000
+        atoms = np.random.default_rng(7).uniform(-1, 1, size=(m, dim))
+        d = Dictionary.from_atoms(kernel, CriterionConfig("babel", 1e9), atoms)
+        gram, diag = d.gram, np.diag(d.gram)
+        off = ~np.eye(m, dtype=bool)
+        worst = float(np.min((diag[:, None] - gram**2 / diag[None, :])[off]))
+        expected = {
+            "distance": math.sqrt(max(math.nextafter(worst, -math.inf), 0.0)),
+            "coherence": float(np.max((np.abs(gram) / np.sqrt(np.outer(diag, diag)))[off])),
+        }
+        for kind, bound in (("distance", 1.2), ("coherence", 2.2)):
+            tracemalloc.start()
+            try:
+                value = d.measure(kind)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert value == expected[kind], kind
+            assert peak < bound * m * m * 8, (kind, peak / (m * m * 8))
+
     def test_near_singular_file_has_no_approximation_measure(self):
         # the second atom's replayed pivot is about 1e-14: the Gram matrix
         # still has a Cholesky factor (cond 1.2e15), but admission would

@@ -276,7 +276,11 @@ class TestVerify:
         assert code == 0 and again.to_csv() == report.to_csv()
         d.save(tmp_path / "zero.txt")
         assert main(["verify", "--dict", str(tmp_path / "zero.txt")]) == 0
-        assert "verification passed" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "verification passed" in out
+        # a NaN row has no window to call vacuous; Babel's lower end 0.0 is one
+        noted = {line.split(":")[0] for line in out.splitlines() if line.endswith(" (vacuous lower bound)")}
+        assert noted == ({"babel"} if babel[1] == "0.0" else set())
 
     def test_exit_policy_reads_hard(self, monkeypatch):
         # two Gaussian atoms with correlation exp(-0.08) = 0.92, admitted under Babel 0.5
@@ -327,6 +331,10 @@ class TestConfig:
         cfg_file.write_text("kernel = gaussian\nsgima = 0.5\n")
         with pytest.raises(ConfigError, match="line 2"):
             parse_config_file(str(cfg_file))
+
+    def test_unknown_keys_rejected(self):
+        with pytest.raises(ConfigError, match=r"unknown config key\(s\) 'sgima', 'lenght'$"):
+            build_config({"sgima": "0.5", "eta": "0.1", "lenght": "5"})
 
     def test_bad_value_field_diagnostics(self):
         with pytest.raises(ConfigError, match="eta"):

@@ -162,6 +162,17 @@ class TestWindowTable:
                 assert bs.cond_number_bound == pytest.approx(cond, rel=1e-12), label
                 assert (bs.isometry_nu, bs.rescale_factor) == pytest.approx((nu, rescale), rel=1e-12), label
                 assert (bs.lin_indep_condition_holds, bs.sound) == (indep, is_sound), label
+                # the report checks containment alone: with s^2 = (u+l)/2,
+                # 1 - nu = l/s^2 and 1 + nu = u/s^2, so the window gives the
+                # isometry, and cond_bound = u/l gives the condition bound.
+                # Both ends are compared to 1e-12 of u/s^2: 1 - nu keeps only
+                # the digits that nu's rounding leaves when nu is near 1
+                s_sq = bs.rescale_factor**2
+                tol = 1e-12 * bs.upper / s_sq
+                assert abs((1.0 - bs.isometry_nu) - bs.lower / s_sq) <= tol, label
+                assert abs((1.0 + bs.isometry_nu) - bs.upper / s_sq) <= tol, label
+                if bs.lower > 0.0:
+                    assert bs.cond_number_bound == pytest.approx(bs.upper / bs.lower, rel=1e-12, abs=0.0), label
 
     def test_underflowing_approximation_value(self):
         # delta = 1e-170 > 0 while delta^2 rounds to 0
@@ -436,24 +447,28 @@ class TestContainmentProperties:
                 assert spec.values[0] / spec.values[-1] <= bound * (1 + 1e-9), check_kind
 
     def test_approximation_window_is_not_a_bound(self):
-        # two unit-norm atoms with correlation c: spectrum {1-c, 1+c} vs
-        # window [1-c^2, 1+c^2]; the report must detect the escape
-        c = 0.5
-        atoms = [[1.0, 0.0], [c, math.sqrt(1 - c * c)]]
-        d = Dictionary.from_atoms(Kernel.linear(), CriterionConfig("approximation", 0.1), atoms)
-        value = d.measure("approximation")
-        assert value == pytest.approx(math.sqrt(1 - c * c), abs=1e-12)
-        lo, hi = bounds("approximation", value, 2, UNIT)
-        spec = eigensolve(d.gram)
-        assert spec.values[-1] < lo - 1e-3  # escapes by a wide margin
-        assert spec.values[0] > hi + 1e-3
-        report = spectral_report(d)
-        names = {v.name for v in report.violations}
-        assert "approximation:eigen_lower" in names
-        assert "approximation:eigen_upper" in names
-        assert not any(n.startswith(("distance", "coherence", "babel", "gersgorin")) for n in names)
-        assert not any(v.hard for v in report.violations)
-        assert verification_exit_code(report) == 0  # informational, not a failure
+        # two atoms of norm s with correlation c: spectrum s^2 {1-c, 1+c} vs
+        # window s^2 [1-c^2, 1+c^2]; the report must detect the escape at
+        # any scale, also where it (s^2/4, here 2^-34) is far below 1e-9.
+        # Far smaller atoms leave the approximation measure unavailable: its
+        # Cholesky pivots fall below the absolute PIVOT_FLOOR
+        for scale in (1.0, 2.0**-16):
+            c, s_sq = 0.5, scale * scale
+            atoms = [[scale, 0.0], [scale * c, scale * math.sqrt(1 - c * c)]]
+            d = Dictionary.from_atoms(Kernel.linear(), CriterionConfig("approximation", 0.1 * scale), atoms)
+            value = d.measure("approximation")
+            assert value == pytest.approx(scale * math.sqrt(1 - c * c), rel=1e-12)
+            lo, hi = bounds("approximation", value, 2, NormRange(s_sq, s_sq))
+            spec = eigensolve(d.gram)
+            assert spec.values[-1] < lo - 1e-3 * s_sq  # escapes by a wide margin
+            assert spec.values[0] > hi + 1e-3 * s_sq
+            report = spectral_report(d)
+            names = {v.name for v in report.violations}
+            assert "approximation:eigen_lower" in names, scale
+            assert "approximation:eigen_upper" in names, scale
+            assert not any(n.startswith(("distance", "coherence", "babel", "gersgorin")) for n in names)
+            assert not any(v.hard for v in report.violations)
+            assert verification_exit_code(report) == 0, scale  # informational, not a failure
 
     @pytest.mark.parametrize("seed", range(3))
     def test_rayleigh_sandwich(self, seed):
@@ -511,6 +526,20 @@ class TestSpectralReport:
         coh = report.per_measure[2]
         assert coh.measure_value <= 0.5 + 1e-12
         assert coh.lin_indep_condition_holds or d.m * 0.5 >= 1  # vacuous only for large m
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-20, 2.0**-40], ids=["unit", "small", "tiny"])
+    def test_sound_window_escape_is_hard_at_any_scale(self, scale):
+        # two orthogonal atoms of norm s, reported against a norm range that
+        # overstates kappa(x, x) fourfold: the coherence and Babel windows
+        # are [4 s^2, 4 s^2] while the spectrum is {s^2, s^2}
+        d = Dictionary.from_atoms(Kernel.linear(), CriterionConfig("coherence", 0.5), [[scale, 0.0], [0.0, scale]])
+        s_sq = scale * scale
+        report = spectral_report(d, NormRange(4.0 * s_sq, 4.0 * s_sq))
+        assert report.violations == [
+            Violation("coherence:eigen_lower", 3.0 * s_sq, True),
+            Violation("babel:eigen_lower", 3.0 * s_sq, True),
+        ]
+        assert verification_exit_code(report) == 3
 
     def test_spectrum_is_eigensolve(self):
         d = build_gaussian_dict("coherence", 0.9, seed=5, n=300, spread=2.0)
