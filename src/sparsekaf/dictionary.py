@@ -276,9 +276,14 @@ class Dictionary:
             raise ValueError("criterion tests require a non-empty dictionary")
 
     def _test(self, kind: str, x, threshold: float | None) -> bool:
+        """Criterion test ``kind`` of ``x`` at ``threshold``, by default the criterion's own, which only its kind may use."""
         self._require_nonempty()
+        if threshold is None:
+            if kind != self.criterion.kind:
+                raise ValueError(f"{kind} test needs a threshold: the dictionary's threshold is for {self.criterion.kind}")
+            threshold = self.criterion.threshold
         _, kvec, kxx = self._row(x)
-        return self._passes(kind, kvec, kxx, self.criterion.threshold if threshold is None else threshold)
+        return self._passes(kind, kvec, kxx, threshold)
 
     def _passes(self, kind: str, kvec: np.ndarray, kxx: float, threshold: float, z: np.ndarray | None = None) -> bool:
         """Whether a candidate with row (kvec, kxx) passes criterion ``kind`` at ``threshold``.
@@ -341,8 +346,7 @@ class Dictionary:
         if kind == "babel":
             if self.m < 1:
                 raise ValueError("babel measure requires at least one atom")
-            abs_gram = np.abs(self.gram)
-            return float(np.max(abs_gram.sum(axis=1) - np.diag(abs_gram)))
+            return float(np.max(_gersgorin_radii(self.gram)))
         if self.m < 2:
             raise ValueError(f"{kind} measure requires at least two atoms")
         gram = self.gram
@@ -379,7 +383,7 @@ class Dictionary:
         self._require_nonempty()
         _, kvec, kxx = self._row(x)
         z = self._forward(kvec)
-        xi = dtpsv(self.m, self._factor(), z)
+        xi = _coefficients(self._factor(), z)
         return ProjectionResult(coefficients=xi, residual_sq=max(kxx - float(z @ z), 0.0), z=z)
 
     def _forward(self, kvec: np.ndarray) -> np.ndarray:
@@ -469,6 +473,11 @@ def _packed_diagonal(m: int) -> np.ndarray:
     """Positions j(j+3)/2 of the diagonal entries of an m x m triangle in upper packed storage."""
     j = np.arange(m)
     return j * (j + 3) // 2
+
+
+def _gersgorin_radii(a: np.ndarray) -> np.ndarray:
+    """Row i's absolute off-diagonal sum sum_{j != i} |a_ij|: the radius of Gersgorin disc i."""
+    return np.abs(a).sum(axis=1) - np.abs(np.diag(a))
 
 
 def _coefficients(packed: np.ndarray, w: np.ndarray) -> np.ndarray:

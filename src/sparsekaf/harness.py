@@ -96,12 +96,7 @@ def load_csv(path: str):
     :class:`ConfigError` with line and field diagnostics.
     """
     rows = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read data file {path}: {exc}") from None
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_read_lines(path, "data file"), start=1):
         if not line.strip():
             continue
         fields = [f.strip() for f in line.split(",")]
@@ -121,6 +116,15 @@ def load_csv(path: str):
         raise ConfigError(f"{path}: need at least one feature column and one target column")
     data = np.array(rows)
     return data[:, :-1], data[:, -1]
+
+
+def _read_lines(path: str, what: str) -> list[str]:
+    """The lines of the UTF-8 text file ``path``; one that cannot be read raises :class:`ConfigError` naming ``what``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
 
 
 def synthesize_finite(name: str, seed: int, length: int, noise: float | None = None):
@@ -200,15 +204,20 @@ def run_online(cfg: ExperimentConfig) -> RunRecord:
             record.rows.append((t + 1, *outcome, alpha_sq, psi_sq))
     record.dictionary = dictionary
     record.state = state
-    record.report = spectral_report(dictionary)
+    # verify's own report and spectral.csv writer, so that verify of the
+    # saved dictionary rewrites this spectral.csv
+    _, record.report = verify_dictionary(dictionary, cfg.out)
     if cfg.out is not None:
-        os.makedirs(cfg.out, exist_ok=True)
-        with open(os.path.join(cfg.out, RUN_CSV), "w", encoding="ascii") as fh:
-            fh.write(record.run_csv())
-        with open(os.path.join(cfg.out, SPECTRAL_CSV), "w", encoding="ascii") as fh:
-            fh.write(record.report.to_csv())
+        _write(cfg.out, RUN_CSV, record.run_csv())
         dictionary.save(os.path.join(cfg.out, DICTIONARY_FILE))
     return record
+
+
+def _write(out: str, name: str, text: str) -> None:
+    """Write ``text`` to the file ``name`` in the directory ``out``, made if missing."""
+    os.makedirs(out, exist_ok=True)
+    with open(os.path.join(out, name), "w", encoding="ascii") as fh:
+        fh.write(text)
 
 
 def verification_exit_code(report: SpectralReport) -> int:
@@ -217,12 +226,10 @@ def verification_exit_code(report: SpectralReport) -> int:
 
 
 def verify_dictionary(dictionary: Dictionary, out: str | None = None) -> tuple[int, SpectralReport]:
-    """Recompute all measures and guarantees for a finished dictionary."""
+    """Recompute all measures and guarantees for a finished dictionary; write ``spectral.csv`` to ``out`` when given."""
     report = spectral_report(dictionary)
     if out is not None:
-        os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, SPECTRAL_CSV), "w", encoding="ascii") as fh:
-            fh.write(report.to_csv())
+        _write(out, SPECTRAL_CSV, report.to_csv())
     return verification_exit_code(report), report
 
 
@@ -263,13 +270,8 @@ CONFIG_TABLE = {
 
 def parse_config_file(path: str) -> dict[str, str]:
     """Parse ``key = value`` lines; '#' starts a comment."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_read_lines(path, "config"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

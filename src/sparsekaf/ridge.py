@@ -13,8 +13,9 @@ still builds and factors with level-3 BLAS (Gustavson, Wasniewski, Dongarra
 & Langou, ACM TOMS 2010). One symmetric rank-k update (``dsfrk``, half the
 flops of ``K @ K``) builds it and ``dpftrf`` factors it in place, so the
 solve works in K and one RFP triangle. The refinement step and
-:func:`normal_residual` apply A through K, as K(K alpha) plus the
-regularizer's term, and never form it.
+:func:`normal_residual` read the normal-equation residual A alpha - b from
+:func:`gradient`, K(K alpha - y) + eps (K alpha or alpha), which applies A
+through K and never forms it.
 """
 
 from __future__ import annotations
@@ -108,9 +109,8 @@ def solve(prob: RidgeProblem) -> np.ndarray:
             if prob.variant == "rkhs_norm" else ""
         raise NumericalError(f"normal equations not positive definite{hint}:"
                              f" leading minor of order {info} is not positive")
-    b = K @ prob.targets
-    alpha = _factor_solve(a, b)
-    alpha += _factor_solve(a, b - _normal_product(prob, alpha))
+    alpha = _factor_solve(a, K @ prob.targets)
+    alpha -= _factor_solve(a, gradient(prob, alpha))
     return alpha
 
 
@@ -131,15 +131,6 @@ def _factor_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x[:, 0]
 
 
-def _normal_product(prob: RidgeProblem, alpha: np.ndarray) -> np.ndarray:
-    """A @ alpha for the variant's normal matrix A, as K(K alpha) + eps (K alpha or alpha)."""
-    K = prob.gram
-    k_alpha = K @ alpha
-    out = K @ k_alpha
-    out += prob.eps * (k_alpha if prob.variant == "rkhs_norm" else alpha)
-    return out
-
-
 def objective(prob: RidgeProblem, alpha) -> float:
     """Regularized empirical risk 0.5 ||K alpha - y||^2 + 0.5 eps * penalty."""
     alpha = np.asarray(alpha, dtype=np.float64).reshape(-1)
@@ -155,24 +146,25 @@ def objective(prob: RidgeProblem, alpha) -> float:
 
 
 def gradient(prob: RidgeProblem, alpha) -> np.ndarray:
-    """Analytic gradient of :func:`objective` with respect to alpha."""
+    """Analytic gradient of :func:`objective` with respect to alpha.
+
+    It is the residual A alpha - b of the normal equations, computed as
+    K(K alpha - y) + eps (K alpha or alpha) without forming A.
+    """
     alpha = np.asarray(alpha, dtype=np.float64).reshape(-1)
     K = prob.gram
-    residual = K @ (K @ alpha - prob.targets)
-    if prob.variant == "rkhs_norm":
-        return residual + prob.eps * (K @ alpha)
-    return residual + prob.eps * alpha
+    k_alpha = K @ alpha
+    out = K @ (k_alpha - prob.targets)
+    out += prob.eps * (k_alpha if prob.variant == "rkhs_norm" else alpha)
+    return out
 
 
 def normal_residual(prob: RidgeProblem, alpha) -> float:
-    """Relative residual ||A alpha - b|| / ||b|| of the normal equations.
+    """Relative residual ||A alpha - b|| / ||b|| of the normal equations, ||A alpha|| when b = K y is 0.
 
-    A is applied through K, as in :func:`solve`'s refinement, so this takes
-    O(n^2) time and O(n) memory once the Gram matrix is built.
+    The residual is :func:`gradient`'s, so this takes O(n^2) time and O(n)
+    memory once the Gram matrix is built.
     """
-    alpha = np.asarray(alpha, dtype=np.float64).reshape(-1)
-    b = prob.gram @ prob.targets
-    denom = float(np.linalg.norm(b))
-    if denom == 0.0:
-        return float(np.linalg.norm(_normal_product(prob, alpha)))
-    return float(np.linalg.norm(_normal_product(prob, alpha) - b)) / denom
+    denom = float(np.linalg.norm(prob.gram @ prob.targets))
+    norm = float(np.linalg.norm(gradient(prob, alpha)))
+    return norm / denom if denom else norm

@@ -47,15 +47,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dictionary import CRITERION_KINDS, Dictionary
+from .dictionary import CRITERION_KINDS, Dictionary, _gersgorin_radii
 from .errors import NumericalError
 from .kernels import NormRange
 
-# Slack of the report's checks. An eigenvalue may leave its window by
-# CONTAINMENT_SLACK * R^2, R^2 the largest kappa(x, x) of the atoms: the
-# eigensolver's error scales with ||K||_2 <= m R^2, so a containment
-# verdict does not depend on the scale of the inputs. The Gersgorin and
-# admission-drift checks use it as an absolute slack.
+# Slack of the report's checks, in each check's units: with R^2 the largest
+# kappa(x, x) of the atoms, an eigenvalue may leave its window or the
+# Gersgorin discs by CONTAINMENT_SLACK * R^2 (the eigensolver's error scales
+# with ||K||_2 <= m R^2), a Babel measure may drift past its gamma by that
+# much, a distance or approximation delta by CONTAINMENT_SLACK * R, and a
+# coherence, which is scale-free, by CONTAINMENT_SLACK. So no verdict
+# depends on the scale of the inputs.
 CONTAINMENT_SLACK = 1e-9
 
 
@@ -108,8 +110,7 @@ def gersgorin_margin(gram: np.ndarray, eigenvalues) -> float:
     a = np.asarray(gram, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    centers = np.diag(a)
-    radii = np.sum(np.abs(a), axis=1) - np.abs(centers)
+    centers, radii = np.diag(a), _gersgorin_radii(a)
     lam = np.atleast_1d(np.asarray(eigenvalues, dtype=np.float64))
     gaps = np.abs(lam[:, None] - centers[None, :]) - radii[None, :]
     return float(np.max(np.maximum(np.min(gaps, axis=1), 0.0)))
@@ -311,12 +312,12 @@ def spectral_report(dictionary: Dictionary, nr: NormRange | None = None) -> Spec
     diag = dictionary._diag_buf[: dictionary.m]
     if nr is None:
         nr = NormRange(float(diag.min()), float(diag.max()))
-    eigen_slack = CONTAINMENT_SLACK * float(diag.max())
+    R_sq = float(diag.max())
     spectrum = eigensolve(dictionary.gram)
     report = SpectralReport(spectrum=spectrum, norm=nr)
 
     worst_gersgorin = gersgorin_margin(dictionary.gram, spectrum.values)
-    if worst_gersgorin > CONTAINMENT_SLACK:
+    if worst_gersgorin > CONTAINMENT_SLACK * R_sq:
         report.violations.append(Violation("gersgorin", worst_gersgorin, True))
 
     for kind in CRITERION_KINDS:
@@ -332,12 +333,12 @@ def spectral_report(dictionary: Dictionary, nr: NormRange | None = None) -> Spec
             report.per_measure.append(unavailable)
             continue
         report.per_measure.append(bs)
-        _append_violations(report, bs, dictionary, eigen_slack)
+        _append_violations(report, bs, dictionary, R_sq)
     return report
 
 
-def _append_violations(report: SpectralReport, bs: BoundSet, dictionary: Dictionary, eigen_slack: float) -> None:
-    kind, slack = bs.measure_kind, CONTAINMENT_SLACK
+def _append_violations(report: SpectralReport, bs: BoundSet, dictionary: Dictionary, R_sq: float) -> None:
+    kind, eigen_slack = bs.measure_kind, CONTAINMENT_SLACK * R_sq
     lam_min, lam_max = report.spectrum.lambda_min, report.spectrum.lambda_max
     for check, failed, margin in (
         ("eigen_lower", lam_min < bs.lower - eigen_slack, bs.lower - lam_min),
@@ -348,8 +349,8 @@ def _append_violations(report: SpectralReport, bs: BoundSet, dictionary: Diction
     if kind == dictionary.criterion.kind:
         threshold = dictionary.criterion.threshold
         if kind in ("distance", "approximation"):
-            drift = threshold - bs.measure_value
+            drift, units = threshold - bs.measure_value, math.sqrt(R_sq)
         else:
-            drift = bs.measure_value - threshold
-        if drift > slack:
+            drift, units = bs.measure_value - threshold, R_sq if kind == "babel" else 1.0
+        if drift > CONTAINMENT_SLACK * units:
             report.violations.append(Violation(f"{kind}:admission_threshold", drift, False))

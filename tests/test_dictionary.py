@@ -291,6 +291,19 @@ class TestBabelTest:
         assert d.test_babel(x, threshold=0.7)
 
 
+class TestDefaultThreshold:
+    def test_only_the_criterion_kind_reads_the_dictionary_threshold(self):
+        # a coherence gamma of 0.5 is neither a Babel gamma nor a delta, so
+        # the other tests need their own threshold
+        d = gaussian_dict(threshold=0.5)
+        d.admit([0.0])
+        for kind in ("distance", "approximation", "babel"):
+            with pytest.raises(ValueError, match=f"^{kind} test needs a threshold: the dictionary's threshold is for coherence$"):
+                getattr(d, f"test_{kind}")([3.0])
+            assert getattr(d, f"test_{kind}")([3.0], threshold=0.5)
+        assert d.test_coherence([3.0])  # exp(-4.5) <= 0.5
+
+
 class TestMeasure:
     def test_two_unit_atoms_half_correlation(self):
         # closed 2x2 oracles; for m=2 distance and approximation coincide
@@ -740,12 +753,18 @@ class TestSerialization:
         ("kernel gaussian\ncriterion coherence threshold=0.5\n", 1, "missing field sigma="),
         ("kernel gaussian sigma=0.5 sigma=0.5\ncriterion coherence threshold=0.5\n", 1, "field 'sigma' given twice"),
         ("kernel linear\ncriterion coherence threshold=0.5 max_atoms=2.5\n", 2, "field max_atoms='2.5'"),
+        ("kernel gaussian sigma\ncriterion coherence threshold=0.5\n", 1, "expected key=value, got 'sigma'$"),
+        ("kernel gaussian sigma=0.5\ncriterion coherence threshold=0.5 width=2\n", 2, "unknown field 'width'$"),
     ])
     def test_records_checked_field_by_field(self, text, lineno, match):
         # each record appears once, names every parameter its family reads,
         # and every field must parse, also one the family does not read
         with pytest.raises(ValueError, match=f"^dictionary file line {lineno}: {match}"):
             Dictionary.from_text(text)
+
+    def test_atoms_of_different_dimension_refused(self):
+        with pytest.raises(ValueError, match="^dictionary file atoms have inconsistent dimensions$"):
+            Dictionary.from_text("kernel linear\ncriterion coherence threshold=0.5\natom 1.0\natom 1.0 2.0\n")
 
     @pytest.mark.parametrize("kernel, plain", [
         (Kernel("linear", degree=7, offset=-1.0, sigma=-5.0), Kernel.linear()),

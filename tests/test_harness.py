@@ -126,6 +126,19 @@ class TestLoadCsv:
         with pytest.raises(ConfigError, match="cannot read"):
             load_csv("/nonexistent/data.csv")
 
+    def test_row_with_another_field_count(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("x0,x1,y\n1.0,2.0,3.0\n4.0,5.0\n")
+        with pytest.raises(ConfigError, match=r"data.csv line 3: expected 3 fields, got 2$"):
+            load_csv(str(path))
+
+    @pytest.mark.parametrize("text", ["", "x0,y\n", "x0,y\n\n"])
+    def test_no_data_rows(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=r"data.csv: no data rows$"):
+            load_csv(str(path))
+
     def test_needs_two_columns(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("1.0\n2.0\n")
@@ -330,6 +343,12 @@ class TestConfig:
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text("kernel = gaussian\nsgima = 0.5\n")
         with pytest.raises(ConfigError, match="line 2"):
+            parse_config_file(str(cfg_file))
+
+    def test_line_without_equals_sign(self, tmp_path):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("kernel = gaussian\nsigma 0.5  # a comment\n")
+        with pytest.raises(ConfigError, match=r"exp.cfg line 2: expected key=value, got 'sigma 0.5'$"):
             parse_config_file(str(cfg_file))
 
     def test_unknown_keys_rejected(self):
@@ -574,6 +593,33 @@ class TestCli:
         assert main(["verify", "--dict", path, "--config", str(cfg), "--out", str(tmp_path / "flag")]) == 0
         assert (tmp_path / "flag" / "spectral.csv").read_bytes() == (
             tmp_path / "from-config" / "spectral.csv").read_bytes()
+
+    def test_verify_reads_the_dictionary_in_out(self, tmp_path, capsys):
+        # with no --dict, verify reads dictionary.txt in --out and rewrites
+        # the run's spectral.csv there
+        run_dir, copy = tmp_path / "run", tmp_path / "copy"
+        assert main(["run", "--length", "80", "--sigma", "0.5", "--out", str(run_dir)]) == 0
+        copy.mkdir()
+        (copy / "dictionary.txt").write_bytes((run_dir / "dictionary.txt").read_bytes())
+        capsys.readouterr()
+        assert main(["verify", "--out", str(copy)]) == 0
+        assert capsys.readouterr().out.endswith("verification passed\n")
+        assert (copy / "spectral.csv").read_bytes() == (run_dir / "spectral.csv").read_bytes()
+        empty = tmp_path / "empty"
+        assert main(["verify", "--out", str(empty)]) == 1
+        expected = os.path.join(str(empty), "dictionary.txt")
+        assert capsys.readouterr().err == (
+            f"error: no dictionary file: pass --dict PATH or --out DIR containing {expected}\n")
+        assert not empty.exists()
+
+    def test_measure_prints_nan_with_the_reason(self, tmp_path, capsys):
+        path = tmp_path / "one.txt"
+        path.write_text("kernel gaussian sigma=0.5\ncriterion coherence threshold=0.5\natom 1.0\n")
+        assert main(["measure", "--dict", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{kind} nan  # {kind} measure requires at least two atoms"
+            for kind in ("distance", "approximation", "coherence")
+        ] + ["babel 0.0"]
 
     def test_non_finite_csv_target_exits_one(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

@@ -446,9 +446,13 @@ class TestStepDataFlow:
             calls.clear()
             state, out = step(state, d, x, y, LearnerConfig("functional_sgd", eta=0.2, eps=0.05))
             assert calls == ([m] if m else [])
-        for public in (d.admit, d.project, d.test_distance, d.test_approximation, d.test_coherence, d.test_babel):
+        for public in (d.admit, d.project):
             calls.clear()
             public(xs[0] + 0.5)
+            assert calls == [d.m]
+        for kind, threshold in thresholds.items():
+            calls.clear()
+            getattr(d, f"test_{kind}")(xs[0] + 0.5, threshold)
             assert calls == [d.m]
 
 

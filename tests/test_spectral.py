@@ -541,6 +541,36 @@ class TestSpectralReport:
         ]
         assert verification_exit_code(report) == 3
 
+    def test_gersgorin_slack_scales_with_the_kernel(self):
+        # two linear atoms of norm 1e5 with correlation k/64: the spectrum
+        # s^2 (1 -+ c) lies on the Gersgorin discs' boundary, which the
+        # eigensolver misses by an ulp of K ~ 1e10 (at k = 43, 9.5e-7, past
+        # an absolute slack of 1e-9)
+        for k in range(1, 64):
+            c = k / 64
+            d = Dictionary.from_atoms(Kernel.linear(), CriterionConfig("coherence", 0.5),
+                                      [[1e5, 0.0], [1e5 * c, 1e5 * math.sqrt(1.0 - c * c)]])
+            report = spectral_report(d)
+            assert not [v for v in report.violations if v.hard], k
+            assert verification_exit_code(report) == 0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("scale", [2.0**-16, 1.0, 2.0**20])
+    def test_drift_slack_is_in_the_measure_units(self, kind, scale):
+        # a drift of half the slack passes and one of twice the slack is
+        # flagged at every scale; the slack is 1e-9 in the measure's units:
+        # R for delta, R^2 for the Babel gamma, 1 for the coherence (at
+        # smaller scales the approximation measure's pivots fall below the
+        # absolute PIVOT_FLOOR)
+        atoms = [[scale, 0.0], [0.5 * scale, 0.75 * scale]]
+        value = Dictionary.from_atoms(Kernel.linear(), CriterionConfig("coherence", 1.0), atoms).measure(kind)
+        units = {"distance": scale, "approximation": scale, "coherence": 1.0, "babel": scale * scale}[kind]
+        sign = 1.0 if kind in ("distance", "approximation") else -1.0
+        for factor, flagged in ((0.5, False), (2.0, True)):
+            d = Dictionary.from_atoms(Kernel.linear(), CriterionConfig(kind, value + sign * factor * 1e-9 * units), atoms)
+            names = [v.name for v in spectral_report(d).violations]
+            assert (f"{kind}:admission_threshold" in names) == flagged, (factor, names)
+
     def test_spectrum_is_eigensolve(self):
         d = build_gaussian_dict("coherence", 0.9, seed=5, n=300, spread=2.0)
         assert spectral_report(d).spectrum.values.tobytes() == eigensolve(d.gram).values.tobytes()
