@@ -15,8 +15,8 @@ import numpy as np
 
 from .dictionary import CRITERION_FIELDS, CRITERION_KINDS, CriterionConfig, Dictionary
 from .errors import NumericalError
-from .kernels import FAMILIES, KERNEL_FIELDS, Kernel, integral, parse_fields
-from .learners import LearnerConfig, ModelState, step
+from .kernels import FAMILIES, KERNEL_FIELDS, Kernel, _all_finite, integral, parse_fields
+from .learners import LearnerConfig, ModelState, _update, step
 from .spectral import SpectralReport, spectral_report
 
 GENERATORS = ("sinc1d", "narma2")
@@ -24,6 +24,9 @@ GENERATORS = ("sinc1d", "narma2")
 RUN_CSV = "run.csv"
 SPECTRAL_CSV = "spectral.csv"
 DICTIONARY_FILE = "dictionary.txt"
+
+# samples per chunk of run_online's Gaussian kernel rows
+_CHUNK = 64
 
 
 class ConfigError(ValueError):
@@ -173,35 +176,52 @@ class RunRecord:
 def run_online(cfg: ExperimentConfig) -> RunRecord:
     """Stream the configured data through the online learner.
 
-    Writes ``run.csv``, ``spectral.csv`` and the serialized dictionary to
-    ``cfg.out`` when set. A learner that diverges (a non-finite prediction
-    or row norm) raises ``NumericalError`` naming the step, and nothing is
-    written.
+    Gaussian kernel rows are computed ``_CHUNK`` samples at a time (see
+    :func:`_chunk_rows`), each row bit-identical to the one :func:`step`
+    computes, and every row goes through :func:`step`'s body, so the record
+    is that of stepping each sample. Writes ``run.csv``, ``spectral.csv``
+    and the serialized dictionary to ``cfg.out`` when set. A learner that
+    diverges (a non-finite prediction or row norm) raises ``NumericalError``
+    naming the step, and nothing is written.
     """
     xs, ys = _resolve_data(cfg)
-    dictionary = Dictionary(cfg.kernel, cfg.criterion)
+    kernel = cfg.kernel
+    dictionary = Dictionary(kernel, cfg.criterion)
     state = ModelState.empty()
     record = RunRecord()
+    n = xs.shape[0]
     # every figure the loop keeps is checked with isfinite, so numpy's
     # overflow warnings from a diverging model would only repeat the error;
     # one errstate for the whole loop, since entering it costs microseconds
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(xs.shape[0]):
-            try:
-                state, outcome = step(state, dictionary, xs[t], float(ys[t]), cfg.learner)
-            except NumericalError as exc:
-                raise NumericalError(f"step {t + 1}: {exc}") from None
-            alpha_sq = float(state.alpha @ state.alpha)
-            # ||w||^2 = alpha^T K alpha with w = L^T alpha, which a functional state
-            # holds and any other costs one packed triangular product
-            w = state.coordinates(dictionary)
-            psi_sq = float(w @ w)
-            if not (math.isfinite(alpha_sq) and math.isfinite(psi_sq)):
-                raise NumericalError(
-                    f"step {t + 1}: {cfg.learner.algorithm} with eta {cfg.learner.eta} diverged:"
-                    f" alpha_sq_norm {alpha_sq!r}, psi_sq_norm {psi_sq!r}"
-                )
-            record.rows.append((t + 1, *outcome, alpha_sq, psi_sq))
+        for c0 in range(0, n, _CHUNK):
+            c1 = min(c0 + _CHUNK, n)
+            rows = _chunk_rows(dictionary, xs[c0:c1], ys[c0:c1])
+            for t in range(c0, c1):
+                try:
+                    if rows is None:
+                        state, outcome = step(state, dictionary, xs[t], float(ys[t]), cfg.learner)
+                    else:
+                        m = dictionary.m
+                        # a Gaussian kernel's kappa(x, x) is 1
+                        state, outcome = _update(state, dictionary, xs[t], rows[t - c0, :m], 1.0,
+                                                 float(ys[t]), cfg.learner)
+                        if outcome.admitted and t + 1 < c1:
+                            # the new atom's entries of the chunk's later rows, from one contiguous row
+                            rows[t + 1 - c0 :, m] = kernel._rows(xs[t + 1 : c1], xs[t : t + 1])[0]
+                except NumericalError as exc:
+                    raise NumericalError(f"step {t + 1}: {exc}") from None
+                alpha_sq = float(state.alpha @ state.alpha)
+                # ||w||^2 = alpha^T K alpha with w = L^T alpha, which a functional state
+                # holds and any other costs one packed triangular product
+                w = state.coordinates(dictionary)
+                psi_sq = float(w @ w)
+                if not (math.isfinite(alpha_sq) and math.isfinite(psi_sq)):
+                    raise NumericalError(
+                        f"step {t + 1}: {cfg.learner.algorithm} with eta {cfg.learner.eta} diverged:"
+                        f" alpha_sq_norm {alpha_sq!r}, psi_sq_norm {psi_sq!r}"
+                    )
+                record.rows.append((t + 1, *outcome, alpha_sq, psi_sq))
     record.dictionary = dictionary
     record.state = state
     # verify's own report and spectral.csv writer, so that verify of the
@@ -211,6 +231,21 @@ def run_online(cfg: ExperimentConfig) -> RunRecord:
         _write(cfg.out, RUN_CSV, record.run_csv())
         dictionary.save(os.path.join(cfg.out, DICTIONARY_FILE))
     return record
+
+
+def _chunk_rows(dictionary: Dictionary, xs: np.ndarray, ys: np.ndarray) -> np.ndarray | None:
+    """Gaussian rows of the chunk ``xs`` against the atoms, left in a buffer with room for a column per sample.
+
+    None, so that the chunk goes through :func:`step`, unless the kernel is
+    Gaussian, the dictionary has atoms and every sample is finite: a
+    non-finite one must raise at its own step, after the steps before it.
+    """
+    m = dictionary.m
+    if not (dictionary.kernel.family == "gaussian" and m and _all_finite(xs) and _all_finite(ys)):
+        return None
+    rows = np.empty((xs.shape[0], m + xs.shape[0]))
+    dictionary.kernel._rows(dictionary.atoms, xs, out=rows[:, :m])
+    return rows
 
 
 def _write(out: str, name: str, text: str) -> None:

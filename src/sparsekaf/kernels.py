@@ -16,6 +16,9 @@ import numpy as np
 
 FAMILIES = ("linear", "polynomial", "gaussian")
 
+# rows per block of a Gaussian Kernel.gram
+_GRAM_BLOCK = 64
+
 
 def integral(raw) -> int:
     """Text ``raw`` as an int: ``"3"`` and ``"3.0"`` give 3, while ``"2.5"``, ``"inf"`` and ``"nan"`` raise."""
@@ -230,6 +233,36 @@ class Kernel:
         d_sq /= -2.0 * self.sigma**2
         return np.exp(d_sq, out=d_sq)
 
+    def _rows(self, atoms: np.ndarray, xs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Gaussian rows of the float64 samples ``xs`` against ``atoms``, unchecked: row s is ``_against(atoms, xs[s])`` bit for bit.
+
+        Written to ``out`` (``len(xs)`` rows of ``len(atoms)`` contiguous
+        entries) when given. It is :func:`_sq_distances`' arithmetic for every
+        row at once: below 8 coordinates one coordinate at a time over
+        contiguous data, subtracted, squared and added in coordinate order;
+        otherwise a sum over the last axis, which numpy sums pairwise per row
+        as it does for one row. (a - b)^2 and (b - a)^2 round alike, so the
+        entry of x against y equals that of y against x.
+        """
+        d = xs.shape[1]
+        if out is None:
+            out = np.empty((xs.shape[0], atoms.shape[0]))
+        if 0 < d < 8:
+            coords = atoms.T.copy()
+            np.square(np.subtract(coords[0], xs[:, :1], out=out), out=out)
+            if d > 1:
+                sq = np.empty_like(out)
+                for k in range(1, d):
+                    out += np.square(np.subtract(coords[k], xs[:, k : k + 1], out=sq), out=sq)
+        else:
+            # a few samples at a time, so that the (samples, m, d) squares
+            # take at most 512 m doubles
+            step = max(1, 512 // max(d, 1))
+            for s0 in range(0, xs.shape[0], step):
+                sq = atoms[None, :, :] - xs[s0 : s0 + step, None, :]
+                np.sum(np.square(sq, out=sq), axis=-1, out=out[s0 : s0 + step])
+        return self._gaussian(out)
+
     def gram(self, xs: np.ndarray) -> np.ndarray:
         """Pairwise kernel matrix of the rows of ``xs``, built as admission builds it.
 
@@ -238,13 +271,27 @@ class Kernel:
         (so the matrix is exactly symmetric); the diagonal is
         :meth:`self_similarity`, the value admission stores. A matrix grown
         one admission at a time is therefore reproduced bit-identically, for
-        every kernel.
+        every kernel. Gaussian rows come a block at a time from
+        :meth:`_rows`, whose entries are those rows' arithmetic. Linear and
+        polynomial rows are built one at a time from the first i atoms: a
+        BLAS may round a matrix-vector product differently for another
+        number of matrix rows, so a block product need not give the row
+        admission computed.
         """
         # rows contiguous, as in a dictionary's atom buffer: BLAS may round a
         # product differently for another layout
         xs = np.ascontiguousarray(_as_matrix(xs, "xs"))
         m = xs.shape[0]
         out = np.empty((m, m))
+        if self.family == "gaussian":
+            # block b0:b1 is computed against xs[:b1], its diagonal square in
+            # full (exactly symmetric), and mirrored above the diagonal
+            for b0 in range(0, m, _GRAM_BLOCK):
+                b1 = min(b0 + _GRAM_BLOCK, m)
+                self._rows(xs[:b1], xs[b0:b1], out=out[b0:b1, :b1])
+                out[:b0, b0:b1] = out[b0:b1, :b0].T
+            np.fill_diagonal(out, 1.0)  # kappa(x, x), as exp(-0) gives it
+            return out
         for i in range(m):
             out[i, :i] = out[:i, i] = self._against(xs[:i], xs[i])
             out[i, i] = self._self_similarity(xs[i])

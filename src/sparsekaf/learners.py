@@ -234,8 +234,24 @@ def step(
     y = float(y_t)
     if not math.isfinite(y):
         raise ValueError(f"y must be finite, got {y!r}")
-    functional = cfg.algorithm == "functional_sgd"
     x, kvec, kxx = dictionary._row(x_t)
+    return _update(state, dictionary, x, kvec, kxx, y, cfg)
+
+
+def _update(
+    state: ModelState,
+    dictionary: Dictionary,
+    x: np.ndarray,
+    kvec: np.ndarray,
+    kxx: float,
+    y: float,
+    cfg: LearnerConfig,
+) -> tuple[ModelState, StepOutcome]:
+    """:func:`step` after its checks, given checked ``x``'s row (kvec, kxx) over ``dictionary`` and a finite ``y``.
+
+    ``kvec`` is only read.
+    """
+    functional = cfg.algorithm == "functional_sgd"
     # ndarray.dot is the BLAS ddot that @ reaches for two vectors, with less dispatch
     if functional:
         z = dictionary._forward(kvec)

@@ -60,6 +60,9 @@ from .kernels import NormRange
 # depends on the scale of the inputs.
 CONTAINMENT_SLACK = 1e-9
 
+# eigenvalues per block of the Gersgorin margin's eigenvalue x disc table
+_MARGIN_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class EigenSpectrum:
@@ -89,13 +92,18 @@ def eigensolve(gram: np.ndarray) -> EigenSpectrum:
 
 
 def _symmetric(gram) -> np.ndarray:
-    """``gram`` as a new float64 array, checked square, non-empty and symmetric within 1e-12."""
-    a = np.array(gram, dtype=np.float64)
+    """``gram`` as float64 (a float64 array is not copied), checked square, non-empty and symmetric within 1e-12.
+
+    An exactly symmetric matrix, as :meth:`Kernel.gram` builds, passes one
+    comparison with its transpose, a boolean temporary; only a matrix that
+    fails it is compared within the tolerance.
+    """
+    a = np.asarray(gram, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] == 0:
         raise ValueError("cannot eigensolve an empty matrix")
-    if np.max(np.abs(a - a.T)) > 1e-12:
+    if not np.array_equal(a, a.T) and np.max(np.abs(a - a.T)) > 1e-12:
         raise ValueError("matrix is not symmetric within 1e-12")
     return a
 
@@ -110,10 +118,19 @@ def gersgorin_margin(gram: np.ndarray, eigenvalues) -> float:
     a = np.asarray(gram, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    centers, radii = np.diag(a), _gersgorin_radii(a)
+    return _disc_margin(np.diag(a), _gersgorin_radii(a), eigenvalues)
+
+
+def _disc_margin(centers: np.ndarray, radii: np.ndarray, eigenvalues) -> float:
+    """:func:`gersgorin_margin` for the discs ``centers`` and ``radii``, a block of eigenvalues at a time."""
     lam = np.atleast_1d(np.asarray(eigenvalues, dtype=np.float64))
-    gaps = np.abs(lam[:, None] - centers[None, :]) - radii[None, :]
-    return float(np.max(np.maximum(np.min(gaps, axis=1), 0.0)))
+    nearest = np.empty(lam.size)
+    for b0 in range(0, lam.size, _MARGIN_BLOCK):
+        gaps = lam[b0 : b0 + _MARGIN_BLOCK, None] - centers
+        np.abs(gaps, out=gaps)
+        gaps -= radii
+        np.min(gaps, axis=1, out=nearest[b0 : b0 + _MARGIN_BLOCK])
+    return float(np.max(np.maximum(nearest, 0.0)))
 
 
 def _check_bound_args(kind: str, value: float, m: int, nr: NormRange):
@@ -313,17 +330,20 @@ def spectral_report(dictionary: Dictionary, nr: NormRange | None = None) -> Spec
     if nr is None:
         nr = NormRange(float(diag.min()), float(diag.max()))
     R_sq = float(diag.max())
-    spectrum = eigensolve(dictionary.gram)
+    gram = dictionary.gram
+    spectrum = eigensolve(gram)
     report = SpectralReport(spectrum=spectrum, norm=nr)
 
-    worst_gersgorin = gersgorin_margin(dictionary.gram, spectrum.values)
+    # computed once: the Gersgorin discs' radii, whose largest is the Babel measure
+    radii = _gersgorin_radii(gram)
+    worst_gersgorin = _disc_margin(np.diag(gram), radii, spectrum.values)
     if worst_gersgorin > CONTAINMENT_SLACK * R_sq:
         report.violations.append(Violation("gersgorin", worst_gersgorin, True))
 
     for kind in CRITERION_KINDS:
         unavailable = BoundSet(kind, *(math.nan,) * 6, kind != "approximation")
         try:
-            value = dictionary.measure(kind)
+            value = float(np.max(radii)) if kind == "babel" else dictionary.measure(kind)
         except (ValueError, NumericalError):
             report.per_measure.append(unavailable)
             continue

@@ -567,22 +567,26 @@ class TestCholeskyFactor:
     def test_gram_read_mid_stream_is_extended_bit_for_bit(self):
         # gram is read first once before a doubling (m = 10, capacity 16) and
         # once just after one (m = 17, capacity 32); after every later
-        # admission it stays bit-identical to Kernel.gram replaying the
-        # admissions from scratch, and the array read first keeps its values
+        # admission, past Kernel.gram's Gaussian blocks of 64 and 128 rows, it
+        # stays bit-identical to Kernel.gram replaying the admissions from
+        # scratch, and the array read first keeps its values
         for dim in (1, 4, 9):
             for first_read in (10, 17):
                 rng = np.random.default_rng(dim)
-                d = Dictionary(Kernel.gaussian(0.05 * dim), CriterionConfig("coherence", 0.9))
+                d = Dictionary(Kernel.gaussian(0.02 * dim), CriterionConfig("coherence", 0.9))
                 points = iter(rng.uniform(-1, 1, size=(5000, dim)))
                 while d.m < first_read:
                     d.admit(next(points))
                 view = d.gram
                 assert view.tobytes() == d.kernel.gram(d.atoms).tobytes()
                 frozen = view.copy()
-                while d.m < 40:
+                while d.m < 140:
                     if d.admit(next(points)):
                         assert d.gram.tobytes() == d.kernel.gram(d.atoms).tobytes()
                 assert view.tobytes() == frozen.tobytes()
+                # each row left of the diagonal is the row its admission evaluated
+                for i in range(1, d.m):
+                    assert d.gram[i, :i].tobytes() == d.kernel.against(d.atoms[:i], d.atoms[i]).tobytes()
 
     @pytest.mark.parametrize("algo", ["lms_identity", "lms_gram", "nlms", "functional_sgd"])
     def test_streams_that_never_read_gram_allocate_no_dense_buffer(self, algo):

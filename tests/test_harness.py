@@ -1,5 +1,7 @@
 import argparse
+import math
 import os
+import re
 import subprocess
 import sys
 
@@ -15,6 +17,7 @@ from sparsekaf import (
     ExperimentConfig,
     Kernel,
     LearnerConfig,
+    ModelState,
     NormRange,
     NumericalError,
     StepOutcome,
@@ -26,6 +29,7 @@ from sparsekaf import (
     verify_dictionary,
 )
 from sparsekaf.cli import main, make_parser
+from sparsekaf.learners import ALGORITHMS, step
 from sparsekaf.harness import (
     load_csv,
     parse_config_file,
@@ -237,6 +241,115 @@ class TestRunOnline:
         assert len(record.rows) == 40
 
 
+def stepped(cfg):
+    """run_online's rows and atoms, or its NumericalError's text, from a plain loop of ``step``."""
+    xs, ys = harness_module._resolve_data(cfg)
+    dictionary, state, rows = Dictionary(cfg.kernel, cfg.criterion), ModelState.empty(), []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(xs.shape[0]):
+            try:
+                state, outcome = step(state, dictionary, xs[t], float(ys[t]), cfg.learner)
+            except NumericalError as exc:
+                return f"step {t + 1}: {exc}"
+            alpha_sq = float(state.alpha @ state.alpha)
+            w = state.coordinates(dictionary)
+            psi_sq = float(w @ w)
+            if not (np.isfinite(alpha_sq) and np.isfinite(psi_sq)):
+                return f"step {t + 1}: diverged"
+            rows.append((t + 1, *outcome, alpha_sq, psi_sq))
+    return rows, dictionary.atoms.tobytes(), state.alpha.tobytes()
+
+
+def online(cfg):
+    """:func:`stepped`'s figures from run_online."""
+    try:
+        record = run_online(cfg)
+    except NumericalError as exc:
+        return re.sub(r"^(step \d+): .* diverged: .*", r"\1: diverged", str(exc))
+    return record.rows, record.dictionary.atoms.tobytes(), record.state.alpha.tobytes()
+
+
+class TestChunkedRows:
+    """run_online's Gaussian rows, a chunk at a time, against a plain loop of ``step``."""
+
+    KERNELS = {"gaussian": Kernel.gaussian(0.3), "polynomial": Kernel.polynomial(3, 0.5), "linear": Kernel.linear()}
+    THRESHOLDS = {"distance": 0.3, "approximation": 0.1, "coherence": 0.7, "babel": 3.0}
+
+    @staticmethod
+    def count_steps(monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2])
+            return step(*args)
+
+        monkeypatch.setattr(harness_module, "step", counting)
+        return calls
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    @pytest.mark.parametrize("kind", sorted(THRESHOLDS))
+    @pytest.mark.parametrize("family", sorted(KERNELS))
+    def test_rows_and_record_equal_a_step_loop(self, monkeypatch, family, kind, algo):
+        # narma2's 3-d inputs, past two chunk boundaries; linear and polynomial
+        # rows stay one per step
+        cfg = make_config(kernel=self.KERNELS[family], criterion=CriterionConfig(kind, self.THRESHOLDS[kind], 80),
+                          learner=LearnerConfig(algo, 0.05, 0.01), data="narma2", seed=3, length=150)
+        expected = stepped(cfg)
+        calls = self.count_steps(monkeypatch)
+        assert online(cfg) == expected
+        steps = int(re.match(r"step (\d+)", expected)[1]) if isinstance(expected, str) else 150
+        # Gaussian rows go through step only in the chunk that starts with an empty dictionary
+        assert len(calls) == (min(64, steps) if family == "gaussian" else steps)
+
+    @pytest.mark.parametrize("chunk", [1, 64])
+    @pytest.mark.parametrize("length", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_chunk_boundaries(self, monkeypatch, chunk, length, algo):
+        monkeypatch.setattr(harness_module, "_CHUNK", chunk)
+        for kind in ("coherence", "approximation"):
+            cfg = make_config(kernel=Kernel.gaussian(0.2), criterion=CriterionConfig(kind, 0.6 if kind == "coherence" else 0.2),
+                              learner=LearnerConfig(algo, 0.5, 1e-6), seed=7, length=length)
+            expected = stepped(cfg)
+            calls = self.count_steps(monkeypatch)
+            assert online(cfg) == expected
+            # only the rows of the chunk that starts with an empty dictionary go through step
+            assert len(calls) == min(chunk, length)
+
+    @pytest.mark.parametrize("chunk", [1, 64])
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_admission_at_a_chunks_first_and_last_row(self, tmp_path, monkeypatch, chunk, algo):
+        # every input but the novel ones repeats the second atom and is
+        # rejected; each novel one is far from every atom and admitted: at
+        # rows 64 (chunk 1's last), 65 (chunk 2's first), 128 (chunk 2's
+        # last), 129 and 150, the last of all
+        monkeypatch.setattr(harness_module, "_CHUNK", chunk)
+        novel = {1: 0.0, 2: -1.0, 64: 1.0, 65: 2.0, 100: 3.0, 128: 4.0, 129: 5.0, 150: 6.0}
+        xs = [novel.get(t, -1.0) for t in range(1, 151)]
+        data = tmp_path / "d.csv"
+        data.write_text("x,y\n" + "".join(f"{x!r},{math.sin(x + 0.1 * t)!r}\n" for t, x in enumerate(xs)))
+        cfg = make_config(kernel=Kernel.gaussian(0.1), criterion=CriterionConfig("coherence", 0.5),
+                          learner=LearnerConfig(algo, 0.5, 1e-6), data=f"csv:{data}")
+        expected = stepped(cfg)
+        assert online(cfg) == expected
+        assert [row[0] for row in expected[0] if row[3]] == sorted(novel)
+
+    @pytest.mark.parametrize("column", ["x", "y"])
+    @pytest.mark.parametrize("row", [1, 64, 65])
+    def test_non_finite_sample_fails_at_its_step_writing_nothing(self, tmp_path, monkeypatch, capsys, row, column):
+        xs, ys = synthesize("sinc1d", seed=2, length=130)
+        (xs[:, 0] if column == "x" else ys)[row - 1] = np.nan
+        data = tmp_path / "d.csv"
+        data.write_text("x,y\n" + "".join(f"{float(x[0])!r},{float(y)!r}\n" for x, y in zip(xs, ys)))
+        calls = self.count_steps(monkeypatch)
+        out = tmp_path / "o"
+        assert main(["run", "--data", f"csv:{data}", "--sigma", "0.3", "--out", str(out)]) == 1
+        message = "x contains non-finite entries" if column == "x" else "y must be finite, got nan"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        # the failing step is the sample's own, after every step before it
+        assert len(calls) == row
+        assert not out.exists()
+
+
 class TestVerify:
     def test_built_dictionary_passes(self, tmp_path):
         record = run_online(make_config(length=400))
@@ -312,7 +425,7 @@ class TestVerify:
         soft = {v.name for v in report.violations if not v.hard}
         assert {"approximation:eigen_upper", "babel:admission_threshold"} <= soft
         assert verification_exit_code(report) == 3
-        monkeypatch.setattr(spectral, "gersgorin_margin", lambda gram, values: 1e-6)
+        monkeypatch.setattr(spectral, "_disc_margin", lambda centers, radii, values: 1e-6)
         report = spectral_report(d)
         assert report.violations[0] == Violation("gersgorin", 1e-6, True)
         assert verification_exit_code(report) == 3

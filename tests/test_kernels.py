@@ -342,6 +342,46 @@ class TestKernelVector:
         np.testing.assert_array_equal(gram, gram.T)
 
 
+def replayed_gram(k, xs):
+    """Kernel.gram as admission builds it: row i from the first i rows, one ``_against`` at a time."""
+    out = np.empty((len(xs), len(xs)))
+    for i in range(len(xs)):
+        out[i, :i] = out[:i, i] = k._against(xs[:i], xs[i])
+        out[i, i] = k._self_similarity(xs[i])
+    return out
+
+
+class TestBlockRows:
+    """Gaussian rows a block at a time equal the one-row arithmetic bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("dim", [0, 1, 2, 3, 4, 7, 8, 9, 16])
+    def test_gram_is_the_row_by_row_replay(self, dim, n):
+        rng = np.random.default_rng(100 * dim + n)
+        for sigma, scale in ((0.05, 0.1), (0.7, 1.0), (3.0, 20.0)):
+            xs = rng.uniform(-scale, scale, size=(n, dim))
+            k = Kernel.gaussian(sigma)
+            assert k.gram(xs).tobytes() == replayed_gram(k, xs).tobytes()
+
+    @pytest.mark.parametrize("dim", [0, 1, 2, 3, 7, 8, 16])
+    def test_rows_are_against_bit_for_bit(self, dim):
+        rng = np.random.default_rng(dim)
+        k = Kernel.gaussian(0.4)
+        atoms, xs = rng.uniform(-1, 1, size=(70, dim)), rng.uniform(-1, 1, size=(65, dim))
+        rows = k._rows(atoms, xs)
+        out = np.full((65, 80), np.nan)
+        k._rows(atoms, xs, out=out[:, :70])
+        for s, x in enumerate(xs):
+            assert rows[s].tobytes() == out[s, :70].tobytes() == k._against(atoms, x).tobytes()
+        assert np.isnan(out[:, 70:]).all()
+
+    @pytest.mark.parametrize("family", ["linear", "polynomial"])
+    def test_other_families_keep_one_row_at_a_time(self, family):
+        k = Kernel(family, degree=3, offset=0.5)
+        xs = np.random.default_rng(5).uniform(-1, 1, size=(130, 3))
+        assert k.gram(xs).tobytes() == replayed_gram(k, xs).tobytes()
+
+
 class TestNormRange:
     def test_user_supplied(self):
         nr = NormRange(0.5, 2.0)

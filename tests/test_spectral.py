@@ -1,7 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+
+import sparsekaf.dictionary as dictionary_module
+import sparsekaf.spectral as spectral_module
 
 from sampled_isometry import gersgorin_intervals, verify_isometry
 from sparsekaf import (
@@ -80,6 +84,38 @@ class TestEigensolve:
         s1, s2 = eigensolve(gram), eigensolve(gram)
         np.testing.assert_array_equal(s1.values, s2.values)
 
+    def test_symmetry_tolerance(self):
+        gram = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, -0.2], [0.1, -0.2, 0.5]])
+        for skew, accepted in ((1e-13, True), (1e-11, False)):
+            a = gram.copy()
+            a[0, 2] += skew
+            if accepted:
+                np.testing.assert_allclose(eigensolve(a).values, eigensolve(gram).values, atol=1e-12)
+            else:
+                with pytest.raises(ValueError, match="not symmetric within 1e-12"):
+                    eigensolve(a)
+
+    def test_nan_matrix_reaches_the_eigensolver(self):
+        # a NaN entry fails the exact comparison and the tolerance one alike,
+        # so the matrix is passed on, and LAPACK does not converge on it
+        with pytest.raises(np.linalg.LinAlgError):
+            eigensolve(np.full((3, 3), np.nan))
+
+    def test_exactly_symmetric_gram_makes_no_float_temporary(self):
+        # eigvalsh reads the Gram matrix without a copy being made for it, and
+        # the exact symmetry check needs a boolean m x m array only
+        m = 600
+        gram = Kernel.gaussian(0.5).gram(np.random.default_rng(2).uniform(-1, 1, size=(m, 3)))
+        eigensolve(gram)
+        tracemalloc.start()
+        try:
+            spec = eigensolve(gram)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * m * m * 8
+        assert spec.values.shape == (m,)
+
 
 class TestGersgorin:
     def test_identity_discs(self):
@@ -113,6 +149,31 @@ class TestGersgorin:
         expected = max(gersgorin_margin(gram, lam) for lam in lams)
         assert expected > 0.0
         assert gersgorin_margin(gram, lams) == expected
+
+    @pytest.mark.parametrize("count", [1, 63, 64, 65, 130])
+    def test_blocks_of_eigenvalues_give_the_full_table(self, count):
+        rng = np.random.default_rng(count)
+        a = rng.standard_normal((30, 30))
+        gram = a @ a.T / 30
+        lams = rng.uniform(-5.0, 40.0, count)
+        radii = np.abs(gram).sum(axis=1) - np.abs(np.diag(gram))
+        table = np.abs(lams[:, None] - np.diag(gram)[None, :]) - radii[None, :]
+        assert gersgorin_margin(gram, lams) == float(np.max(np.maximum(np.min(table, axis=1), 0.0)))
+
+    def test_radii_are_computed_once_per_report(self, monkeypatch):
+        calls = []
+
+        def counting(a):
+            calls.append(a.shape)
+            return radii(a)
+
+        radii = dictionary_module._gersgorin_radii
+        for module in (dictionary_module, spectral_module):
+            monkeypatch.setattr(module, "_gersgorin_radii", counting)
+        d = build_gaussian_dict("coherence", 0.9, seed=1, sigma=0.5, n=400)
+        report = spectral_report(d)
+        assert calls == [(d.m, d.m)]
+        assert report.per_measure[3].measure_value == float(np.max(radii(d.gram)))
 
 
 def paper_window(kind, value, m, r_sq, R_sq, sound):
