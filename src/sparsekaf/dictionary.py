@@ -121,7 +121,8 @@ class Dictionary:
         Intended for deserialization and hand-built dictionaries; no
         criterion test is re-run, so the result may violate the configured
         criterion (and may even have a singular Gram matrix, in which case
-        operations needing its factor raise :class:`NumericalError`).
+        operations needing its factor raise :class:`NumericalError`). An atom
+        whose kappa(x, x) is past float64's range raises :class:`NumericalError`.
         """
         atoms = np.atleast_2d(np.asarray(atoms, dtype=np.float64))
         if not np.all(np.isfinite(atoms)):
@@ -131,6 +132,9 @@ class Dictionary:
             d._atoms_buf = atoms.copy()
             d._gram = kernel.gram(atoms)
             d._diag_buf = np.diagonal(d._gram).copy()
+            if not np.isfinite(d._diag_buf).all():
+                k = int(np.argmin(np.isfinite(d._diag_buf)))
+                raise NumericalError(f"atom {k + 1}: kappa(x, x) = {float(d._diag_buf[k])!r} is past float64's range")
             d._packed = None
             d._m = atoms.shape[0]
         return d
@@ -391,7 +395,7 @@ class Dictionary:
         m = self._m
         if not m:
             return kvec
-        return dtpsv(m, self._packed if self._packed is not None else self._factor(), kvec, 1, 0, 0, 1)
+        return dtpsv(m, self._factor(), kvec, 1, 0, 0, 1)
 
     def _coordinates(self, alpha) -> np.ndarray:
         """w = L^T alpha: the model sum_j alpha_j kappa(atom_j, .) in the factor's orthonormal coordinates."""
@@ -461,11 +465,13 @@ class Dictionary:
 
 
 def _pivot_root(kxx: float, z: np.ndarray) -> float:
-    """sqrt(kxx - ||z||^2), the new diagonal entry of L; a Schur pivot below ``PIVOT_FLOOR`` raises."""
+    """sqrt(kxx - ||z||^2), the new diagonal entry of L; a Schur pivot below ``PIVOT_FLOOR`` or not finite raises."""
     pivot = kxx - float(z.dot(z))
     if pivot < PIVOT_FLOOR:
         raise NumericalError("near-singular admission (criterion threshold too loose for numeric safety):"
                              f" Schur pivot {pivot:.3e} below {PIVOT_FLOOR:.0e}")
+    if not pivot < math.inf:  # NaN fails too
+        raise NumericalError(f"Schur pivot {pivot!r}: a kernel value past float64's range")
     return math.sqrt(pivot)
 
 

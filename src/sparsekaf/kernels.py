@@ -10,6 +10,7 @@ need as ``r_sq`` and ``R_sq``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,11 @@ FAMILIES = ("linear", "polynomial", "gaussian")
 
 # rows per block of a Gaussian Kernel.gram
 _GRAM_BLOCK = 64
+
+# the range of a Gaussian bandwidth's square: exp(-d_sq / (2 sigma^2)) needs sigma^2
+# a normal float64 (full precision) and 2 sigma^2 finite (else every value is 1)
+_SIGMA_SQ_MIN = sys.float_info.min
+_SIGMA_SQ_MAX = sys.float_info.max / 2
 
 
 def integral(raw) -> int:
@@ -127,7 +133,8 @@ class Kernel:
     offset : float
         Additive constant of the polynomial kernel, finite and >= 0.
     sigma : float
-        Bandwidth of the Gaussian kernel, finite and > 0.
+        Bandwidth of the Gaussian kernel, > 0 with sigma^2 a normal float64
+        and 2 sigma^2 finite: about 1.49e-154 <= sigma <= 9.48e153.
 
     A parameter the family does not read is reset to its default (degree 2,
     offset 1.0, sigma 1.0), so ``Kernel("linear", sigma=-5.0) == Kernel.linear()``.
@@ -147,8 +154,10 @@ class Kernel:
             object.__setattr__(self, "degree", positive_integer(self.degree, "polynomial degree"))
             if not 0 <= self.offset < math.inf:  # NaN fails too
                 raise ValueError("polynomial offset must be finite and >= 0")
-        if self.family == "gaussian" and not 0 < self.sigma < math.inf:  # NaN fails too
-            raise ValueError("gaussian bandwidth sigma must be finite and > 0")
+        # sigma * sigma, unlike sigma**2, cannot raise; NaN fails too
+        if self.family == "gaussian" and not (0 < self.sigma and _SIGMA_SQ_MIN <= self.sigma * self.sigma <= _SIGMA_SQ_MAX):
+            raise ValueError("gaussian bandwidth sigma must be finite and > 0, and lie in about"
+                             f" [1.49e-154, 9.48e153] so that sigma^2 is normal and 2 sigma^2 finite, got {self.sigma!r}")
 
     def fields(self) -> list[str]:
         """The ``key=value`` words of the parameters this kernel's family reads, as ``from_fields`` reads them."""
@@ -201,13 +210,12 @@ class Kernel:
         distances, which cannot warn, stands for both inputs' checks. Any
         other input, or a max that is not finite, is checked entry by entry,
         atoms first, and the error names the faulty input; finite inputs whose
-        squared distances overflow get the row :meth:`_against` computes.
+        squared distances overflow then get their row from :meth:`_against`.
         Linear and polynomial rows are always checked before the product: a
         BLAS may skip a zero multiplier and so hide an inf * 0.
         """
         atoms = np.asarray(atoms, dtype=np.float64)
         x = np.asarray(x, dtype=np.float64)
-        d_sq = None
         if (self.family == "gaussian" and atoms.ndim == 2 and x.ndim == 1
                 and atoms.shape[0] and atoms.shape[1] == x.shape[0]):
             d_sq = _sq_distances(atoms, x)
@@ -217,7 +225,7 @@ class Kernel:
         x = _as_vector(x, "x")
         if atoms.shape[1] != x.shape[0]:
             raise ValueError(f"dimension mismatch: atoms have {atoms.shape[1]}, x has {x.shape[0]}")
-        return self._against(atoms, x) if d_sq is None else self._gaussian(d_sq)
+        return self._against(atoms, x)
 
     def _against(self, atoms: np.ndarray, x: np.ndarray) -> np.ndarray:
         """:meth:`against` without input checks, for float64 arrays already validated."""
@@ -237,12 +245,12 @@ class Kernel:
         """Gaussian rows of the float64 samples ``xs`` against ``atoms``, unchecked: row s is ``_against(atoms, xs[s])`` bit for bit.
 
         Written to ``out`` (``len(xs)`` rows of ``len(atoms)`` contiguous
-        entries) when given. It is :func:`_sq_distances`' arithmetic for every
-        row at once: below 8 coordinates one coordinate at a time over
+        entries) when given. Below 8 coordinates it is :func:`_sq_distances`'
+        arithmetic for every row at once, one coordinate at a time over
         contiguous data, subtracted, squared and added in coordinate order;
-        otherwise a sum over the last axis, which numpy sums pairwise per row
-        as it does for one row. (a - b)^2 and (b - a)^2 round alike, so the
-        entry of x against y equals that of y against x.
+        otherwise it calls :func:`_sq_distances` once per sample. (a - b)^2
+        and (b - a)^2 round alike, so the entry of x against y equals that of
+        y against x.
         """
         d = xs.shape[1]
         if out is None:
@@ -255,12 +263,8 @@ class Kernel:
                 for k in range(1, d):
                     out += np.square(np.subtract(coords[k], xs[:, k : k + 1], out=sq), out=sq)
         else:
-            # a few samples at a time, so that the (samples, m, d) squares
-            # take at most 512 m doubles
-            step = max(1, 512 // max(d, 1))
-            for s0 in range(0, xs.shape[0], step):
-                sq = atoms[None, :, :] - xs[s0 : s0 + step, None, :]
-                np.sum(np.square(sq, out=sq), axis=-1, out=out[s0 : s0 + step])
+            for s, x in enumerate(xs):
+                out[s] = _sq_distances(atoms, x)
         return self._gaussian(out)
 
     def gram(self, xs: np.ndarray) -> np.ndarray:

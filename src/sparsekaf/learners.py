@@ -255,10 +255,7 @@ def _update(
     # ndarray.dot is the BLAS ddot that @ reaches for two vectors, with less dispatch
     if functional:
         z = dictionary._forward(kvec)
-        if state._w is not None and state._packed is dictionary._packed:
-            w = state._w
-        else:
-            w = dictionary._coordinates(state.alpha)
+        w = state.coordinates(dictionary)
         prediction = float(w.dot(z))
     else:
         z = None

@@ -181,6 +181,25 @@ class TestAdmit:
             d.admit([1e-9, 0.0])
         assert (d.atoms.tobytes(), d.gram.tobytes(), lower(d).tobytes()) == before
 
+    # numpy warns as the kernel values overflow
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("first", [None, [1.0, 0.0]], ids=["empty", "one-atom"])
+    def test_overflowing_kernel_value_raises_bit_identical(self, first):
+        # kappa(x, x) = 1e400 is inf: into an empty dictionary the pivot is
+        # inf, and after the atom [1, 0] it is inf - (1e200)^2, NaN; each was
+        # stored as L's new diagonal entry
+        kind = "approximation" if first is None else "coherence"
+        d = Dictionary(Kernel.linear(), CriterionConfig(kind, 0.1))
+        if first is not None:
+            d.admit(first)
+        buffers = (d._atoms_buf, d._diag_buf, d._packed)
+        before = [b.tobytes() for b in buffers]
+        with pytest.raises(NumericalError, match=r"Schur pivot (inf|nan): a kernel value past float64's range"):
+            d.admit([1e200, 0.0])
+        assert (d._atoms_buf, d._diag_buf, d._packed) == buffers and [b.tobytes() for b in buffers] == before
+        assert d.m == (first is not None)
+
     def test_rejection_is_bit_identical(self):
         d = gaussian_dict(threshold=0.5)
         for x in ([0.0, 0.0], [2.0, 0.0], [0.0, 2.5]):
@@ -835,6 +854,17 @@ class TestSerialization:
             d.measure("approximation")
         with pytest.raises(NumericalError):
             d._factor()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("kernel, atoms, k", [
+        (Kernel.linear(), [[1e200, 0.0], [0.0, 1e200]], 1),
+        (Kernel.linear(), [[1.0, 0.0], [0.0, 1e200]], 2),
+        (Kernel.polynomial(3, 0.5), [[1.0], [2.0], [1e110]], 3),
+    ], ids=["linear-both", "linear-second", "polynomial-third"])
+    def test_overflowing_self_similarity_is_refused(self, kernel, atoms, k):
+        # the file loaded, and measure printed inf and nan for it
+        with pytest.raises(NumericalError, match=rf"^atom {k}: kappa\(x, x\) = inf is past float64's range$"):
+            Dictionary.from_atoms(kernel, CriterionConfig("coherence", 0.5), atoms)
 
 
 class TestEmptyDictionary:

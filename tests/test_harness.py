@@ -38,6 +38,10 @@ from sparsekaf.harness import (
 )
 
 
+# the least and the greatest Gaussian bandwidth, as in test_kernels.py
+SIGMA_RANGE = (2.0**-511, math.sqrt(sys.float_info.max / 2))
+
+
 def make_config(**overrides):
     base = dict(
         kernel=Kernel.gaussian(0.5),
@@ -401,7 +405,8 @@ class TestVerify:
         code, again = verify_dictionary(d)
         assert code == 0 and again.to_csv() == report.to_csv()
         d.save(tmp_path / "zero.txt")
-        assert main(["verify", "--dict", str(tmp_path / "zero.txt")]) == 0
+        assert main(["verify", "--dict", str(tmp_path / "zero.txt"), "--out", str(tmp_path / "v")]) == 0
+        assert (tmp_path / "v" / "spectral.csv").read_text() == report.to_csv()
         out = capsys.readouterr().out
         assert "verification passed" in out
         # a NaN row has no window to call vacuous; Babel's lower end 0.0 is one
@@ -518,10 +523,14 @@ def subcommand_options(parser, name):
 
 class TestCli:
     @pytest.mark.parametrize("name, count", [("run", 16), ("synthesize", 6), ("verify", 4), ("measure", 3)])
-    def test_subcommand_takes_only_the_options_it_reads(self, name, count):
+    def test_subcommand_takes_only_the_options_it_reads(self, name, count, capsys):
         options = subcommand_options(make_parser(), name)
         assert options == CLI_OPTIONS[name]
         assert len(options) == count
+        # --help of the tool and of the subcommand exits 0 and prints the usage
+        for argv, usage in ((["--help"], "usage: sparsekaf [-h]"), ([name, "--help"], f"usage: sparsekaf {name} [-h]")):
+            assert main(argv) == 0
+            assert capsys.readouterr().out.startswith(usage)
 
     @pytest.mark.parametrize(
         "name, flag",
@@ -569,6 +578,8 @@ class TestCli:
         cfg.write_text("data = narma2\nlength = 7\nseed = 3\n")
         out = str(tmp_path / "data")
         assert main(["synthesize", "--config", str(cfg), "--out", out]) == 0
+        lines = (tmp_path / "data" / "data.csv").read_text().splitlines()
+        assert lines[0] == "x0,x1,x2,y" and len(lines) == 8
         xs, ys = load_csv(os.path.join(out, "data.csv"))
         want_xs, want_ys = synthesize("narma2", seed=3, length=7)
         np.testing.assert_array_equal(xs, want_xs)
@@ -643,16 +654,31 @@ class TestCli:
     def test_run_algo_takes_every_config_spelling(self, tmp_path, algo):
         assert main(["run", "--algo", algo, "--length", "30", "--out", str(tmp_path)]) == 0
 
-    @pytest.mark.parametrize("kind, threshold", [("distance", "0.05"), ("approximation", "0.05"),
-                                                  ("coherence", "0.95"), ("babel", "3.0")])
-    @pytest.mark.parametrize("family, cap", [("linear", "2"), ("polynomial", "9"), ("gaussian", "30")])
-    def test_verify_rewrites_the_run_spectral_csv(self, tmp_path, family, cap, kind, threshold):
-        # narma2 has 3-d inputs, so a linear kernel's feature space has rank 3 and
-        # the default polynomial kernel's (degree 2) rank 10; a cap at or above the
-        # rank lets distance and Babel runs reach a near-singular admission (exit 2)
+    # narma2 has 3-d inputs, so a linear kernel's feature space has rank 3 and
+    # the default polynomial kernel's (degree 2) rank 10; a cap at or above the
+    # rank lets distance and Babel runs reach a near-singular admission (exit 2)
+    ROUND_TRIPS = {
+        f"{family}-{cap}-{kind}-{threshold}": ["--data", "narma2", "--kernel", family, "--criterion", kind,
+                                               "--threshold", threshold, "--max-atoms", cap, "--length", "300",
+                                               "--seed", "1"]
+        for family, cap in (("linear", "2"), ("polynomial", "9"), ("gaussian", "30"))
+        for kind, threshold in (("distance", "0.05"), ("approximation", "0.05"), ("coherence", "0.95"),
+                                ("babel", "3.0"))
+    } | {
+        # an ill-conditioned polynomial dictionary, a linear one without a cap,
+        # and an lms_gram run
+        "polynomial-3-0.5-babel": ["--data", "narma2", "--kernel", "polynomial", "--degree", "3", "--offset", "0.5",
+                                   "--criterion", "babel", "--threshold", "3.0", "--length", "1000", "--seed", "3"],
+        "linear-approximation": ["--data", "narma2", "--kernel", "linear", "--criterion", "approximation",
+                                 "--threshold", "0.05", "--length", "300", "--seed", "1"],
+        "gaussian-lms-gram": ["--data", "sinc1d", "--sigma", "0.3", "--criterion", "coherence", "--threshold", "0.5",
+                              "--algo", "lms-gram", "--eta", "0.2", "--eps", "0.05", "--length", "1000", "--seed", "2"],
+    }
+
+    @pytest.mark.parametrize("flags", ROUND_TRIPS.values(), ids=ROUND_TRIPS.keys())
+    def test_verify_rewrites_the_run_spectral_csv(self, tmp_path, flags):
         out = tmp_path / "run"
-        assert main(["run", "--data", "narma2", "--kernel", family, "--criterion", kind, "--threshold", threshold,
-                     "--max-atoms", cap, "--length", "300", "--seed", "1", "--out", str(out)]) == 0
+        assert main(["run", *flags, "--out", str(out)]) == 0
         assert main(["verify", "--dict", str(out / "dictionary.txt"), "--out", str(tmp_path / "verify")]) == 0
         assert (tmp_path / "verify" / "spectral.csv").read_bytes() == (out / "spectral.csv").read_bytes()
 
@@ -661,7 +687,7 @@ class TestCli:
         assert main(["run", "--length", "60", "--sigma", "0.5", "--out", str(tmp_path / "exp")]) == 0
         out = str(tmp_path / "verify")
         assert main(["verify", "--dict", str(tmp_path / "exp" / "dictionary.txt"), "--seed", "0", "--out", out]) == 0
-        assert os.path.exists(os.path.join(out, "spectral.csv"))
+        assert (tmp_path / "verify" / "spectral.csv").read_bytes() == (tmp_path / "exp" / "spectral.csv").read_bytes()
 
     @pytest.mark.parametrize(
         "flags, field",
@@ -683,6 +709,46 @@ class TestCli:
         assert "sigma must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    # at the least bandwidth 2 sigma^2 is 2^-1021, so a squared distance past
+    # about 8 makes d_sq / (2 sigma^2) overflow to inf, and its exp exactly 0
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+    @pytest.mark.parametrize("end", [0, 1], ids=["least", "greatest"])
+    def test_sigma_range_ends_through_config_and_dictionary_files(self, tmp_path, capsys, end):
+        inside = SIGMA_RANGE[end]
+        outside = math.nextafter(inside, (0.0, math.inf)[end])
+        for sigma, code in ((inside, 0), (outside, 1)):
+            out = tmp_path / f"o{code}"
+            (tmp_path / "exp.cfg").write_text(f"sigma = {sigma!r}\nlength = 20\n")
+            assert main(["run", "--config", str(tmp_path / "exp.cfg"), "--out", str(out)]) == code
+            (tmp_path / "d.txt").write_text(f"kernel gaussian sigma={sigma!r}\ncriterion coherence threshold=0.5\n"
+                                            "atom 0.0\natom 1.0\n")
+            assert main(["verify", "--dict", str(tmp_path / "d.txt")]) == code
+            err = capsys.readouterr().err
+            assert (err.count("gaussian bandwidth sigma must be finite and > 0") == 2) == (code == 1), err
+            assert out.exists() == (code == 0)
+
+    @pytest.mark.parametrize("sigma", [math.nextafter(SIGMA_RANGE[0], 0.0), 1e-300,
+                                       math.nextafter(SIGMA_RANGE[1], math.inf), 1e155])
+    def test_sigma_out_of_range_exits_one_under_warnings_as_errors(self, tmp_path, sigma):
+        # 1e-300 divided by zero, and 1e155 raised OverflowError from sigma**2
+        out = tmp_path / "o"
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "sparsekaf.cli", "run", "--sigma", repr(sigma),
+                               "--length", "20", "--out", str(out)], capture_output=True, text=True)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: gaussian bandwidth sigma must be finite and > 0"), proc.stderr
+        assert proc.stderr.endswith(f", got {sigma!r}\n") and not proc.stdout
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("name", ["verify", "measure"])
+    def test_overflowing_self_similarity_exits_two(self, tmp_path, capsys, name):
+        # measure printed distance 1.34e154, approximation inf and babel nan, and exited 0
+        path = tmp_path / "big.txt"
+        path.write_text("kernel linear\ncriterion coherence threshold=0.5\natom 1e200 0.0\natom 0.0 1e200\n")
+        assert main([name, "--dict", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr() == ("", "numerical failure: atom 1: kappa(x, x) = inf is past float64's range\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("name", ["verify", "measure"])
     def test_dict_commands_open_their_config(self, tmp_path, capsys, name):
         assert main(["run", "--length", "60", "--sigma", "0.5", "--out", str(tmp_path / "exp")]) == 0
@@ -694,6 +760,16 @@ class TestCli:
         bad.write_text("sigma = 0\n")
         assert main([name, "--dict", path, "--config", str(bad)]) == 1
         assert "sigma" in capsys.readouterr().err
+        # and a dictionary file with an unparsable field or a second kernel record
+        for text, error in (
+            ("kernel linear sigma=abc\ncriterion coherence threshold=0.5\natom 1.0\n",
+             "line 1: field sigma='abc': could not convert string to float: 'abc'"),
+            ("kernel linear\nkernel gaussian sigma=0.5\ncriterion coherence threshold=0.5\natom 1.0\n",
+             "line 2: second kernel record"),
+        ):
+            (tmp_path / "bad.txt").write_text(text)
+            assert main([name, "--dict", str(tmp_path / "bad.txt")]) == 1
+            assert capsys.readouterr().err == f"error: dictionary file {error}\n"
 
     def test_verify_writes_to_the_config_out(self, tmp_path):
         assert main(["run", "--length", "60", "--sigma", "0.5", "--out", str(tmp_path / "exp")]) == 0

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -10,6 +11,11 @@ from hypothesis.extra.numpy import arrays
 
 import sparsekaf.kernels as kernels_module
 from sparsekaf import CriterionConfig, Dictionary, Kernel, NormRange, kernel_vector
+
+
+# the least and the greatest Gaussian bandwidth: 2^-511 squares to the least
+# normal float64, and sqrt(max / 2) to half the largest float64 or less
+SIGMA_RANGE = (2.0**-511, math.sqrt(sys.float_info.max / 2))
 
 
 def vectors(dim=3):
@@ -70,10 +76,22 @@ class TestEval:
         with pytest.raises(ValueError, match="polynomial degree must be a positive integer"):
             Kernel.polynomial(degree)
 
-    @pytest.mark.parametrize("sigma", [math.inf, math.nan, -math.inf])
+    # past the range ends, sigma^2 is not a normal float64 or 2 sigma^2 not
+    # finite: at 1e-300 the kernel divided by zero, at 1e-160 sigma^2 was
+    # subnormal, at 1e155 sigma**2 raised OverflowError and at 1e154
+    # -2 sigma^2 was -inf, so every kernel value read 1
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan, -math.inf, math.nextafter(SIGMA_RANGE[0], 0.0), 1e-160,
+                                       1e-300, -SIGMA_RANGE[0], math.nextafter(SIGMA_RANGE[1], math.inf), 1e154, 1e155])
     def test_gaussian_bandwidth_must_be_finite(self, sigma):
         with pytest.raises(ValueError, match="sigma must be finite and > 0"):
             Kernel.gaussian(sigma)
+
+    def test_gaussian_bandwidth_range_ends_keep_full_precision(self):
+        lo, hi = SIGMA_RANGE
+        assert lo * lo == sys.float_info.min and hi * hi <= sys.float_info.max / 2
+        assert math.nextafter(hi, math.inf) ** 2 > sys.float_info.max / 2
+        for sigma in (lo, hi):
+            assert Kernel.gaussian(sigma)([0.0], [sigma]) == pytest.approx(math.exp(-0.5), rel=1e-15)
 
 
 def overflowing_atoms():
