@@ -235,10 +235,10 @@ class Dictionary:
         try:
             passes = self._passes(criterion.kind, kvec, kxx, criterion.threshold, z)
         except NumericalError:
-            if self._contains(x):
+            if self._contains(x, kvec):
                 return None
             raise
-        return self._append(x, kvec, kxx, z) if passes and not self._contains(x) else None
+        return self._append(x, kvec, kxx, z) if passes and not self._contains(x, kvec) else None
 
     def _append(self, x: np.ndarray, kvec: np.ndarray, kxx: float, z: np.ndarray | None) -> float:
         m = self._m
@@ -260,15 +260,19 @@ class Dictionary:
         self._gram = None
         return root
 
-    def _contains(self, x: np.ndarray) -> bool:
-        """Whether ``x`` equals an atom exactly (any atom, if it has no coordinates).
+    def _contains(self, x: np.ndarray, kvec: np.ndarray) -> bool:
+        """Whether ``x``, whose row over the atoms is ``kvec``, equals an atom exactly (any atom, if it has no coordinates).
 
-        Only the atoms that match the first coordinate, which for continuous
-        inputs are none, are compared in full; :meth:`_admit_row` asks only
-        about candidates the criterion test admits or raises on.
+        A Gaussian copy of an atom has the row entry exp(-0) = 1, so a row
+        below 1 settles it; otherwise only the atoms that match the first
+        coordinate, which for continuous inputs are none, are compared in
+        full. :meth:`_admit_row` asks only about candidates the criterion
+        test admits or raises on.
         """
         if not self.dim:
             return True
+        if self.kernel.family == "gaussian" and np.maximum.reduce(kvec) < 1.0:
+            return False
         atoms = self.atoms
         hits = np.flatnonzero(atoms[:, 0] == x[0])
         return hits.size > 0 and bool((atoms[hits] == x).all(axis=1).any())

@@ -77,17 +77,17 @@ def _all_finite(a: np.ndarray) -> bool:
 
 def _sq_distances(atoms: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Squared Euclidean distance from ``x`` to every row of ``atoms``, in a new array."""
+    d = atoms.shape[1]
+    if 0 < d < 8:
+        # numpy sums fewer than 8 terms left to right, and a reduction over
+        # the outer axis of a C-ordered (d, m) array adds its rows in order:
+        # the same sums, over contiguous rows, without the per-row overhead;
+        # from 8 terms on numpy sums pairwise
+        sq = np.subtract(atoms.T, x[:, None], order="C")
+        np.square(sq, out=sq)
+        return np.add.reduce(sq, axis=0)
     sq = atoms - x
     np.square(sq, out=sq)
-    d = sq.shape[1]
-    if 0 < d < 8:
-        # numpy sums fewer than 8 terms left to right, so adding one
-        # coordinate at a time to the first is its reduction's arithmetic
-        # without the per-row overhead; from 8 terms on it sums pairwise
-        d_sq = sq[:, 0] + sq[:, 1] if d > 1 else sq[:, 0].copy()
-        for k in range(2, d):
-            d_sq += sq[:, k]
-        return d_sq
     return sq.sum(axis=1)
 
 
@@ -287,18 +287,23 @@ class Kernel:
         xs = np.ascontiguousarray(_as_matrix(xs, "xs"))
         m = xs.shape[0]
         out = np.empty((m, m))
-        if self.family == "gaussian":
-            # block b0:b1 is computed against xs[:b1], its diagonal square in
-            # full (exactly symmetric), and mirrored above the diagonal
-            for b0 in range(0, m, _GRAM_BLOCK):
-                b1 = min(b0 + _GRAM_BLOCK, m)
-                self._rows(xs[:b1], xs[b0:b1], out=out[b0:b1, :b1])
-                out[:b0, b0:b1] = out[b0:b1, :b0].T
-            np.fill_diagonal(out, 1.0)  # kappa(x, x), as exp(-0) gives it
-            return out
-        for i in range(m):
-            out[i, :i] = out[:i, i] = self._against(xs[:i], xs[i])
-            out[i, i] = self._self_similarity(xs[i])
+        # an overflowing Gaussian distance or quotient gives its correct 0, and
+        # a linear or polynomial value past float64's range reaches the
+        # diagonal, which from_atoms refuses; numpy's warnings, which -W error
+        # raises, would only pre-empt both
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.family == "gaussian":
+                # block b0:b1 is computed against xs[:b1], its diagonal square in
+                # full (exactly symmetric), and mirrored above the diagonal
+                for b0 in range(0, m, _GRAM_BLOCK):
+                    b1 = min(b0 + _GRAM_BLOCK, m)
+                    self._rows(xs[:b1], xs[b0:b1], out=out[b0:b1, :b1])
+                    out[:b0, b0:b1] = out[b0:b1, :b0].T
+                np.fill_diagonal(out, 1.0)  # kappa(x, x), as exp(-0) gives it
+                return out
+            for i in range(m):
+                out[i, :i] = out[:i, i] = self._against(xs[:i], xs[i])
+                out[i, i] = self._self_similarity(xs[i])
         return out
 
     def self_similarity(self, x) -> float:

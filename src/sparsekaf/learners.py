@@ -112,6 +112,10 @@ class ModelState:
         ``alpha``; any other state pays one triangular product.
         """
         self._check_size(dictionary)
+        return self._coordinates(dictionary)
+
+    def _coordinates(self, dictionary: Dictionary) -> np.ndarray:
+        """:meth:`coordinates` for a state already known to be sized for ``dictionary``."""
         if self._w is not None and self._packed is dictionary._factor():
             return self._w
         return dictionary._coordinates(self.alpha)
@@ -150,7 +154,7 @@ def update_lms_identity(alpha, kvec, error: float, eta: float, eps: float) -> np
     kvec = np.asarray(kvec, dtype=np.float64)
     if alpha.shape != kvec.shape:
         raise ValueError(f"length mismatch: alpha {alpha.shape} vs kvec {kvec.shape}")
-    return alpha + eta * (error * kvec - eps * alpha)
+    return _gradient_step(alpha, kvec, alpha, error, eta, eps)
 
 
 def update_lms_gram(alpha, kvec, gram_alpha, error: float, eta: float, eps: float) -> np.ndarray:
@@ -167,7 +171,17 @@ def update_lms_gram(alpha, kvec, gram_alpha, error: float, eta: float, eps: floa
     for name, v in (("kvec", kvec), ("gram_alpha", gram_alpha)):
         if v.shape != alpha.shape:
             raise ValueError(f"length mismatch: alpha {alpha.shape} vs {name} {v.shape}")
-    return alpha + eta * (error * kvec - eps * gram_alpha)
+    return _gradient_step(alpha, kvec, gram_alpha, error, eta, eps)
+
+
+def _gradient_step(alpha: np.ndarray, kvec: np.ndarray, penalty: np.ndarray, error: float, eta: float,
+                   eps: float) -> np.ndarray:
+    """alpha + eta * (error * kvec - eps * penalty), computed in place in error * kvec; the inputs are only read."""
+    out = error * kvec
+    out -= eps * penalty
+    out *= eta
+    out += alpha  # alpha + t and t + alpha round alike
+    return out
 
 
 def update_nlms(alpha, kvec, error: float, eta: float, eps: float) -> np.ndarray:
@@ -179,7 +193,9 @@ def update_nlms(alpha, kvec, error: float, eta: float, eps: float) -> np.ndarray
     denom = float(kvec.dot(kvec)) + eps
     if denom <= 0.0:
         raise NumericalError("nlms denominator ||kvec||^2 + eps is zero")
-    return alpha + (eta / denom) * error * kvec
+    out = (eta / denom) * error * kvec
+    out += alpha
+    return out
 
 
 def update_functional(alpha, xi, error: float, eta: float, eps: float) -> np.ndarray:
@@ -200,7 +216,9 @@ def update_functional(alpha, xi, error: float, eta: float, eps: float) -> np.nda
         raise NumericalError(f"functional update decay factor 1 - eta*eps = {decay} is <= 0")
     if alpha.shape != xi.shape:
         raise ValueError(f"length mismatch: alpha {alpha.shape} vs dictionary size {xi.shape}")
-    return decay * alpha + eta * error * xi
+    out = decay * alpha
+    out += eta * error * xi
+    return out
 
 
 def step(
@@ -255,7 +273,7 @@ def _update(
     # ndarray.dot is the BLAS ddot that @ reaches for two vectors, with less dispatch
     if functional:
         z = dictionary._forward(kvec)
-        w = state.coordinates(dictionary)
+        w = state._coordinates(dictionary)  # the callers keep the state sized for the dictionary
         prediction = float(w.dot(z))
     else:
         z = None

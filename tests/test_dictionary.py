@@ -120,9 +120,9 @@ class TestAdmit:
         scanned = []
         contains = Dictionary._contains
 
-        def counting(self, x):
+        def counting(self, x, kvec):
             scanned.append(x.tolist())
-            return contains(self, x)
+            return contains(self, x, kvec)
 
         monkeypatch.setattr(Dictionary, "_contains", counting)
         d = gaussian_dict(threshold=0.5)
@@ -179,6 +179,22 @@ class TestAdmit:
         before = (d.atoms.tobytes(), d.gram.tobytes(), lower(d).tobytes())
         with pytest.raises(NumericalError, match="near-singular"):
             d.admit([1e-9, 0.0])
+        assert (d.atoms.tobytes(), d.gram.tobytes(), lower(d).tobytes()) == before
+
+    def test_row_entry_of_one_is_compared_in_full(self):
+        # a Gaussian copy's row entry is exp(-0) = 1; so is that of a near-copy
+        # whose squared distance (1e-170)^2 underflows to 0, which coherence
+        # gamma=1 passes too: it must be compared in full and not taken for a
+        # copy, so its Schur pivot raises
+        d = gaussian_dict(threshold=1.0)
+        for x in ([0.0, 0.0], [2.0, 0.0], [0.0, 2.5]):
+            d.admit(x)
+        before = (d.atoms.tobytes(), d.gram.tobytes(), lower(d).tobytes())
+        assert not d.admit([2.0, 0.0])
+        near = [2.0, 1e-170]
+        assert d.kernel.against(d.atoms, near)[1] == 1.0
+        with pytest.raises(NumericalError, match="near-singular"):
+            d.admit(near)
         assert (d.atoms.tobytes(), d.gram.tobytes(), lower(d).tobytes()) == before
 
     # numpy warns as the kernel values overflow

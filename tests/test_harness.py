@@ -749,6 +749,33 @@ class TestCli:
         assert capsys.readouterr() == ("", "numerical failure: atom 1: kappa(x, x) = inf is past float64's range\n")
         assert not (tmp_path / "o").exists()
 
+    # dictionary files whose Gram arithmetic overflows: the linear ones have
+    # kappa(x, x) = inf, and the Gaussian ones a kernel value that is exactly 0
+    OVERFLOWING_FILES = {
+        "linear-axes": ("kernel linear", ["1e200 0.0", "0.0 1e200"]),
+        "linear-diagonals": ("kernel linear", ["1e200 1e200", "1e200 -1e200"]),
+        "gaussian-far-atom": ("kernel gaussian sigma=0.5", ["0.0", "1e200"]),
+        "gaussian-least-sigma": (f"kernel gaussian sigma={SIGMA_RANGE[0]!r}", ["0.0", "3.0"]),
+    }
+
+    @pytest.mark.parametrize("name", ["verify", "measure"])
+    @pytest.mark.parametrize("case", sorted(OVERFLOWING_FILES))
+    def test_overflowing_gram_arithmetic_exits_cleanly_under_warnings_as_errors(self, tmp_path, case, name):
+        # Kernel.gram's overflow warnings, which -W error raises, ended both
+        # commands with a traceback and exit 1
+        header, atoms = self.OVERFLOWING_FILES[case]
+        path = tmp_path / "d.txt"
+        path.write_text("\n".join([header, "criterion coherence threshold=0.5", *(f"atom {a}" for a in atoms)]) + "\n")
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "sparsekaf.cli", name, "--dict", str(path)],
+                              capture_output=True, text=True)
+        assert "Traceback" not in proc.stderr
+        if case.startswith("linear"):
+            expected = "numerical failure: atom 1: kappa(x, x) = inf is past float64's range\n"
+            assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", expected)
+        else:
+            assert (proc.returncode, proc.stderr) == (0, "")
+            assert ("coherence 0.0\n" if name == "measure" else "coherence: measure=0.0 ") in proc.stdout
+
     @pytest.mark.parametrize("name", ["verify", "measure"])
     def test_dict_commands_open_their_config(self, tmp_path, capsys, name):
         assert main(["run", "--length", "60", "--sigma", "0.5", "--out", str(tmp_path / "exp")]) == 0

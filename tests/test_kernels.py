@@ -295,6 +295,30 @@ class TestKernelVector:
                 if dim == 0:
                     assert (expected == 1.0).all()
 
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_gaussian_row_does_not_depend_on_the_layout(self, dim):
+        # column-major and strided views give the bytes of a contiguous copy
+        rng = np.random.default_rng(40 + dim)
+        k = Kernel.gaussian(0.7)
+        buf = rng.uniform(-3, 3, size=(500, 2 * dim))
+        for atoms in (np.asfortranarray(buf[:250, :dim]), buf[::2, ::2], buf[::-2, 1::2]):
+            for x in (rng.uniform(-3, 3, size=dim), rng.uniform(-3, 3, size=2 * dim)[::2]):
+                expected = k.against(np.ascontiguousarray(atoms), np.ascontiguousarray(x)).tobytes()
+                assert k.against(atoms, x).tobytes() == expected
+                assert k._against(atoms, x).tobytes() == expected
+
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_overflowing_squares_give_zero_with_the_documented_warning(self, dim):
+        k = Kernel.gaussian(0.7)
+        atoms = np.zeros((3, dim))
+        atoms[1, -1] = 1e200
+        with pytest.warns(RuntimeWarning, match="^overflow encountered in square$"):
+            assert k.against(atoms, np.zeros(dim)).tolist() == [1.0, 0.0, 1.0]
+        if dim > 1:
+            # every square finite, their sum not
+            with pytest.warns(RuntimeWarning, match="^overflow encountered in reduce$"):
+                assert k.against(np.full((1, dim), 1e154), np.zeros(dim)).tolist() == [0.0]
+
     def test_empty_dictionary_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             kernel_vector(Kernel.linear(), np.zeros((0, 2)), [1.0, 2.0])

@@ -1,4 +1,4 @@
-"""The BLAS/LAPACK loader, each case in a fresh interpreter: this one has imported scipy.linalg already."""
+"""Importing sparsekaf and its BLAS/LAPACK loader, each case in a fresh interpreter: this one has imported scipy.linalg already."""
 
 import importlib.machinery
 import os
@@ -35,6 +35,17 @@ import sys, {module}
 loaded = [name for name in sys.modules if name.startswith(("scipy.linalg", "numpy.f2py"))]
 assert not loaded, loaded
 """, *flags)
+
+
+def test_import_adds_only_its_own_modules_and_three_standard_ones():
+    # every run pays the package's import; after numpy and scipy it needs these alone
+    added = run("""
+import scipy, sys
+before = set(sys.modules)
+import sparsekaf
+print(*sorted(set(sys.modules) - before))
+""").split()
+    assert {name for name in added if name.partition(".")[0] != "sparsekaf"} <= {"__future__", "copy", "dataclasses"}
 
 
 def test_scipy_linalg_imported_later_gives_the_same_results():

@@ -161,6 +161,31 @@ class TestUpdateFunctional:
             update_functional(np.zeros(1), d.project([1.0, 0.0]).coefficients, 1.0, 2.0, 1.0)
 
 
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_update_is_its_formula_in_a_new_array(algo):
+    # each rule's documented expression, evaluated as written, is the
+    # reference bit for bit; the rule reads its vectors and never writes them
+    rng = np.random.default_rng(17)
+    for error, eta, eps in rng.uniform(0.01, 0.9, size=(20, 3)).tolist():
+        alpha, kvec, other = rng.standard_normal((3, 45))
+        inputs = [v.tobytes() for v in (alpha, kvec, other)]
+        if algo == "lms_identity":
+            got = update_lms_identity(alpha, kvec, error, eta, eps)
+            expected = alpha + eta * (error * kvec - eps * alpha)
+        elif algo == "lms_gram":
+            got = update_lms_gram(alpha, kvec, other, error, eta, eps)
+            expected = alpha + eta * (error * kvec - eps * other)
+        elif algo == "nlms":
+            got = update_nlms(alpha, kvec, error, eta, eps)
+            expected = alpha + (eta / (float(kvec.dot(kvec)) + eps)) * error * kvec
+        else:
+            got = update_functional(alpha, kvec, error, eta, eps)
+            expected = (1.0 - eta * eps) * alpha + eta * error * kvec
+        assert got.tobytes() == expected.tobytes()
+        assert [v.tobytes() for v in (alpha, kvec, other)] == inputs
+        assert not any(np.shares_memory(got, v) for v in (alpha, kvec, other))
+
+
 class TestStep:
     def test_first_sample(self):
         d = fresh()
