@@ -3,14 +3,14 @@
 A :class:`Dictionary` holds an ordered set of atom vectors together with
 their self-similarities kappa(x, x) and the lower Cholesky factor of their
 Gram matrix, which grows by one row per admission. All three live in
-buffers whose capacity doubles when full, so an admission writes O(m)
-entries and copies the dictionary only when the buffers double. The factor
-is the only stored form of the Gram matrix: the dense matrix, which only
-the offline analysis reads, is built from the atoms on read and cached
-until the next admission. A dictionary built from given atoms (a loaded file)
-factors its Gram matrix on first use with LAPACK's packed Cholesky, which
-runs the admissions' arithmetic, so it holds the same factor, bit for bit,
-as the dictionary that grew them.
+buffers whose capacity doubles when full, up to the criterion's cap, so an
+admission writes O(m) entries and copies the dictionary only when the
+buffers grow. The factor is the only stored form of the Gram matrix: the
+dense matrix, which only the offline analysis reads, is built from the
+atoms on read and cached until the next admission. A dictionary built from
+given atoms (a loaded file) factors its Gram matrix on first use with
+LAPACK's packed Cholesky, which runs the admissions' arithmetic, so it
+holds the same factor, bit for bit, as the dictionary that grew them.
 Candidates are admitted online under one of four criteria (distance,
 approximation, coherence, Babel); the exact sparsity measure of a finished
 dictionary can be recomputed offline with :meth:`Dictionary.measure`.
@@ -214,33 +214,43 @@ class Dictionary:
             x = _as_vector(x, "x")
             return x, np.zeros(0), self.kernel._self_similarity(x)
         x = np.asarray(x, dtype=np.float64)
-        return x, self.kernel.against(self._atoms_buf[:m], x), self.kernel._self_similarity(x)
+        kernel = self.kernel
+        kvec = kernel.against(self._atoms_buf[:m], x)
+        # a Gaussian kappa(x, x) is exp(-0) = 1, as _self_similarity gives it
+        return x, kvec, 1.0 if kernel.family == "gaussian" else kernel._self_similarity(x)
 
-    def _admit_row(self, x: np.ndarray, kvec: np.ndarray, kxx: float, z: np.ndarray | None = None) -> float | None:
+    def _admit_row(self, x: np.ndarray, kvec: np.ndarray, kxx: float, z: np.ndarray | None = None) -> np.ndarray | None:
         """Admission of ``x`` given its row and, when the caller has it, z = L^-1 kvec.
 
         Returns None if ``x`` was rejected. If it was admitted, returns the
-        new last diagonal entry of L, sqrt(pivot): over the grown dictionary
-        the row of ``x`` is [kvec, kxx], the Gram matrix's new row, and its
-        forward solve is [z, sqrt(pivot)]. Exact copies of atoms (singular
-        Gram matrix, yet they can pass a Babel test with large gamma) are
-        rejected, even where the criterion test raises :class:`NumericalError`;
-        the scan for them runs only when the test passes or raises.
+        factor's new row [z, sqrt(pivot)] as written, a view that later
+        admissions leave unchanged (do not mutate): over the grown dictionary
+        the row of ``x`` is [kvec, kxx], the Gram matrix's new row, and this
+        is its forward solve. Exact copies of atoms (singular Gram matrix, yet
+        they can pass a Babel test with large gamma) are rejected, even where
+        the criterion test raises :class:`NumericalError`; the scan for them
+        runs only when the test passes or raises.
         """
         if not self._m:
             return self._append(x, kvec, kxx, z)
         criterion = self.criterion
         if criterion.max_atoms is not None and self._m >= criterion.max_atoms:
             return None
+        kind = criterion.kind
         try:
-            passes = self._passes(criterion.kind, kvec, kxx, criterion.threshold, z)
+            statistic = self._statistic(kind, kvec, kxx, z)
         except NumericalError:
-            if self._contains(x, kvec):
+            if self._contains(x, kvec, None):
                 return None
             raise
-        return self._append(x, kvec, kxx, z) if passes and not self._contains(x, kvec) else None
+        if not _passes(kind, statistic, criterion.threshold):
+            return None
+        # a coherence statistic is the largest cosine, for a Gaussian row max(kvec)
+        if self._contains(x, kvec, statistic if kind == "coherence" else None):
+            return None
+        return self._append(x, kvec, kxx, z)
 
-    def _append(self, x: np.ndarray, kvec: np.ndarray, kxx: float, z: np.ndarray | None) -> float:
+    def _append(self, x: np.ndarray, kvec: np.ndarray, kxx: float, z: np.ndarray | None) -> np.ndarray:
         m = self._m
         if z is None:
             z = self._forward(kvec)
@@ -248,31 +258,38 @@ class Dictionary:
         start = m * (m + 1) // 2
         if m == self._atoms_buf.shape[0]:
             cap = max(2 * m, 16)
+            if self.criterion.max_atoms is not None:
+                cap = max(min(cap, self.criterion.max_atoms), m + 1)
             atoms, diag, packed = np.empty((cap, x.shape[0])), np.empty(cap), np.empty(cap * (cap + 1) // 2)
             if m:
                 atoms[:m], diag[:m], packed[:start] = self.atoms, self._diag_buf[:m], self._packed[:start]
             self._atoms_buf, self._diag_buf, self._packed = atoms, diag, packed
         self._atoms_buf[m] = x
         self._diag_buf[m] = kxx
-        self._packed[start : start + m] = z
-        self._packed[start + m] = root
+        row = self._packed[start : start + m + 1]
+        row[:m] = z
+        row[m] = root
         self._m = m + 1
         self._gram = None
-        return root
+        return row
 
-    def _contains(self, x: np.ndarray, kvec: np.ndarray) -> bool:
+    def _contains(self, x: np.ndarray, kvec: np.ndarray, cosine: float | None) -> bool:
         """Whether ``x``, whose row over the atoms is ``kvec``, equals an atom exactly (any atom, if it has no coordinates).
 
         A Gaussian copy of an atom has the row entry exp(-0) = 1, so a row
-        below 1 settles it; otherwise only the atoms that match the first
-        coordinate, which for continuous inputs are none, are compared in
-        full. :meth:`_admit_row` asks only about candidates the criterion
-        test admits or raises on.
+        below 1 settles it: its largest entry is the coherence statistic
+        ``cosine`` when the caller has it, else reduced here. Otherwise only
+        the atoms that match the first coordinate, which for continuous
+        inputs are none, are compared in full. :meth:`_admit_row` asks only
+        about candidates the criterion test admits or raises on.
         """
         if not self.dim:
             return True
-        if self.kernel.family == "gaussian" and np.maximum.reduce(kvec) < 1.0:
-            return False
+        if self.kernel.family == "gaussian":
+            if cosine is None:
+                cosine = np.maximum.reduce(kvec)
+            if cosine < 1.0:
+                return False
         atoms = self.atoms
         hits = np.flatnonzero(atoms[:, 0] == x[0])
         return hits.size > 0 and bool((atoms[hits] == x).all(axis=1).any())
@@ -291,27 +308,30 @@ class Dictionary:
                 raise ValueError(f"{kind} test needs a threshold: the dictionary's threshold is for {self.criterion.kind}")
             threshold = self.criterion.threshold
         _, kvec, kxx = self._row(x)
-        return self._passes(kind, kvec, kxx, threshold)
+        return _passes(kind, self._statistic(kind, kvec, kxx), threshold)
 
-    def _passes(self, kind: str, kvec: np.ndarray, kxx: float, threshold: float, z: np.ndarray | None = None) -> bool:
-        """Whether a candidate with row (kvec, kxx) passes criterion ``kind`` at ``threshold``.
+    def _statistic(self, kind: str, kvec: np.ndarray, kxx: float, z: np.ndarray | None = None) -> float:
+        """Criterion ``kind``'s statistic of a candidate with row (kvec, kxx), which :func:`_passes` compares.
 
-        The approximation test reads z = L^-1 kvec, solved here unless given.
+        distance: the least scaled residual min_j kxx - kvec_j^2 / kappa(atom_j, atom_j);
+        approximation: the residual kxx - ||z||^2 (clamped at 0), reading
+        z = L^-1 kvec, solved here unless given; coherence: the largest
+        cosine; Babel: the sum of |kvec|.
         """
         if kind == "distance":
-            return float((kxx - kvec**2 / self._atom_norms("distance test")).min()) >= threshold**2
+            return float((kxx - kvec**2 / self._atom_norms("distance test")).min())
         if kind == "approximation":
             if z is None:
                 z = self._forward(kvec)
-            return max(kxx - float(z.dot(z)), 0.0) >= threshold**2
+            return max(kxx - float(z.dot(z)), 0.0)
         if kind == "coherence":
             if kxx <= 0:
                 raise NumericalError("candidate has non-positive self-similarity; coherence undefined")
             if self.kernel.family == "gaussian":
                 # kxx * kappa(atom, atom) is exactly 1 and kvec = exp(.) >= 0: the cosines are kvec
-                return float(np.maximum.reduce(kvec)) <= threshold
-            return float((np.abs(kvec) / np.sqrt(kxx * self._atom_norms("coherence test"))).max()) <= threshold
-        return float(np.abs(kvec).sum()) <= threshold
+                return float(np.maximum.reduce(kvec))
+            return float((np.abs(kvec) / np.sqrt(kxx * self._atom_norms("coherence test"))).max())
+        return float(np.abs(kvec).sum())
 
     def _atom_norms(self, use: str) -> np.ndarray:
         """kappa(atom_j, atom_j) for every atom as stored, the Gram diagonal read without the Gram matrix.
@@ -399,7 +419,8 @@ class Dictionary:
         m = self._m
         if not m:
             return kvec
-        return dtpsv(m, self._factor(), kvec, 1, 0, 0, 1)
+        packed = self._packed
+        return dtpsv(m, self._factor() if packed is None else packed, kvec, 1, 0, 0, 1)
 
     def _coordinates(self, alpha) -> np.ndarray:
         """w = L^T alpha: the model sum_j alpha_j kappa(atom_j, .) in the factor's orthonormal coordinates."""
@@ -466,6 +487,13 @@ class Dictionary:
     def load(cls, path) -> "Dictionary":
         with open(path, "r", encoding="ascii") as fh:
             return cls.from_text(fh.read())
+
+
+def _passes(kind: str, statistic: float, threshold: float) -> bool:
+    """Whether criterion ``kind``'s ``statistic`` admits at ``threshold``: delta**2 bounds a distance or approximation residual below, gamma a coherence or Babel statistic above."""
+    if kind in ("distance", "approximation"):
+        return statistic >= threshold**2
+    return statistic <= threshold
 
 
 def _pivot_root(kxx: float, z: np.ndarray) -> float:

@@ -95,10 +95,11 @@ def synthesize(name: str, seed: int, length: int, noise: float | None = None):
 def load_csv(path: str):
     """Read samples from a CSV whose last column is the target.
 
-    A non-numeric first row is treated as a header. Malformed rows raise
-    :class:`ConfigError` with line and field diagnostics.
+    A non-numeric first row is treated as a header. Malformed rows, and
+    fields that are not finite (``nan``, ``inf``, or a number past float64's
+    range), raise :class:`ConfigError` with line and field diagnostics.
     """
-    rows = []
+    rows, linenos = [], []
     for lineno, line in enumerate(_read_lines(path, "data file"), start=1):
         if not line.strip():
             continue
@@ -109,6 +110,7 @@ def load_csv(path: str):
             if lineno == 1:
                 continue  # header row
             raise ConfigError(f"{path} line {lineno}: {exc}") from None
+        linenos.append(lineno)
         if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
             raise ConfigError(
                 f"{path} line {lineno}: expected {len(rows[0])} fields, got {len(rows[-1])}"
@@ -118,6 +120,10 @@ def load_csv(path: str):
     if len(rows[0]) < 2:
         raise ConfigError(f"{path}: need at least one feature column and one target column")
     data = np.array(rows)
+    if not _all_finite(data):
+        i, k = np.argwhere(~np.isfinite(data))[0]  # the first in file order
+        name = "y" if k == data.shape[1] - 1 else "x"
+        raise ConfigError(f"{path} line {linenos[i]} column {k + 1}: {name} must be finite, got {float(data[i, k])!r}")
     return data[:, :-1], data[:, -1]
 
 

@@ -242,13 +242,14 @@ def step(
     The functional rule runs in the factor's coordinates: one forward solve
     z = L^-1 kvec serves the prediction w @ z, the approximation test, the
     admission's Schur pivot and the update. On admission w gains a zero
-    (L'^T [alpha, 0] = [w, 0]) and z the new diagonal entry of L, since
+    (L'^T [alpha, 0] = [w, 0]) and z becomes the factor's new row, since
     L'^-1 [kvec, kappa(x_t, x_t)] = [z, sqrt(pivot)]. The dictionary is
     updated in place. A non-finite ``x_t`` or ``y_t`` raises ``ValueError``,
     and a non-finite prediction (a diverged model) ``NumericalError``,
     before anything changes.
     """
-    state._check_size(dictionary)
+    if state._m != dictionary._m:
+        state._check_size(dictionary)
     y = float(y_t)
     if not math.isfinite(y):
         raise ValueError(f"y must be finite, got {y!r}")
@@ -282,17 +283,17 @@ def _update(
     if not math.isfinite(error):
         raise NumericalError(f"{cfg.algorithm} with eta {cfg.eta} diverged: prediction {prediction!r}")
 
-    root = dictionary._admit_row(x, kvec, kxx, z)
-    admitted = root is not None
+    row = dictionary._admit_row(x, kvec, kxx, z)
+    admitted = row is not None
     if functional:
         if admitted:
-            w, z = np.concatenate((w, [0.0])), np.concatenate((z, [root]))
+            w, z = _extended(w, 0.0), row
         # after a step the dictionary has atoms, so its packed factor is built
         state = ModelState._over(update_functional(w, z, error, cfg.eta, cfg.eps), dictionary._packed)
     else:
         alpha = state.alpha
         if admitted:
-            alpha, kvec = np.concatenate((alpha, [0.0])), np.concatenate((kvec, [kxx]))
+            alpha, kvec = _extended(alpha, 0.0), _extended(kvec, kxx)
         if cfg.algorithm == "lms_identity":
             alpha = update_lms_identity(alpha, kvec, error, cfg.eta, cfg.eps)
         elif cfg.algorithm == "lms_gram":
@@ -302,3 +303,12 @@ def _update(
         state = ModelState(alpha=alpha)
 
     return state, StepOutcome(prediction, error, admitted, dictionary._m)
+
+
+def _extended(v: np.ndarray, last: float) -> np.ndarray:
+    """[v, last] in a new array."""
+    m = len(v)
+    out = np.empty(m + 1)
+    out[:m] = v
+    out[m] = last
+    return out

@@ -120,9 +120,9 @@ class TestAdmit:
         scanned = []
         contains = Dictionary._contains
 
-        def counting(self, x, kvec):
+        def counting(self, x, kvec, cosine):
             scanned.append(x.tolist())
-            return contains(self, x, kvec)
+            return contains(self, x, kvec, cosine)
 
         monkeypatch.setattr(Dictionary, "_contains", counting)
         d = gaussian_dict(threshold=0.5)
@@ -337,6 +337,36 @@ class TestDefaultThreshold:
                 getattr(d, f"test_{kind}")([3.0])
             assert getattr(d, f"test_{kind}")([3.0], threshold=0.5)
         assert d.test_coherence([3.0])  # exp(-4.5) <= 0.5
+
+
+class TestThresholdBoundary:
+    # (kernel, atoms, candidate, threshold): the candidate's statistic is
+    # exactly the compared threshold value, delta**2 for distance and
+    # approximation (0.25 = 0.5**2) and gamma for coherence and Babel
+    # (None: the Gaussian row's largest entry or sum, as computed)
+    CASES = {
+        "distance": [(Kernel.linear(), [E1], [0.0, 0.5, 0.0], 0.5)],
+        "approximation": [(Kernel.linear(), [E1, E2], [0.3, 0.4, 0.5], 0.5)],
+        "coherence": [(Kernel.linear(), [[1.0, 0.0, 0.0, 0.0]], [0.5, 0.5, 0.5, 0.5], 0.5),
+                      (Kernel.gaussian(1.0), [[0.0, 0.0], [3.0, 0.0]], [1.0, 0.0], None)],
+        "babel": [(Kernel.linear(), [E1, E2], [0.25, 0.5, 1.0], 0.75),
+                  (Kernel.gaussian(1.0), [[0.0, 0.0], [3.0, 0.0]], [1.0, 0.0], None)],
+    }
+
+    @pytest.mark.parametrize("kind,case", [(kind, case) for kind, cases in CASES.items() for case in cases])
+    def test_statistic_at_the_threshold_admits_and_the_next_float_rejects(self, kind, case):
+        kernel, atoms, x, threshold = case
+        if threshold is None:
+            row = kernel.against(np.array(atoms), x)
+            threshold = float(row.max() if kind == "coherence" else row.sum())
+        # the next float toward rejection: a larger delta, a smaller gamma
+        past = math.nextafter(threshold, math.inf if kind in ("distance", "approximation") else 0.0)
+        at = Dictionary.from_atoms(kernel, CriterionConfig(kind, threshold), atoms)
+        beyond = Dictionary.from_atoms(kernel, CriterionConfig(kind, past), atoms)
+        assert getattr(at, f"test_{kind}")(x) and getattr(beyond, f"test_{kind}")(x, threshold)
+        assert not getattr(beyond, f"test_{kind}")(x) and not getattr(at, f"test_{kind}")(x, past)
+        assert not beyond.admit(x) and beyond.m == len(atoms)
+        assert at.admit(x) and at.m == len(atoms) + 1
 
 
 class TestMeasure:
@@ -573,31 +603,42 @@ class TestCholeskyFactor:
         assert np.linalg.norm(d.gram @ inv - np.eye(800)) <= 1e-9
         assert np.array_equal(inv, inv.T)
 
-    def test_admissions_fill_spare_capacity(self):
+    @pytest.mark.parametrize("cap", [None, 90])
+    def test_admissions_fill_spare_capacity(self, cap):
         # the atom, diagonal and factor buffers double together when full
-        # instead of being reallocated per admission, and atoms views and
-        # factor rows handed out earlier keep their values while later atoms
-        # are written past them
+        # instead of being reallocated per admission, and atoms views, factor
+        # rows and gram arrays handed out earlier keep their values while
+        # later atoms are written past them; under a cap the last growth
+        # stops at the cap (16, 32, 64, then 90 rather than 128 rows)
         rng = np.random.default_rng(1)
-        d = Dictionary(Kernel.gaussian(0.4), CriterionConfig("coherence", 0.95))
+        d = Dictionary(Kernel.gaussian(0.4), CriterionConfig("coherence", 0.95, max_atoms=cap))
         points = iter(rng.uniform(-1, 1, size=(2000, 4)))
-        bufs, reallocations, early = (None, None, None), 0, None
-        while d.m < 100:
+        bufs, reallocations, early, gram = (None, None, None), 0, None, None
+        while d.m < (cap or 100):
             d.admit(next(points))
             current = (d._atoms_buf, d._diag_buf, d._packed)
             grown = [new is not old for new, old in zip(current, bufs)]
             assert all(grown) or not any(grown)
             if grown[0]:
                 bufs, reallocations = current, reallocations + 1
-            assert d._diag_buf.shape[0] == d._atoms_buf.shape[0]
+            assert d._diag_buf.shape[0] == d._atoms_buf.shape[0] <= (cap or math.inf)
             assert d._packed.shape[0] == d._atoms_buf.shape[0] * (d._atoms_buf.shape[0] + 1) // 2
             if d.m == 10 and early is None:
                 early = (d.atoms, d.atoms.copy(), lower(d))
+            if d.m == 40 and gram is None:
+                gram = (d.gram, d.gram.copy())
         assert reallocations <= 5
         assert np.array_equal(early[0], early[1])
         assert np.array_equal(d.atoms[:10], early[1])
         assert np.array_equal(lower(d)[:10, :10], early[2])
+        assert gram[0].tobytes() == gram[1].tobytes()
+        assert d.gram[:40, :40].tobytes() == gram[1].tobytes()
         assert np.array_equal(d._diag_buf[: d.m], np.ones(d.m))
+        if cap is not None:
+            assert reallocations == 4 and d._atoms_buf.shape[0] == cap
+            # a full capped dictionary rejects everything and grows no more
+            assert not any(d.admit(next(points)) for _ in range(50))
+            assert (d._atoms_buf, d._diag_buf, d._packed) == bufs
 
     def test_gram_read_mid_stream_is_extended_bit_for_bit(self):
         # gram is read first once before a doubling (m = 10, capacity 16) and
@@ -627,12 +668,13 @@ class TestCholeskyFactor:
     def test_streams_that_never_read_gram_allocate_no_dense_buffer(self, algo):
         # no step reads gram: growing past 512 atoms doubles the buffers to
         # 1024 rows, and nothing the size of a 1024 x 1024 Gram matrix may be
-        # allocated on the way (the packed factor is about half of it)
+        # allocated on the way (the packed factor is about half of it); the
+        # criterion has no cap, which would stop the buffers at its size
         cap = 1024
         rng = np.random.default_rng(2)
         xs = rng.uniform(-1, 1, size=(3000, 4))
         ys = np.sin(np.pi * xs[:, 0]) * xs[:, 1]
-        d = Dictionary(Kernel.gaussian(0.4), CriterionConfig("coherence", 0.95, max_atoms=520))
+        d = Dictionary(Kernel.gaussian(0.4), CriterionConfig("coherence", 0.95))
         cfg = LearnerConfig(algo, eta=0.5, eps=1e-6)
         state = ModelState.empty()
         tracemalloc.start()

@@ -340,13 +340,14 @@ class TestChunkedRows:
     @pytest.mark.parametrize("column", ["x", "y"])
     @pytest.mark.parametrize("row", [1, 64, 65])
     def test_non_finite_sample_fails_at_its_step_writing_nothing(self, tmp_path, monkeypatch, capsys, row, column):
+        # load_csv and synthesize_finite refuse non-finite data before any
+        # step, so the samples reach run_online directly
         xs, ys = synthesize("sinc1d", seed=2, length=130)
         (xs[:, 0] if column == "x" else ys)[row - 1] = np.nan
-        data = tmp_path / "d.csv"
-        data.write_text("x,y\n" + "".join(f"{float(x[0])!r},{float(y)!r}\n" for x, y in zip(xs, ys)))
+        monkeypatch.setattr(harness_module, "_resolve_data", lambda cfg: (xs, ys))
         calls = self.count_steps(monkeypatch)
         out = tmp_path / "o"
-        assert main(["run", "--data", f"csv:{data}", "--sigma", "0.3", "--out", str(out)]) == 1
+        assert main(["run", "--sigma", "0.3", "--out", str(out)]) == 1
         message = "x contains non-finite entries" if column == "x" else "y must be finite, got nan"
         assert capsys.readouterr().err == f"error: {message}\n"
         # the failing step is the sample's own, after every step before it
@@ -842,6 +843,19 @@ class TestCli:
         data.write_text("x,y\n0.0,1.0\n0.5,nan\n1.0,1.0\n")
         assert main(["run", "--data", f"csv:{data}", "--out", str(tmp_path / "o")]) == 1
         assert "y must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row,column,message", [
+        ("0.3,nan", 2, "y must be finite, got nan"),
+        ("inf,0.3", 1, "x must be finite, got inf"),
+        ("0.3,-1e400", 2, "y must be finite, got -inf"),
+    ])
+    def test_non_finite_csv_field_is_named_by_line_and_column(self, tmp_path, capsys, row, column, message):
+        data = tmp_path / "d.csv"
+        data.write_text(f"x,y\n0.0,1.0\n\n0.5,1.0\n{row}\n1.0,nan\n")
+        out = tmp_path / "o"
+        assert main(["run", "--data", f"csv:{data}", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {data} line 5 column {column}: {message}\n"
+        assert not out.exists()
 
     def test_run_and_verify_and_measure(self, tmp_path, capsys):
         out = str(tmp_path / "exp")
