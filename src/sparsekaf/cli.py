@@ -151,12 +151,37 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _pin_blas_threads() -> None:
+    """Pin numpy's and scipy's bundled OpenBLAS libraries to one thread each.
+
+    OpenBLAS splits some routines across threads, which changes their order
+    of summation, so without the pin a run's files would depend on the
+    machine's core count. A library or symbol that is missing (another BLAS
+    build) is left as it is.
+    """
+    import ctypes
+    import glob
+    import importlib.util
+
+    for package, pattern, symbol in (
+        ("numpy", "libscipy_openblas64_-*.so", "scipy_openblas_set_num_threads64_"),
+        ("scipy", "libscipy_openblas-*.so", "scipy_openblas_set_num_threads"),
+    ):
+        # a wheel's bundled libraries sit beside its package directory
+        site = os.path.dirname(os.path.dirname(importlib.util.find_spec(package).origin))
+        for path in glob.glob(os.path.join(site, package + ".libs", pattern)):
+            set_threads = getattr(ctypes.CDLL(path), symbol, None)
+            if set_threads is not None:
+                set_threads(1)
+
+
 def main(argv=None) -> int:
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    _pin_blas_threads()
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # ConfigError is a ValueError

@@ -128,9 +128,9 @@ def load_csv(path: str):
 
 
 def _read_lines(path: str, what: str) -> list[str]:
-    """The lines of the UTF-8 text file ``path``; one that cannot be read raises :class:`ConfigError` naming ``what``."""
+    """The lines of the UTF-8 text file ``path``, a leading byte-order mark dropped; one that cannot be read raises :class:`ConfigError` naming ``what``."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from None
@@ -182,10 +182,14 @@ class RunRecord:
 def run_online(cfg: ExperimentConfig) -> RunRecord:
     """Stream the configured data through the online learner.
 
-    Gaussian kernel rows are computed ``_CHUNK`` samples at a time (see
-    :func:`_chunk_rows`), each row bit-identical to the one :func:`step`
-    computes, and every row goes through :func:`step`'s body, so the record
-    is that of stepping each sample. Writes ``run.csv``, ``spectral.csv``
+    A Gaussian run computes its kernel rows ``_CHUNK`` samples at a time
+    against the atoms present at each chunk's start, fills an admitted atom's
+    column of the chunk's later rows, and passes each row, bit-identical to
+    the one :func:`step` computes, to :func:`step`'s body, so the record is
+    that of stepping each sample. Linear and polynomial runs call
+    :func:`step`, since their rows would round differently as block
+    products. The data sources refuse non-finite samples, so no row needs
+    :func:`step`'s checks. Writes ``run.csv``, ``spectral.csv``
     and the serialized dictionary to ``cfg.out`` when set. A learner that
     diverges (a non-finite prediction or row norm) raises ``NumericalError``
     naming the step, and nothing is written.
@@ -196,16 +200,22 @@ def run_online(cfg: ExperimentConfig) -> RunRecord:
     state = ModelState.empty()
     record = RunRecord()
     n = xs.shape[0]
+    gaussian = kernel.family == "gaussian"
     # every figure the loop keeps is checked with isfinite, so numpy's
     # overflow warnings from a diverging model would only repeat the error;
     # one errstate for the whole loop, since entering it costs microseconds
     with np.errstate(over="ignore", invalid="ignore"):
         for c0 in range(0, n, _CHUNK):
             c1 = min(c0 + _CHUNK, n)
-            rows = _chunk_rows(dictionary, xs[c0:c1], ys[c0:c1])
+            if gaussian:
+                # the chunk's rows against the atoms so far, with a column per sample for those it may admit
+                m = dictionary.m
+                rows = np.empty((c1 - c0, m + c1 - c0))
+                if m:
+                    kernel._rows(dictionary.atoms, xs[c0:c1], out=rows[:, :m])
             for t in range(c0, c1):
                 try:
-                    if rows is None:
+                    if not gaussian:
                         state, outcome = step(state, dictionary, xs[t], float(ys[t]), cfg.learner)
                     else:
                         m = dictionary.m
@@ -237,21 +247,6 @@ def run_online(cfg: ExperimentConfig) -> RunRecord:
         _write(cfg.out, RUN_CSV, record.run_csv())
         dictionary.save(os.path.join(cfg.out, DICTIONARY_FILE))
     return record
-
-
-def _chunk_rows(dictionary: Dictionary, xs: np.ndarray, ys: np.ndarray) -> np.ndarray | None:
-    """Gaussian rows of the chunk ``xs`` against the atoms, left in a buffer with room for a column per sample.
-
-    None, so that the chunk goes through :func:`step`, unless the kernel is
-    Gaussian, the dictionary has atoms and every sample is finite: a
-    non-finite one must raise at its own step, after the steps before it.
-    """
-    m = dictionary.m
-    if not (dictionary.kernel.family == "gaussian" and m and _all_finite(xs) and _all_finite(ys)):
-        return None
-    rows = np.empty((xs.shape[0], m + xs.shape[0]))
-    dictionary.kernel._rows(dictionary.atoms, xs, out=rows[:, :m])
-    return rows
 
 
 def _write(out: str, name: str, text: str) -> None:

@@ -124,6 +124,14 @@ class TestLoadCsv:
         np.testing.assert_array_equal(xs, [[1.0, 2.0], [4.0, 5.0]])
         np.testing.assert_array_equal(ys, [3.0, 6.0])
 
+    def test_byte_order_mark_keeps_the_first_sample(self, tmp_path):
+        # a headerless file: a mark read as part of the first field would make line 1 a header
+        path = tmp_path / "data.csv"
+        path.write_text("\ufeff0.5,0.25\n1.0,0.5\n1.5,0.75\n", encoding="utf-8")
+        xs, ys = load_csv(str(path))
+        np.testing.assert_array_equal(xs, [[0.5], [1.0], [1.5]])
+        np.testing.assert_array_equal(ys, [0.25, 0.5, 0.75])
+
     def test_malformed_row_diagnostics(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("1.0,2.0\n3.0,oops\n")
@@ -165,7 +173,8 @@ class TestRunOnline:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("column", ["alpha_sq_norm", "psi_sq_norm"])
     def test_non_finite_row_norm_raises_at_its_step(self, monkeypatch, tmp_path, column):
-        # a stand-in learner whose state leaves float64's range at the last of three steps
+        # a stand-in learner whose state leaves float64's range at the last of
+        # three steps; a linear run calls step for every sample
         class State:
             def __init__(self, alpha, w):
                 self.alpha, self.w = np.array(alpha), np.array(w)
@@ -183,7 +192,7 @@ class TestRunOnline:
         monkeypatch.setattr(harness_module, "step", diverging_step)
         out = tmp_path / "o"
         with pytest.raises(NumericalError, match=f"^step 3: nlms with eta 0.5 diverged: .*{column} inf"):
-            run_online(make_config(length=3, out=str(out)))
+            run_online(make_config(kernel=Kernel.linear(), length=3, out=str(out)))
         assert not out.exists()
 
     @pytest.mark.parametrize("algo", ["lms_identity", "lms_gram", "nlms", "functional_sgd"])
@@ -274,21 +283,31 @@ def online(cfg):
 
 
 class TestChunkedRows:
-    """run_online's Gaussian rows, a chunk at a time, against a plain loop of ``step``."""
+    """run_online's Gaussian rows, a chunk at a time, against a plain loop of ``step``.
+
+    A Gaussian run never calls ``step``; linear and polynomial runs call it once per sample.
+    """
 
     KERNELS = {"gaussian": Kernel.gaussian(0.3), "polynomial": Kernel.polynomial(3, 0.5), "linear": Kernel.linear()}
     THRESHOLDS = {"distance": 0.3, "approximation": 0.1, "coherence": 0.7, "babel": 3.0}
 
     @staticmethod
-    def count_steps(monkeypatch):
-        calls = []
+    def count_calls(monkeypatch):
+        """Lists that record the calls of ``step`` and of ``Kernel.against`` from here on."""
+        steps, rows = [], []
+        against = Kernel.against
 
-        def counting(*args):
-            calls.append(args[2])
+        def counting_step(*args):
+            steps.append(args[2])
             return step(*args)
 
-        monkeypatch.setattr(harness_module, "step", counting)
-        return calls
+        def counting_against(*args):
+            rows.append(args[2])
+            return against(*args)
+
+        monkeypatch.setattr(harness_module, "step", counting_step)
+        monkeypatch.setattr(Kernel, "against", counting_against)
+        return steps, rows
 
     @pytest.mark.parametrize("algo", ALGORITHMS)
     @pytest.mark.parametrize("kind", sorted(THRESHOLDS))
@@ -299,25 +318,26 @@ class TestChunkedRows:
         cfg = make_config(kernel=self.KERNELS[family], criterion=CriterionConfig(kind, self.THRESHOLDS[kind], 80),
                           learner=LearnerConfig(algo, 0.05, 0.01), data="narma2", seed=3, length=150)
         expected = stepped(cfg)
-        calls = self.count_steps(monkeypatch)
+        steps, rows = self.count_calls(monkeypatch)
         assert online(cfg) == expected
-        steps = int(re.match(r"step (\d+)", expected)[1]) if isinstance(expected, str) else 150
-        # Gaussian rows go through step only in the chunk that starts with an empty dictionary
-        assert len(calls) == (min(64, steps) if family == "gaussian" else steps)
+        n = int(re.match(r"step (\d+)", expected)[1]) if isinstance(expected, str) else 150
+        assert len(steps) == (0 if family == "gaussian" else n)
+        if family == "gaussian":
+            assert rows == []
 
     @pytest.mark.parametrize("chunk", [1, 64])
     @pytest.mark.parametrize("length", [1, 63, 64, 65, 130])
     @pytest.mark.parametrize("algo", ALGORITHMS)
     def test_chunk_boundaries(self, monkeypatch, chunk, length, algo):
         monkeypatch.setattr(harness_module, "_CHUNK", chunk)
-        for kind in ("coherence", "approximation"):
-            cfg = make_config(kernel=Kernel.gaussian(0.2), criterion=CriterionConfig(kind, 0.6 if kind == "coherence" else 0.2),
-                              learner=LearnerConfig(algo, 0.5, 1e-6), seed=7, length=length)
-            expected = stepped(cfg)
-            calls = self.count_steps(monkeypatch)
-            assert online(cfg) == expected
-            # only the rows of the chunk that starts with an empty dictionary go through step
-            assert len(calls) == min(chunk, length)
+        cfgs = [make_config(kernel=Kernel.gaussian(0.2), criterion=CriterionConfig(kind, 0.6 if kind == "coherence" else 0.2),
+                            learner=LearnerConfig(algo, 0.5, 1e-6), seed=7, length=length)
+                for kind in ("coherence", "approximation")]
+        expected = [stepped(cfg) for cfg in cfgs]
+        steps, rows = self.count_calls(monkeypatch)
+        assert [online(cfg) for cfg in cfgs] == expected
+        # the first chunk too takes block rows
+        assert steps == rows == []
 
     @pytest.mark.parametrize("chunk", [1, 64])
     @pytest.mark.parametrize("algo", ALGORITHMS)
@@ -341,17 +361,18 @@ class TestChunkedRows:
     @pytest.mark.parametrize("row", [1, 64, 65])
     def test_non_finite_sample_fails_at_its_step_writing_nothing(self, tmp_path, monkeypatch, capsys, row, column):
         # load_csv and synthesize_finite refuse non-finite data before any
-        # step, so the samples reach run_online directly
+        # step, so the samples reach run_online directly; a linear run calls
+        # step, whose checks name the sample
         xs, ys = synthesize("sinc1d", seed=2, length=130)
         (xs[:, 0] if column == "x" else ys)[row - 1] = np.nan
         monkeypatch.setattr(harness_module, "_resolve_data", lambda cfg: (xs, ys))
-        calls = self.count_steps(monkeypatch)
+        steps, rows = self.count_calls(monkeypatch)
         out = tmp_path / "o"
-        assert main(["run", "--sigma", "0.3", "--out", str(out)]) == 1
+        assert main(["run", "--kernel", "linear", "--out", str(out)]) == 1
         message = "x contains non-finite entries" if column == "x" else "y must be finite, got nan"
         assert capsys.readouterr().err == f"error: {message}\n"
         # the failing step is the sample's own, after every step before it
-        assert len(calls) == row
+        assert len(steps) == row
         assert not out.exists()
 
 
@@ -457,6 +478,11 @@ class TestConfig:
         assert cfg.learner.eta == 0.1
         mapping["eta"] = "0.9"
         assert build_config(mapping).learner.eta == 0.9
+
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("\ufeffdata = narma2\nlength = 50\n", encoding="utf-8")
+        assert parse_config_file(str(cfg_file)) == {"data": "narma2", "length": "50"}
 
     def test_unknown_key_line_number(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"
@@ -908,6 +934,29 @@ class TestCli:
         assert rc == 0
         n_rows = len(open(os.path.join(out, "run.csv")).read().strip().split("\n")) - 1
         assert n_rows == 40
+
+    @pytest.mark.parametrize("algo", [["nlms"], ["lms-gram", "--eta", "0.05", "--eps", "0.01"]], ids=["nlms", "lms-gram"])
+    def test_files_do_not_depend_on_the_blas_thread_count(self, tmp_path, algo):
+        # OpenBLAS splits some routines across threads, which changes their
+        # order of summation: unpinned, 2 threads change these run.csv files
+        # from line 30 (nlms) and 34 (lms-gram) on, their spectral.csv, and
+        # verify's rewrite of spectral.csv
+        run = ["run", "--data", "narma2", "--sigma", "0.1", "--criterion", "coherence", "--threshold", "0.9",
+               "--algo", *algo, "--length", "100"]
+        written = {}
+        for threads in ("1", "2", None):
+            env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out, verified = tmp_path / f"run-{threads}", tmp_path / f"verify-{threads}"
+            for argv in ([*run, "--out", str(out)],
+                         ["verify", "--dict", str(tmp_path / "run-1" / "dictionary.txt"), "--out", str(verified)]):
+                proc = subprocess.run([sys.executable, "-m", "sparsekaf.cli", *argv], env=env, capture_output=True, text=True)
+                assert proc.returncode == 0, proc.stderr
+            written[threads] = [(out / name).read_bytes() for name in ("run.csv", "spectral.csv", "dictionary.txt")]
+            written[threads].append((verified / "spectral.csv").read_bytes())
+        assert written["2"] == written[None] == written["1"]
+        assert written["1"][1] == written["1"][3]
 
     def test_console_entry_point(self, tmp_path):
         proc = subprocess.run(
