@@ -163,15 +163,19 @@ def _pin_blas_threads() -> None:
     import glob
     import importlib.util
 
+    # the scipy-openblas builds that current wheels bundle, then older wheels' OpenBLAS builds
     for package, pattern, symbol in (
         ("numpy", "libscipy_openblas64_-*.so", "scipy_openblas_set_num_threads64_"),
         ("scipy", "libscipy_openblas-*.so", "scipy_openblas_set_num_threads"),
+        ("numpy", "libopenblas64_p-r0-*.so", "openblas_set_num_threads64_"),
+        ("scipy", "libopenblasp-r0-*.so", "openblas_set_num_threads"),
     ):
         # a wheel's bundled libraries sit beside its package directory
         site = os.path.dirname(os.path.dirname(importlib.util.find_spec(package).origin))
         for path in glob.glob(os.path.join(site, package + ".libs", pattern)):
             set_threads = getattr(ctypes.CDLL(path), symbol, None)
             if set_threads is not None:
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
                 set_threads(1)
 
 

@@ -183,21 +183,12 @@ class Kernel:
         return cls("gaussian", sigma=sigma)
 
     def __call__(self, x, y) -> float:
-        """Evaluate kappa(x, y) for a single pair of vectors."""
+        """Evaluate kappa(x, y) for a single pair of vectors: the row of x against the one atom y."""
         x = _as_vector(x, "x")
         y = _as_vector(y, "y")
         if x.shape != y.shape:
             raise ValueError(f"dimension mismatch: {x.shape[0]} vs {y.shape[0]}")
-        return self._pair(x, y)
-
-    def _pair(self, x: np.ndarray, y: np.ndarray) -> float:
-        """:meth:`__call__` without input checks, for float64 vectors already validated."""
-        if self.family == "linear":
-            return float(x @ y)
-        if self.family == "polynomial":
-            return float((x @ y + self.offset) ** self.degree)
-        d_sq = float(np.sum((x - y) ** 2))
-        return float(np.exp(-d_sq / (2.0 * self.sigma**2)))
+        return float(self._against(y[None, :], x)[0])
 
     def against(self, atoms: np.ndarray, x) -> np.ndarray:
         """Evaluate kappa(atom_j, x) for every row of ``atoms`` at once.
@@ -273,10 +264,12 @@ class Kernel:
         Row i left of the diagonal is ``_against(xs[:i], xs[i])``, the row
         that admitting xs[i] after xs[:i] evaluates, mirrored into column i
         (so the matrix is exactly symmetric); the diagonal is
-        :meth:`self_similarity`, the value admission stores. A matrix grown
-        one admission at a time is therefore reproduced bit-identically, for
+        :meth:`self_similarity`, the value admission stores: for every family
+        the one-row ``_against(xs[i][None], xs[i])``. A matrix grown one
+        admission at a time is therefore reproduced bit-identically, for
         every kernel. Gaussian rows come a block at a time from
-        :meth:`_rows`, whose entries are those rows' arithmetic. Linear and
+        :meth:`_rows`, whose entries are those rows' arithmetic; a diagonal
+        block's own entries are exp(-0) = 1. Linear and
         polynomial rows are built one at a time from the first i atoms: a
         BLAS may round a matrix-vector product differently for another
         number of matrix rows, so a block product need not give the row
@@ -299,7 +292,6 @@ class Kernel:
                     b1 = min(b0 + _GRAM_BLOCK, m)
                     self._rows(xs[:b1], xs[b0:b1], out=out[b0:b1, :b1])
                     out[:b0, b0:b1] = out[b0:b1, :b0].T
-                np.fill_diagonal(out, 1.0)  # kappa(x, x), as exp(-0) gives it
                 return out
             for i in range(m):
                 out[i, :i] = out[:i, i] = self._against(xs[:i], xs[i])
@@ -307,12 +299,13 @@ class Kernel:
         return out
 
     def self_similarity(self, x) -> float:
-        """kappa(x, x); cheaper than ``self(x, x)`` for the Gaussian family."""
+        """kappa(x, x), the value ``self(x, x)`` gives; the Gaussian family's is 1.0 without arithmetic."""
         return self._self_similarity(_as_vector(x, "x"))
 
     def _self_similarity(self, x: np.ndarray) -> float:
         """:meth:`self_similarity` without input checks: the kappa(x, x) that admission stores."""
-        return 1.0 if self.family == "gaussian" else self._pair(x, x)
+        # a Gaussian row's entry of x against itself is exp(-0) = 1
+        return 1.0 if self.family == "gaussian" else float(self._against(x[None, :], x)[0])
 
 
 @dataclass(frozen=True)
@@ -330,8 +323,8 @@ class NormRange:
     R_sq: float
 
     def __post_init__(self):
-        if not (0.0 <= self.r_sq <= self.R_sq):
-            raise ValueError(f"need 0 <= r_sq <= R_sq, got ({self.r_sq}, {self.R_sq})")
+        if not 0.0 <= self.r_sq <= self.R_sq < math.inf:  # NaN fails too
+            raise ValueError(f"need 0 <= r_sq <= R_sq < inf, got ({self.r_sq}, {self.R_sq})")
 
     @property
     def is_unit(self) -> bool:

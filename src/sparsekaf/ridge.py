@@ -20,13 +20,14 @@ through K and never forms it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._lapack import dpftrf, dpftrs, dsfrk, dtrttf
 from .errors import NumericalError
-from .kernels import Kernel, _as_matrix
+from .kernels import Kernel, _all_finite, _as_matrix
 
 VARIANTS = ("rkhs_norm", "param_norm")
 
@@ -51,8 +52,10 @@ class RidgeProblem:
             raise ValueError(
                 f"{self.samples.shape[0]} samples but {self.targets.shape[0]} targets"
             )
-        if not self.eps > 0:
-            raise ValueError("tradeoff eps must be > 0")
+        if not _all_finite(self.targets):
+            raise ValueError("targets contains non-finite entries")
+        if not 0 < self.eps < math.inf:  # NaN fails too
+            raise ValueError("tradeoff eps must be finite and > 0")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
 

@@ -773,7 +773,7 @@ class TestSerialization:
     def test_round_trip_polynomial_multidimensional_bit_identical(self):
         # Kernel.gram replays admission: row i over the first i atoms only
         # (BLAS rounds a product over more rows differently) and the
-        # diagonal as the scalar power admission stores. The Gram matrix is
+        # diagonal as the one-row value admission stores. The Gram matrix is
         # ill-conditioned (a pivot near 3e-10), and dpptrf still rebuilds
         # the grown factor bit for bit.
         x, _ = harness.synthesize("narma2", 3, 1000)

@@ -1,13 +1,17 @@
 import argparse
+import ctypes
+import importlib.util
 import math
 import os
 import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import sparsekaf.cli as cli_module
 import sparsekaf.harness as harness_module
 import sparsekaf.spectral as spectral
 from sparsekaf import (
@@ -935,14 +939,19 @@ class TestCli:
         n_rows = len(open(os.path.join(out, "run.csv")).read().strip().split("\n")) - 1
         assert n_rows == 40
 
-    @pytest.mark.parametrize("algo", [["nlms"], ["lms-gram", "--eta", "0.05", "--eps", "0.01"]], ids=["nlms", "lms-gram"])
-    def test_files_do_not_depend_on_the_blas_thread_count(self, tmp_path, algo):
+    @pytest.mark.parametrize("options", [
+        ["--sigma", "0.1", "--criterion", "coherence", "--threshold", "0.9", "--algo", "nlms"],
+        ["--sigma", "0.1", "--criterion", "coherence", "--threshold", "0.9", "--algo", "lms-gram", "--eta", "0.05", "--eps", "0.01"],
+        ["--kernel", "polynomial", "--degree", "3", "--offset", "0.5", "--criterion", "approximation", "--threshold", "0.3",
+         "--algo", "nlms"],
+    ], ids=["nlms", "lms-gram", "polynomial"])
+    def test_files_do_not_depend_on_the_blas_thread_count(self, tmp_path, options):
         # OpenBLAS splits some routines across threads, which changes their
-        # order of summation: unpinned, 2 threads change these run.csv files
-        # from line 30 (nlms) and 34 (lms-gram) on, their spectral.csv, and
-        # verify's rewrite of spectral.csv
-        run = ["run", "--data", "narma2", "--sigma", "0.1", "--criterion", "coherence", "--threshold", "0.9",
-               "--algo", *algo, "--length", "100"]
+        # order of summation: unpinned, 2 threads change the Gaussian run.csv
+        # files from line 30 (nlms) and 34 (lms-gram) on, their spectral.csv,
+        # and verify's rewrite of spectral.csv; the polynomial run, whose
+        # dictionary stays at 3 atoms, covers the per-sample step path
+        run = ["run", "--data", "narma2", *options, "--length", "100"]
         written = {}
         for threads in ("1", "2", None):
             env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
@@ -957,6 +966,53 @@ class TestCli:
             written[threads].append((verified / "spectral.csv").read_bytes())
         assert written["2"] == written[None] == written["1"]
         assert written["1"][1] == written["1"][3]
+
+    def test_blas_pin_asks_each_library_for_its_symbol(self, tmp_path, monkeypatch):
+        # stub wheel libraries, each file holding the symbols it exports; a
+        # recording stand-in for ctypes.CDLL shows which file is opened and
+        # which symbol is looked up and called in it
+        stubs = {
+            "numpy.libs/libscipy_openblas64_-6bb31eeb.so": "scipy_openblas_set_num_threads64_",
+            "numpy.libs/libopenblas64_p-r0-0cf96a72.3.23.dev.so": "openblas_set_num_threads64_",
+            "numpy.libs/libgfortran-040039e1.so.5.0.0": "",
+            "scipy.libs/libscipy_openblas-c128ec02.so": "scipy_openblas_set_num_threads",
+            "scipy.libs/libopenblasp-r0-23e5df77.3.21.dev.so": "openblas_set_num_threads",
+            # a library without the symbol, and one under the other package's name, are left as they are
+            "scipy.libs/libopenblasp-r0-00000000.3.0.so": "",
+            "scipy.libs/libopenblas64_p-r0-11111111.3.0.so": "openblas_set_num_threads64_",
+        }
+        for name, exports in stubs.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(exports)
+        opened, calls = [], []
+
+        class RecordingLibrary:
+            def __init__(self, path):
+                self.name = os.path.relpath(path, tmp_path)
+                self.exports = (tmp_path / self.name).read_text().split()
+                opened.append(self.name)
+
+            def __getattr__(self, symbol):
+                if symbol not in self.exports:
+                    raise AttributeError(symbol)
+                return lambda *args: calls.append((self.name, symbol, args))
+
+        monkeypatch.setattr(importlib.util, "find_spec", lambda package: SimpleNamespace(origin=str(tmp_path / package / "__init__.py")))
+        monkeypatch.setattr(ctypes, "CDLL", RecordingLibrary)
+        cli_module._pin_blas_threads()
+        assert sorted(opened) == sorted([
+            "numpy.libs/libscipy_openblas64_-6bb31eeb.so",
+            "numpy.libs/libopenblas64_p-r0-0cf96a72.3.23.dev.so",
+            "scipy.libs/libscipy_openblas-c128ec02.so",
+            "scipy.libs/libopenblasp-r0-23e5df77.3.21.dev.so",
+            "scipy.libs/libopenblasp-r0-00000000.3.0.so",
+        ])
+        assert sorted(calls) == sorted([
+            ("numpy.libs/libscipy_openblas64_-6bb31eeb.so", "scipy_openblas_set_num_threads64_", (1,)),
+            ("numpy.libs/libopenblas64_p-r0-0cf96a72.3.23.dev.so", "openblas_set_num_threads64_", (1,)),
+            ("scipy.libs/libscipy_openblas-c128ec02.so", "scipy_openblas_set_num_threads", (1,)),
+            ("scipy.libs/libopenblasp-r0-23e5df77.3.21.dev.so", "openblas_set_num_threads", (1,)),
+        ])
 
     def test_console_entry_point(self, tmp_path):
         proc = subprocess.run(

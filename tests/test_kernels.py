@@ -424,6 +424,30 @@ class TestBlockRows:
         assert k.gram(xs).tobytes() == replayed_gram(k, xs).tobytes()
 
 
+class TestOneValuePerPair:
+    """kappa(x, y), kappa(y, x), kappa(x, x) and the Gram diagonal are each the one-atom row's float."""
+
+    @pytest.mark.parametrize("dim", [1, 3, 4, 9, 17, 40])
+    @pytest.mark.parametrize(
+        "kernel",
+        [Kernel.linear(), Kernel.polynomial(2, 1.0), Kernel.polynomial(3, 0.5), Kernel.gaussian(0.8)],
+        ids=["linear", "poly2", "poly3", "gaussian"],
+    )
+    def test_pair_self_and_gram_diagonal_agree(self, kernel, dim):
+        # a cubic value raised as a Python float's power would differ from the
+        # row's array power in the last bits for 1-8 % of these draws
+        rng = np.random.default_rng(dim)
+        for x, y in rng.uniform(-1, 1, size=(100, 2, dim)):
+            row = kernel._against(y[None, :], x)[0]
+            assert kernel(x, y) == kernel(y, x) == row
+            grown = Dictionary(kernel, CriterionConfig("coherence", 1.0))
+            if kernel.family != "linear" or dim > 1:  # a linear Gram matrix on the line has rank 1
+                assert grown.admit(y)
+            assert grown.admit(x)
+            kxx = kernel._against(x[None, :], x)[0]
+            assert kernel.self_similarity(x) == kernel(x, x) == grown.gram[-1, -1] == kxx
+
+
 class TestNormRange:
     def test_user_supplied(self):
         nr = NormRange(0.5, 2.0)
@@ -432,6 +456,10 @@ class TestNormRange:
             NormRange(2.0, 0.5)
         with pytest.raises(ValueError):
             NormRange(-1.0, 1.0)
+        # an infinite R_sq would give spectral rows a NaN nu and rescale factor
+        for r_sq, R_sq in ((0.0, math.inf), (math.inf, math.inf), (0.0, math.nan), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="R_sq < inf"):
+                NormRange(r_sq, R_sq)
 
 
 @pytest.mark.parametrize(

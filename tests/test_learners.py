@@ -366,21 +366,20 @@ class TestStepDataFlow:
         assert run_against_reference(case, kind, algo, eta, eps) <= ALPHA_BOUND
 
     def test_update_reads_the_gram_diagonal(self):
-        # kappa(x, x) of the polynomial family rounds as a scalar power, while
-        # the kernel row rounds as an array power; the two differ in the last
-        # bit for some x. The admitted atom's entry of the row the update
-        # reads is the one the Gram matrix holds.
+        # the admitted atom's entry of the row the update reads is the one the
+        # Gram matrix holds, and kappa(x, x) is the one-atom row's value
         kernel = Kernel.polynomial(3, 0.5)
         cfg = LearnerConfig("lms_identity", eta=0.2, eps=0.0)
-        row_differs = 0
+        admitted = 0
         for x in np.random.default_rng(12).uniform(-3, 3, size=(200, 1)):
             d = Dictionary(kernel, CriterionConfig("distance", 0.1))
             state, _ = step(ModelState.empty(), d, np.array([0.25]), 1.0, cfg)
             state, out = step(state, d, x, 1.0, cfg)
             if out.admitted:
                 assert state.alpha[-1] == cfg.eta * (out.error * d.gram[-1, -1])
-                row_differs += kernel_vector(kernel, x[None, :], x)[0] != d.gram[-1, -1]
-        assert row_differs
+                assert kernel_vector(kernel, x[None, :], x)[0] == d.gram[-1, -1]
+                admitted += 1
+        assert admitted
 
     def test_one_triangular_solve_per_functional_step(self, monkeypatch):
         solves, products = [], []

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -82,6 +83,13 @@ class TestSolve:
             RidgeProblem([[0.0]], [1.0, 2.0], Kernel.gaussian(1.0), eps=1.0)
         with pytest.raises(ValueError):
             RidgeProblem([[0.0]], [1.0], Kernel.gaussian(1.0), eps=1.0, variant="lasso")
+        # either would make solve return all-NaN coefficients
+        for eps in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="eps"):
+                RidgeProblem([[0.0]], [1.0], Kernel.gaussian(1.0), eps=eps)
+        for target in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="targets"):
+                RidgeProblem([[0.0], [1.0]], [1.0, target], Kernel.gaussian(1.0), eps=1.0)
 
 
 # Each kernel on samples it keeps full rank on, so that rkhs_norm is solvable too:
